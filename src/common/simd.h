@@ -1,8 +1,10 @@
 // Runtime ISA dispatch for numeric hot loops.
 //
 // The build targets baseline x86-64 so binaries stay portable, but a few
-// dense kernels (nn/gin_inference.cc, the Lipschitz displacement
-// reduction) gain 2-4x from AVX2/AVX-512 FMA. SGCL_TARGET_CLONES
+// dense kernels (nn/gin_kernel.cc, the Lipschitz displacement reduction)
+// gain 2-4x from AVX2/AVX-512 vectors. The library builds with
+// -ffp-contract=off, so no clone fuses a*b+c into an FMA and every clone
+// rounds exactly like the baseline one. SGCL_TARGET_CLONES
 // compiles the annotated function once per listed ISA level and installs
 // an ifunc resolver that picks the best clone for the running CPU at
 // load time.

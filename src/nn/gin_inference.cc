@@ -1,155 +1,13 @@
 #include "nn/gin_inference.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 
-#include "common/parallel.h"
-#include "common/simd.h"
 #include "nn/gin_conv.h"
 #include "nn/layer_norm.h"
 
 namespace sgcl {
 namespace {
-
-// Same sizing rule as the row-parallel kernels in tensor/ops.cc: chunks
-// of at least ~64K flops so scheduling overhead stays negligible.
-int64_t RowGrain(int64_t flops_per_row) {
-  constexpr int64_t kMinFlopsPerChunk = 1 << 16;
-  return std::max<int64_t>(1, kMinFlopsPerChunk /
-                                  std::max<int64_t>(1, flops_per_row));
-}
-
-// One output row of a dense layer: y = a W + bias (optionally ReLU'd),
-// register-tiled over the output dimension so accumulators stay out of
-// memory. Per output element the accumulation is in ascending-k order.
-// Unlike tensor/ops.cc MatMul there is no zero-input skip: ReLU inputs
-// are ~half zeros at random positions, and the resulting branch
-// mispredicts cost more than the vectorized multiplies they save
-// (adding 0 * w is also bitwise-neutral, so results are unchanged).
-inline void DenseRow(const float* a, int64_t in, const float* w,
-                     const float* bias, int64_t out, bool relu, float* y) {
-  for (int64_t j0 = 0; j0 < out; j0 += 32) {
-    const int64_t blk = std::min<int64_t>(32, out - j0);
-    float acc[32];
-    for (int64_t t = 0; t < blk; ++t) acc[t] = 0.0f;
-    for (int64_t k = 0; k < in; ++k) {
-      const float av = a[k];
-      const float* wrow = w + k * out + j0;
-      for (int64_t t = 0; t < blk; ++t) acc[t] += av * wrow[t];
-    }
-    for (int64_t t = 0; t < blk; ++t) {
-      const float v = acc[t] + bias[j0 + t];
-      y[j0 + t] = relu && v <= 0.0f ? 0.0f : v;
-    }
-  }
-}
-
-// LayerNorm with double-precision moments as in nn/layer_norm.cc, then
-// the encoder ReLU, in place on one row. Shared by the full-row and
-// dirty-row kernels so their arithmetic can never diverge.
-inline void LayerNormReluRow(const GinLayerParams& p, float* yrow) {
-  double mean = 0.0;
-  for (int64_t j = 0; j < p.out; ++j) mean += yrow[j];
-  mean /= static_cast<double>(p.out);
-  double var = 0.0;
-  for (int64_t j = 0; j < p.out; ++j) {
-    const double c = yrow[j] - mean;
-    var += c * c;
-  }
-  var /= static_cast<double>(p.out);
-  const float inv = 1.0f / std::sqrt(static_cast<float>(var) + p.ln_eps);
-  for (int64_t j = 0; j < p.out; ++j) {
-    const float h = (yrow[j] - static_cast<float>(mean)) * inv;
-    const float y = p.gamma[j] * h + p.beta[j];
-    yrow[j] = y > 0.0f ? y : 0.0f;
-  }
-}
-
-// Rows [lo, hi) of one GIN layer: neighbor-sum aggregation (in-edge CSR,
-// edge order), the two MLP layers, optional LayerNorm, and the trailing
-// encoder ReLU. Rowwise given the previous layer's activations, so rows
-// partition freely across threads without changing any result.
-SGCL_TARGET_CLONES
-void GinLayerRowRange(const GinLayerParams& p, const float* in,
-                      const int64_t* offsets, const int32_t* in_srcs,
-                      float* agg, float* hid, float* dst, int64_t lo,
-                      int64_t hi) {
-  const float one_plus_eps = 1.0f + p.eps_self;
-  for (int64_t v = lo; v < hi; ++v) {
-    // agg_v = (1 + eps) x_v + sum of in-neighbors, neighbor terms first
-    // and in edge order (mirrors GinConv::Forward).
-    float* arow = agg + v * p.in;
-    for (int64_t j = 0; j < p.in; ++j) arow[j] = 0.0f;
-    for (int64_t t = offsets[v]; t < offsets[v + 1]; ++t) {
-      const float* srow = in + in_srcs[t] * p.in;
-      for (int64_t j = 0; j < p.in; ++j) arow[j] += srow[j];
-    }
-    const float* xrow = in + v * p.in;
-    for (int64_t j = 0; j < p.in; ++j) {
-      const float self = one_plus_eps * xrow[j];
-      arow[j] = self + arow[j];
-    }
-    float* hrow = hid + v * p.hid;
-    DenseRow(arow, p.in, p.w1, p.b1, p.hid, /*relu=*/true, hrow);
-    float* yrow = dst + v * p.out;
-    // Without LayerNorm the encoder ReLU lands directly on the conv
-    // output, so it fuses into the second dense layer.
-    DenseRow(hrow, p.hid, p.w2, p.b2, p.out, /*relu=*/p.gamma == nullptr,
-             yrow);
-    if (p.gamma != nullptr) LayerNormReluRow(p, yrow);
-  }
-}
-
-// Recomputes the listed dirty rows of one GIN layer under masked view
-// `masked`: identical arithmetic to GinLayerRowRange, but the view's
-// edge deletions are applied on the fly (skip in-edges from `masked`;
-// the masked row itself keeps no edges at all) instead of materializing
-// a view edge list. `agg` and `hid` are single-row scratch.
-SGCL_TARGET_CLONES
-void GinDirtyRows(const GinLayerParams& p, const float* in,
-                  const int64_t* offsets, const int32_t* in_srcs,
-                  int64_t masked, const int32_t* dirty, int64_t num_dirty,
-                  float* agg, float* hid, float* dst) {
-  const float one_plus_eps = 1.0f + p.eps_self;
-  for (int64_t t = 0; t < num_dirty; ++t) {
-    const int64_t v = dirty[t];
-    for (int64_t j = 0; j < p.in; ++j) agg[j] = 0.0f;
-    if (v != masked) {
-      for (int64_t e = offsets[v]; e < offsets[v + 1]; ++e) {
-        if (in_srcs[e] == masked) continue;
-        const float* srow = in + static_cast<int64_t>(in_srcs[e]) * p.in;
-        for (int64_t j = 0; j < p.in; ++j) agg[j] += srow[j];
-      }
-    }
-    const float* xrow = in + v * p.in;
-    for (int64_t j = 0; j < p.in; ++j) {
-      const float self = one_plus_eps * xrow[j];
-      agg[j] = self + agg[j];
-    }
-    DenseRow(agg, p.in, p.w1, p.b1, p.hid, /*relu=*/true, hid);
-    float* yrow = dst + v * p.out;
-    DenseRow(hid, p.hid, p.w2, p.b2, p.out, /*relu=*/p.gamma == nullptr,
-             yrow);
-    if (p.gamma != nullptr) LayerNormReluRow(p, yrow);
-  }
-}
-
-// In-neighbor CSR in ascending edge order, so each row's neighbor sum
-// accumulates in exactly the order ScatterAddRows uses.
-void BuildInEdgeCsr(int64_t n, const int32_t* edge_src,
-                    const int32_t* edge_dst, int64_t num_edges,
-                    std::vector<int64_t>* offsets,
-                    std::vector<int32_t>* in_srcs) {
-  offsets->assign(static_cast<size_t>(n) + 1, 0);
-  for (int64_t e = 0; e < num_edges; ++e) ++(*offsets)[edge_dst[e] + 1];
-  for (int64_t v = 0; v < n; ++v) (*offsets)[v + 1] += (*offsets)[v];
-  in_srcs->resize(static_cast<size_t>(num_edges));
-  std::vector<int64_t> cursor(offsets->begin(), offsets->end() - 1);
-  for (int64_t e = 0; e < num_edges; ++e) {
-    (*in_srcs)[cursor[edge_dst[e]]++] = edge_src[e];
-  }
-}
 
 int64_t MaxLayerDim(const std::vector<GinLayerParams>& layers) {
   int64_t max_dim = 0;
@@ -167,22 +25,7 @@ GinInferencePlan GinInferencePlan::Build(const GnnEncoder& encoder) {
   for (int l = 0; l < num_layers; ++l) {
     const GinConv* gin = dynamic_cast<const GinConv*>(&encoder.conv(l));
     if (gin == nullptr) return GinInferencePlan();
-    const Mlp& mlp = gin->mlp();
-    if (mlp.num_layers() != 2 || mlp.final_activation()) {
-      return GinInferencePlan();
-    }
-    const Linear& l1 = mlp.layer(0);
-    const Linear& l2 = mlp.layer(1);
-    if (!l1.use_bias() || !l2.use_bias()) return GinInferencePlan();
-    GinLayerParams layer;
-    layer.w1 = l1.weight().data();
-    layer.b1 = l1.bias().data();
-    layer.w2 = l2.weight().data();
-    layer.b2 = l2.bias().data();
-    layer.in = l1.in_dim();
-    layer.hid = l1.out_dim();
-    layer.out = l2.out_dim();
-    layer.eps_self = gin->eps();
+    GinLayerParams layer = gin->LayerParams();
     const LayerNorm* norm = encoder.norm(l);
     layer.gamma = norm != nullptr ? norm->gamma().data() : nullptr;
     layer.beta = norm != nullptr ? norm->beta().data() : nullptr;
@@ -198,9 +41,8 @@ void GinInferencePlan::EncodeNodes(const float* x, int64_t n,
                                    float* out) const {
   SGCL_CHECK(valid());
   if (n == 0) return;
-  std::vector<int64_t> offsets;
-  std::vector<int32_t> in_srcs;
-  BuildInEdgeCsr(n, edge_src, edge_dst, num_edges, &offsets, &in_srcs);
+  const EdgeCsr in_edges =
+      BuildEdgeCsr(n, edge_dst, edge_src, num_edges, /*weights=*/nullptr);
   const int64_t max_dim = MaxLayerDim(layers_);
   // Uninitialized scratch: every row is fully written before it is read.
   const size_t scratch = static_cast<size_t>(n * max_dim);
@@ -214,11 +56,8 @@ void GinInferencePlan::EncodeNodes(const float* x, int64_t n,
     float* dst = (l + 1 == layers_.size())
                      ? out
                      : (l % 2 == 0 ? buf_a.get() : buf_b.get());
-    ParallelFor(0, n, RowGrain(layer.in * layer.hid + layer.hid * layer.out),
-                [&](int64_t lo, int64_t hi) {
-                  GinLayerRowRange(layer, in, offsets.data(), in_srcs.data(),
-                                   agg.get(), hid.get(), dst, lo, hi);
-                });
+    GinLayerForward(layer, in, n, in_edges, /*relu_out=*/true, agg.get(),
+                    hid.get(), dst);
     in = dst;
   }
 }
@@ -236,7 +75,8 @@ GinMaskedViewKernel::GinMaskedViewKernel(const GinInferencePlan& plan,
                                          int64_t num_edges)
     : plan_(&plan), x_(x), n_(n) {
   SGCL_CHECK(plan.valid());
-  BuildInEdgeCsr(n, edge_src, edge_dst, num_edges, &in_offsets_, &in_srcs_);
+  in_edges_ =
+      BuildEdgeCsr(n, edge_dst, edge_src, num_edges, /*weights=*/nullptr);
   // Undirected neighbor CSR for the BFS balls. Self-loops and parallel
   // edges duplicate entries, which the BFS visited check tolerates.
   adj_offsets_.assign(static_cast<size_t>(n) + 1, 0);
@@ -265,12 +105,8 @@ GinMaskedViewKernel::GinMaskedViewKernel(const GinInferencePlan& plan,
     const GinLayerParams& layer = layers[l];
     layer_acts_[l].resize(static_cast<size_t>(n * layer.out));
     float* dst = layer_acts_[l].data();
-    ParallelFor(0, n, RowGrain(layer.in * layer.hid + layer.hid * layer.out),
-                [&](int64_t lo, int64_t hi) {
-                  GinLayerRowRange(layer, in, in_offsets_.data(),
-                                   in_srcs_.data(), agg.get(), hid.get(), dst,
-                                   lo, hi);
-                });
+    GinLayerForward(layer, in, n, in_edges_, /*relu_out=*/true, agg.get(),
+                    hid.get(), dst);
     in = dst;
   }
 }
@@ -318,9 +154,9 @@ void GinMaskedViewKernel::ViewDisplacementsSq(int64_t begin, int64_t end,
     // Layer 0 of the view: only row r changes (features zeroed).
     std::fill_n(bufs[0].begin() + r * f, f, 0.0f);
     for (int64_t l = 1; l <= L; ++l) {
-      GinDirtyRows(layers[l - 1], bufs[l - 1].data(), in_offsets_.data(),
-                   in_srcs_.data(), r, ball.data(), level_end[l], agg.data(),
-                   hid.data(), bufs[l].data());
+      GinDirtyRows(layers[l - 1], bufs[l - 1].data(), in_edges_, r,
+                   ball.data(), level_end[l], agg.data(), hid.data(),
+                   bufs[l].data());
     }
     // Eq. 15 displacement. Rows outside the ball match base bit-for-bit
     // and would contribute exactly +0.0, so only ball rows are summed —

@@ -1,16 +1,17 @@
 // Tape-free fused forward for GIN encoder stacks.
 //
 // The exact Lipschitz generator (core/lipschitz_generator.h) encodes
-// N + 1 masked views per graph and never backpropagates through them, so
-// the autograd tape — per-op output allocation, parent-gradient zeroing,
-// and backward closures — is pure overhead on its hot path. A
-// GinInferencePlan snapshots raw weight pointers from a GnnEncoder and
-// replays the same arithmetic (aggregation, MLP, optional LayerNorm,
-// ReLU) with reusable flat buffers and no tape.
+// N + 1 masked views per graph and never backpropagates through them,
+// and serving never does either, so the autograd tape — output
+// allocation, gradient buffers, and backward closures — is pure overhead
+// there. A GinInferencePlan snapshots raw weight pointers from a
+// GnnEncoder and runs each layer through the same row kernel GinConv's
+// autograd node uses (nn/gin_kernel.h), fusing the encoder's LayerNorm
+// and ReLU into it, with flat buffers and no tape.
 //
 // Determinism: every stage is row-partitioned via ParallelFor and each
-// row accumulates in the same order as the tape ops (neighbor sums in
-// edge order, matmul in ascending-k order), so the output is identical
+// row accumulates in the same order as the tape (neighbor sums in edge
+// order, dense layers in ascending-k order), so the output is identical
 // for every thread count and matches GnnEncoder::EncodeNodes exactly.
 //
 // The plan holds non-owning pointers into the encoder's parameter
@@ -23,29 +24,15 @@
 #include <vector>
 
 #include "nn/encoder.h"
+#include "nn/gin_kernel.h"
 
 namespace sgcl {
 
-// Raw-pointer view of one GIN layer: conv MLP weights plus the optional
-// LayerNorm parameters (gamma == nullptr when disabled).
-struct GinLayerParams {
-  const float* w1;  // [in, hid]
-  const float* b1;  // [1, hid]
-  const float* w2;  // [hid, out]
-  const float* b2;  // [1, out]
-  int64_t in, hid, out;
-  float eps_self;      // GIN self-weight is (1 + eps_self)
-  const float* gamma;  // LayerNorm gain/bias, nullptr when disabled
-  const float* beta;
-  float ln_eps;
-};
-
 class GinInferencePlan {
  public:
-  // Builds a plan when `encoder` is a plain GIN stack (every conv a
-  // GinConv with a 2-layer biased MLP); otherwise returns an invalid
-  // plan and callers must fall back to the tape path. Optional LayerNorm
-  // is supported.
+  // Builds a plan when `encoder` is a GIN stack (every conv a GinConv);
+  // otherwise returns an invalid plan and callers must fall back to the
+  // tape path. Optional LayerNorm is supported.
   static GinInferencePlan Build(const GnnEncoder& encoder);
 
   bool valid() const { return !layers_.empty(); }
@@ -103,8 +90,7 @@ class GinMaskedViewKernel {
   const float* x_;
   int64_t n_;
   // In-edge CSR (ascending edge order) and undirected neighbor CSR.
-  std::vector<int64_t> in_offsets_;
-  std::vector<int32_t> in_srcs_;
+  EdgeCsr in_edges_;
   std::vector<int64_t> adj_offsets_;
   std::vector<int32_t> adj_;
   std::vector<std::vector<float>> layer_acts_;  // h^1 .. h^L

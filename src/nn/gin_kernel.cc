@@ -1,0 +1,312 @@
+#include "nn/gin_kernel.h"
+
+#include <algorithm>
+#include <cmath>
+
+#include "common/parallel.h"
+#include "common/simd.h"
+
+namespace sgcl {
+namespace {
+
+// Same sizing rule as the row-parallel kernels in tensor/ops.cc: chunks
+// of at least ~64K flops so scheduling overhead stays negligible.
+int64_t RowGrain(int64_t flops_per_row) {
+  constexpr int64_t kMinFlopsPerChunk = 1 << 16;
+  return std::max<int64_t>(1, kMinFlopsPerChunk /
+                                  std::max<int64_t>(1, flops_per_row));
+}
+
+// One output row of a dense product: y = a W + bias (bias == nullptr adds
+// +0.0f), optionally ReLU'd. Register-tiled over the output dimension so
+// accumulators stay out of memory; per output element the accumulation
+// starts at 0 and runs in ascending-k order, as tensor/ops.cc MatMul's
+// does. Unlike MatMul there is no zero-input skip: ReLU inputs are ~half
+// zeros at random positions, and the resulting branch mispredicts cost
+// more than the vectorized multiplies they save (adding 0 * w to a
+// finite sum is bitwise-neutral, so results are unchanged).
+inline void DenseRow(const float* a, int64_t in, const float* w,
+                     const float* bias, int64_t out, bool relu, float* y) {
+  for (int64_t j0 = 0; j0 < out; j0 += 32) {
+    const int64_t blk = std::min<int64_t>(32, out - j0);
+    float acc[32];
+    for (int64_t t = 0; t < blk; ++t) acc[t] = 0.0f;
+    for (int64_t k = 0; k < in; ++k) {
+      const float av = a[k];
+      const float* wrow = w + k * out + j0;
+      for (int64_t t = 0; t < blk; ++t) acc[t] += av * wrow[t];
+    }
+    for (int64_t t = 0; t < blk; ++t) {
+      const float v = acc[t] + (bias != nullptr ? bias[j0 + t] : 0.0f);
+      y[j0 + t] = !relu || v > 0.0f ? v : 0.0f;
+    }
+  }
+}
+
+// LayerNorm with double-precision moments as in nn/layer_norm.cc, then
+// the encoder ReLU, in place on one row. Shared by the full-row and
+// dirty-row kernels so their arithmetic can never diverge.
+inline void LayerNormReluRow(const GinLayerParams& p, float* yrow) {
+  double mean = 0.0;
+  for (int64_t j = 0; j < p.out; ++j) mean += yrow[j];
+  mean /= static_cast<double>(p.out);
+  double var = 0.0;
+  for (int64_t j = 0; j < p.out; ++j) {
+    const double c = yrow[j] - mean;
+    var += c * c;
+  }
+  var /= static_cast<double>(p.out);
+  const float inv = 1.0f / std::sqrt(static_cast<float>(var) + p.ln_eps);
+  for (int64_t j = 0; j < p.out; ++j) {
+    const float h = (yrow[j] - static_cast<float>(mean)) * inv;
+    const float y = p.gamma[j] * h + p.beta[j];
+    yrow[j] = y > 0.0f ? y : 0.0f;
+  }
+}
+
+// The two MLP layers and the layer's output activation for one row whose
+// aggregate is already in `arow`.
+inline void MlpRow(const GinLayerParams& p, const float* arow, bool relu_out,
+                   float* hrow, float* yrow) {
+  DenseRow(arow, p.in, p.w1, p.b1, p.hid, /*relu=*/true, hrow);
+  // Without LayerNorm the trailing ReLU lands directly on the conv
+  // output, so it fuses into the second dense layer.
+  DenseRow(hrow, p.hid, p.w2, p.b2, p.out,
+           /*relu=*/relu_out && p.gamma == nullptr, yrow);
+  if (p.gamma != nullptr) LayerNormReluRow(p, yrow);
+}
+
+// agg_v = (1 + eps) x_v + sum of (weighted) in-neighbors, neighbor terms
+// first and in edge order — the order of ScatterAddRows followed by
+// Add(MulScalar(x, 1 + eps), sum). Under a masked view (masked >= 0) the
+// in-edges from `masked` are skipped and the masked row keeps none.
+inline void AggregateRow(const GinLayerParams& p, const float* in,
+                         const EdgeCsr& in_edges, int64_t v, int64_t masked,
+                         float* arow) {
+  for (int64_t j = 0; j < p.in; ++j) arow[j] = 0.0f;
+  const bool weighted = !in_edges.weights.empty();
+  for (int64_t t = in_edges.offsets[v];
+       v != masked && t < in_edges.offsets[v + 1]; ++t) {
+    if (in_edges.nbrs[t] == masked) continue;
+    const float* srow = in + static_cast<int64_t>(in_edges.nbrs[t]) * p.in;
+    if (weighted) {
+      const float w = in_edges.weights[t];
+      for (int64_t j = 0; j < p.in; ++j) arow[j] += srow[j] * w;
+    } else {
+      for (int64_t j = 0; j < p.in; ++j) arow[j] += srow[j];
+    }
+  }
+  const float one_plus_eps = 1.0f + p.eps_self;
+  const float* xrow = in + v * p.in;
+  for (int64_t j = 0; j < p.in; ++j) {
+    const float self = one_plus_eps * xrow[j];
+    arow[j] = self + arow[j];
+  }
+}
+
+// Rows [lo, hi) of GinLayerForward. Rowwise given the previous layer's
+// activations, so rows partition freely across threads without changing
+// any result.
+SGCL_TARGET_CLONES
+void GinLayerRows(const GinLayerParams& p, const float* in,
+                  const EdgeCsr& in_edges, bool relu_out, float* agg,
+                  float* hid, float* dst, int64_t lo, int64_t hi) {
+  for (int64_t v = lo; v < hi; ++v) {
+    float* arow = agg + v * p.in;
+    AggregateRow(p, in, in_edges, v, /*masked=*/-1, arow);
+    MlpRow(p, arow, relu_out, hid + v * p.hid, dst + v * p.out);
+  }
+}
+
+// Rows [lo, hi) of the hidden-side gradients. With dH = dout W2^T (as a
+// DenseRow against W2^T, so each element sums over the output dimension
+// in ascending order from 0, like MatMul's dA):
+//   dpre = dH where hid > 0, else 0             (the hidden ReLU)
+//   dagg = dpre W1^T                            (when dagg != nullptr)
+SGCL_TARGET_CLONES
+void HiddenGradRows(const GinLayerParams& p, const float* dout,
+                    const float* hid, const float* w2t, const float* w1t,
+                    float* dpre, float* dagg, int64_t lo, int64_t hi) {
+  for (int64_t v = lo; v < hi; ++v) {
+    float* drow = dpre + v * p.hid;
+    DenseRow(dout + v * p.out, p.out, w2t, nullptr, p.hid, /*relu=*/false,
+             drow);
+    const float* hrow = hid + v * p.hid;
+    for (int64_t j = 0; j < p.hid; ++j) {
+      if (!(hrow[j] > 0.0f)) drow[j] = 0.0f;
+    }
+    if (dagg != nullptr) {
+      DenseRow(drow, p.hid, w1t, nullptr, p.in, /*relu=*/false,
+               dagg + v * p.in);
+    }
+  }
+}
+
+// Rows [lo, hi) of dw += a^T g for a [n, k] and g [n, cols]: each weight
+// row p accumulates a[i][p] * g[i] over nodes i in ascending order
+// directly onto its current value, as MatMul's dB does.
+SGCL_TARGET_CLONES
+void OuterGradRows(const float* a, int64_t k, const float* g, int64_t n,
+                   int64_t cols, float* dw, int64_t lo, int64_t hi) {
+  for (int64_t p = lo; p < hi; ++p) {
+    float* row = dw + p * cols;
+    for (int64_t j0 = 0; j0 < cols; j0 += 32) {
+      const int64_t blk = std::min<int64_t>(32, cols - j0);
+      float acc[32];
+      for (int64_t t = 0; t < blk; ++t) acc[t] = row[j0 + t];
+      for (int64_t i = 0; i < n; ++i) {
+        const float av = a[i * k + p];
+        const float* grow = g + i * cols + j0;
+        for (int64_t t = 0; t < blk; ++t) acc[t] += av * grow[t];
+      }
+      for (int64_t t = 0; t < blk; ++t) row[j0 + t] = acc[t];
+    }
+  }
+}
+
+// db += column sums of g [n, cols], rows in ascending order (the bias
+// Add's backward).
+SGCL_TARGET_CLONES
+void ColumnSums(const float* g, int64_t n, int64_t cols, float* db) {
+  for (int64_t i = 0; i < n; ++i) {
+    const float* grow = g + i * cols;
+    for (int64_t j = 0; j < cols; ++j) db[j] += grow[j];
+  }
+}
+
+// Rows [lo, hi) of the input gradient: each row first gathers its
+// out-edges' (weighted) aggregate gradients in edge order (GatherRows'
+// backward), then adds the self term (MulScalar's backward).
+SGCL_TARGET_CLONES
+void InputGradRows(const GinLayerParams& p, const float* dagg,
+                   const EdgeCsr& out_edges, float* dx, int64_t lo,
+                   int64_t hi) {
+  const bool weighted = !out_edges.weights.empty();
+  const float one_plus_eps = 1.0f + p.eps_self;
+  for (int64_t u = lo; u < hi; ++u) {
+    float* xrow = dx + u * p.in;
+    for (int64_t t = out_edges.offsets[u]; t < out_edges.offsets[u + 1];
+         ++t) {
+      const float* grow = dagg + static_cast<int64_t>(out_edges.nbrs[t]) * p.in;
+      if (weighted) {
+        const float w = out_edges.weights[t];
+        for (int64_t j = 0; j < p.in; ++j) xrow[j] += grow[j] * w;
+      } else {
+        for (int64_t j = 0; j < p.in; ++j) xrow[j] += grow[j];
+      }
+    }
+    const float* grow = dagg + u * p.in;
+    for (int64_t j = 0; j < p.in; ++j) xrow[j] += grow[j] * one_plus_eps;
+  }
+}
+
+std::vector<float> Transposed(const float* w, int64_t rows, int64_t cols) {
+  std::vector<float> t(static_cast<size_t>(rows * cols));
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int64_t c = 0; c < cols; ++c) t[c * rows + r] = w[r * cols + c];
+  }
+  return t;
+}
+
+}  // namespace
+
+EdgeCsr BuildEdgeCsr(int64_t n, const int32_t* by, const int32_t* other,
+                     int64_t num_edges, const float* weights) {
+  EdgeCsr csr;
+  csr.offsets.assign(static_cast<size_t>(n) + 1, 0);
+  for (int64_t e = 0; e < num_edges; ++e) ++csr.offsets[by[e] + 1];
+  for (int64_t v = 0; v < n; ++v) csr.offsets[v + 1] += csr.offsets[v];
+  csr.nbrs.resize(static_cast<size_t>(num_edges));
+  if (weights != nullptr) csr.weights.resize(static_cast<size_t>(num_edges));
+  std::vector<int64_t> cursor(csr.offsets.begin(), csr.offsets.end() - 1);
+  for (int64_t e = 0; e < num_edges; ++e) {
+    const int64_t slot = cursor[by[e]]++;
+    csr.nbrs[slot] = other[e];
+    if (weights != nullptr) csr.weights[slot] = weights[e];
+  }
+  return csr;
+}
+
+void GinLayerForward(const GinLayerParams& p, const float* x, int64_t n,
+                     const EdgeCsr& in_edges, bool relu_out, float* agg,
+                     float* hid, float* out) {
+  ParallelFor(0, n, RowGrain(p.in * p.hid + p.hid * p.out),
+              [&](int64_t lo, int64_t hi) {
+                GinLayerRows(p, x, in_edges, relu_out, agg, hid, out, lo, hi);
+              });
+}
+
+SGCL_TARGET_CLONES
+void GinDirtyRows(const GinLayerParams& p, const float* in,
+                  const EdgeCsr& in_edges, int64_t masked,
+                  const int32_t* dirty, int64_t num_dirty, float* agg,
+                  float* hid, float* dst) {
+  for (int64_t t = 0; t < num_dirty; ++t) {
+    const int64_t v = dirty[t];
+    AggregateRow(p, in, in_edges, v, masked, agg);
+    MlpRow(p, agg, /*relu_out=*/true, hid, dst + v * p.out);
+  }
+}
+
+void GinLayerBackward(const GinLayerParams& p, int64_t n, const float* x,
+                      const int32_t* edge_src, const int32_t* edge_dst,
+                      int64_t num_edges, const float* edge_weights,
+                      const float* agg, const float* hid, const float* dout,
+                      const GinLayerGrads& grads) {
+  const bool need_dagg = grads.x != nullptr || grads.edge_weights != nullptr;
+  const bool need_dpre = need_dagg || grads.w1 != nullptr || grads.b1 != nullptr;
+  std::vector<float> dpre, dagg;
+  if (need_dpre) {
+    const std::vector<float> w2t = Transposed(p.w2, p.hid, p.out);
+    std::vector<float> w1t;
+    dpre.resize(static_cast<size_t>(n * p.hid));
+    if (need_dagg) {
+      w1t = Transposed(p.w1, p.in, p.hid);
+      dagg.resize(static_cast<size_t>(n * p.in));
+    }
+    ParallelFor(0, n, RowGrain(p.hid * p.out + (need_dagg ? p.in * p.hid : 0)),
+                [&](int64_t lo, int64_t hi) {
+                  HiddenGradRows(p, dout, hid, w2t.data(),
+                                 need_dagg ? w1t.data() : nullptr, dpre.data(),
+                                 need_dagg ? dagg.data() : nullptr, lo, hi);
+                });
+  }
+  // Weight gradients: one partition over the rows of W1 then W2, each
+  // row owning a disjoint gradient slice.
+  ParallelFor(0, p.in + p.hid, RowGrain(n * std::max(p.hid, p.out)),
+              [&](int64_t lo, int64_t hi) {
+                if (grads.w1 != nullptr && lo < p.in) {
+                  OuterGradRows(agg, p.in, dpre.data(), n, p.hid, grads.w1, lo,
+                                std::min(hi, p.in));
+                }
+                if (grads.w2 != nullptr && hi > p.in) {
+                  OuterGradRows(hid, p.hid, dout, n, p.out, grads.w2,
+                                std::max(lo, p.in) - p.in, hi - p.in);
+                }
+              });
+  if (grads.b1 != nullptr) ColumnSums(dpre.data(), n, p.hid, grads.b1);
+  if (grads.b2 != nullptr) ColumnSums(dout, n, p.out, grads.b2);
+  if (grads.x != nullptr) {
+    const EdgeCsr out_edges =
+        BuildEdgeCsr(n, edge_src, edge_dst, num_edges, edge_weights);
+    ParallelFor(0, n, RowGrain(p.in * (1 + num_edges / std::max<int64_t>(1, n))),
+                [&](int64_t lo, int64_t hi) {
+                  InputGradRows(p, dagg.data(), out_edges, grads.x, lo, hi);
+                });
+  }
+  if (grads.edge_weights != nullptr) {
+    // dw_e = dAgg_dst(e) . x_src(e), summed from 0 in ascending column
+    // order (MulBroadcastCol's backward), then added to the gradient.
+    ParallelFor(0, num_edges, RowGrain(2 * p.in), [&](int64_t lo, int64_t hi) {
+      for (int64_t e = lo; e < hi; ++e) {
+        const float* grow = dagg.data() + static_cast<int64_t>(edge_dst[e]) * p.in;
+        const float* xrow = x + static_cast<int64_t>(edge_src[e]) * p.in;
+        float acc = 0.0f;
+        for (int64_t j = 0; j < p.in; ++j) acc += grow[j] * xrow[j];
+        grads.edge_weights[e] += acc;
+      }
+    });
+  }
+}
+
+}  // namespace sgcl

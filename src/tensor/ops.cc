@@ -17,10 +17,8 @@ void TallyMatMul(const char* which, int64_t flops) {
       MetricsRegistry::Global().GetCounter("tensor/matmul_calls");
   static Counter* const matmul_tb =
       MetricsRegistry::Global().GetCounter("tensor/matmul_transb_calls");
-  static Counter* const flops_counter =
-      MetricsRegistry::Global().GetCounter("tensor/matmul_flops");
   (which[0] == 't' ? matmul_tb : matmul)->Increment();
-  flops_counter->Increment(flops);
+  internal::TallyMatMulFlops(flops);
 }
 
 // Rows per ParallelFor chunk for a kernel costing `flops_per_row`: small
@@ -61,6 +59,16 @@ Tensor UnaryOp(const Tensor& a, std::vector<float> out,
 }
 
 }  // namespace
+
+namespace internal {
+
+void TallyMatMulFlops(int64_t flops) {
+  static Counter* const flops_counter =
+      MetricsRegistry::Global().GetCounter("tensor/matmul_flops");
+  flops_counter->Increment(flops);
+}
+
+}  // namespace internal
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   SGCL_CHECK_EQ(a.dim(), 2);

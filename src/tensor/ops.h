@@ -86,6 +86,14 @@ Tensor CrossEntropyWithLogits(const Tensor& logits,
 Tensor BceWithLogits(const Tensor& logits, const Tensor& targets,
                      const Tensor& mask);
 
+namespace internal {
+
+// Adds `flops` to the tensor/matmul_flops counter. For fused kernels
+// that run dense layers without calling MatMul (nn/gin_conv.cc), so the
+// counter keeps covering every dense product on the tape.
+void TallyMatMulFlops(int64_t flops);
+
+}  // namespace internal
 }  // namespace sgcl
 
 #endif  // SGCL_TENSOR_OPS_H_

@@ -1,7 +1,8 @@
 // Finite-difference gradient checks for every graph convolution, the
 // projection MLP, and both contrastive losses: the analytic backward of
 // each layer is validated end-to-end against central differences, both
-// through the input features and through a weight matrix.
+// through the input features and through a weight matrix (for GIN's
+// hand-written backward: every parameter and the edge weights).
 #include <vector>
 
 #include "core/contrastive_loss.h"
@@ -64,6 +65,43 @@ TEST(GradCheckConvTest, GinConvWeights) {
   // weights.
   GradCheck(conv.Parameters()[0], [&](const Tensor&) {
     return SumSquares(conv.Forward(x, batch));
+  });
+}
+
+// b1, W2 and b2: with W1 above, every GIN parameter is checked.
+TEST(GradCheckConvTest, GinConvBiasesAndSecondLayer) {
+  Rng rng(38);
+  GraphBatch batch = TestBatch();
+  GinConv conv(3, 4, &rng);
+  const Tensor x = NodeFeatures(batch.num_nodes, 3);
+  for (size_t p = 1; p < conv.Parameters().size(); ++p) {
+    GradCheck(conv.Parameters()[p], [&](const Tensor&) {
+      return SumSquares(conv.Forward(x, batch));
+    });
+  }
+}
+
+// Weighted edges (AD-GCL's learnable edge dropper): gradients through the
+// edge weights and, with weights present, through the input.
+TEST(GradCheckConvTest, GinConvWeightedEdges) {
+  Rng rng(39);
+  GraphBatch batch = TestBatch();
+  GinConv conv(3, 4, &rng);
+  const int64_t num_edges = static_cast<int64_t>(batch.edge_src.size());
+  std::vector<float> w(static_cast<size_t>(num_edges));
+  for (size_t e = 0; e < w.size(); ++e) {
+    w[e] = 0.4f + 0.1f * static_cast<float>(e % 5);
+  }
+  const Tensor x = NodeFeatures(batch.num_nodes, 3);
+  GradCheck(Tensor::FromVector({num_edges, 1}, w), [&](const Tensor& weights) {
+    GraphBatch weighted = batch;
+    weighted.edge_weights = weights;
+    return SumSquares(conv.Forward(x, weighted));
+  });
+  GraphBatch weighted = batch;
+  weighted.edge_weights = Tensor::FromVector({num_edges, 1}, w);
+  GradCheck(NodeFeatures(batch.num_nodes, 3), [&](const Tensor& in) {
+    return SumSquares(conv.Forward(in, weighted));
   });
 }
 
