@@ -1,7 +1,5 @@
 #include "baselines/pretrainer.h"
 
-#include <span>
-
 #include "common/logging.h"
 
 namespace sgcl {
@@ -24,45 +22,33 @@ std::vector<Tensor> GclPretrainerBase::TrainableParameters() const {
 
 PretrainStats GclPretrainerBase::Pretrain(
     const GraphSource& source, const std::vector<int64_t>& indices) {
-  std::vector<int64_t> order = indices;
-  if (order.empty()) {
-    order.resize(source.size());
-    for (int64_t i = 0; i < source.size(); ++i) order[i] = i;
+  RoundLoopMethod method;
+  method.params = TrainableParameters();
+  Adam optimizer(method.params, config_.learning_rate);
+  method.optimizer = &optimizer;
+  method.shuffle_rng = &rng_;
+  method.run_seed = config_.seed;
+  method.epochs = config_.epochs;
+  method.batch_size = config_.batch_size;
+  method.grad_clip = config_.grad_clip;
+  method.batch_loss = [this](const std::vector<const Graph*>& graphs,
+                             Rng* rng) { return BatchLoss(graphs, rng); };
+  PretrainOptions options;
+  options.on_epoch_end = [this](const EpochReport& report) {
+    SGCL_LOG(DEBUG) << name() << " epoch " << report.epoch << " loss "
+                    << report.mean_loss;
+    OnEpochEnd(report.epoch);
+  };
+  Result<PretrainStats> stats =
+      RunRoundLoop(method, source, indices, options);
+  // The Pretrainer interface predates Result-returning training; bad
+  // indices or a failed fetch are programming errors in bench code, so
+  // crash loudly with the reason.
+  if (!stats.ok()) {
+    SGCL_LOG(ERROR) << name() << " pretraining failed: "
+                    << stats.status().ToString();
   }
-  SGCL_CHECK_GE(order.size(), 2u);
-  Adam optimizer(TrainableParameters(), config_.learning_rate);
-  PretrainStats stats;
-  stats.epoch_losses.reserve(config_.epochs);
-  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    rng_.Shuffle(&order);
-    double epoch_loss = 0.0;
-    int64_t batches = 0;
-    for (size_t start = 0; start + 1 < order.size();
-         start += config_.batch_size) {
-      const size_t end = std::min(order.size(), start + config_.batch_size);
-      if (end - start < 2) break;
-      FetchedGraphs fetched;
-      // Bench/protocol code treats fetch failures as programming errors
-      // (the interface predates the Result-returning trainer).
-      const Status fetch_status = source.Fetch(
-          std::span<const int64_t>(order.data() + start, end - start),
-          &fetched);
-      SGCL_CHECK(fetch_status.ok());
-      optimizer.ZeroGrad();
-      Tensor loss = BatchLoss(fetched.graphs(), &rng_);
-      loss.Backward();
-      optimizer.ClipGradNorm(config_.grad_clip);
-      optimizer.Step();
-      epoch_loss += loss.item();
-      ++batches;
-    }
-    const float mean_loss =
-        batches > 0 ? static_cast<float>(epoch_loss / batches) : 0.0f;
-    stats.epoch_losses.push_back(mean_loss);
-    SGCL_LOG(DEBUG) << name() << " epoch " << epoch << " loss " << mean_loss;
-    OnEpochEnd(epoch);
-  }
-  return stats;
+  return std::move(stats).value();
 }
 
 Tensor GclPretrainerBase::EmbedGraphs(

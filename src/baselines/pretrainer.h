@@ -1,5 +1,6 @@
 // Common interface for self-supervised graph pretrainers (SGCL and every
-// baseline), plus a shared minibatch training loop.
+// baseline), plus the base class that trains a baseline through the
+// shared round loop (core/round_loop.h).
 #ifndef SGCL_BASELINES_PRETRAINER_H_
 #define SGCL_BASELINES_PRETRAINER_H_
 
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/round_loop.h"
 #include "core/sgcl_trainer.h"
 #include "graph/dataset.h"
 #include "graph/graph_source.h"
@@ -57,8 +59,13 @@ class Pretrainer {
   virtual std::string name() const = 0;
 };
 
-// Shared epoch/minibatch loop: subclasses provide the per-batch loss.
-// Parameters returned by TrainableParameters() are optimized with Adam.
+// Trains through RunRoundLoop at world 1, one batch per round:
+// subclasses provide the per-batch loss, and the parameters returned by
+// TrainableParameters() are optimized with Adam. Each batch draws from
+// Rng(DeriveBatchSeed(config.seed, epoch, batch)), and the stats carry
+// per-epoch wall times and the batch count. Baselines stay world-1-only:
+// AD-GCL's inner augmenter step and JOAO's per-batch loss tallies are
+// per-process state that a gradient all-reduce does not cover.
 class GclPretrainerBase : public Pretrainer {
  public:
   GclPretrainerBase(const BaselineConfig& config, std::string name);
@@ -80,7 +87,7 @@ class GclPretrainerBase : public Pretrainer {
   virtual void OnEpochEnd(int epoch) { (void)epoch; }
 
   BaselineConfig config_;
-  Rng rng_;
+  Rng rng_;  // module initialization, then the epoch shuffle
   std::unique_ptr<GnnEncoder> encoder_;
 
  private:

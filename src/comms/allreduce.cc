@@ -46,6 +46,44 @@ Counter* RoundsCounter() {
 
 }  // namespace
 
+bool RoundLeaves::Add(uint32_t slot, uint32_t leaves, double loss,
+                      const std::vector<float>& grad) {
+  if (present.size() < leaves) {
+    grads.resize(leaves);
+    losses.resize(leaves, 0.0);
+    present.resize(leaves, false);
+  }
+  if (present[slot]) return false;
+  present[slot] = true;
+  grads[slot].assign(grad.begin(), grad.end());
+  losses[slot] = loss;
+  ++received;
+  return true;
+}
+
+void RoundLeaves::Clear() {
+  std::fill(present.begin(), present.end(), false);
+  received = 0;
+}
+
+ReducedRound RoundLeaves::Reduce(uint64_t round, uint32_t leaf_count,
+                                 uint64_t grad_dim) const {
+  ReducedRound reduced;
+  reduced.round = round;
+  reduced.leaf_count = leaf_count;
+  reduced.grad_sum.assign(grad_dim, 0.0f);
+  // The determinism kernel: fixed slot-order summation, independent of
+  // arrival order and worker count.
+  for (uint32_t s = 0; s < leaf_count; ++s) {
+    const std::vector<float>& leaf = grads[s];
+    for (size_t i = 0; i < reduced.grad_sum.size(); ++i) {
+      reduced.grad_sum[i] += leaf[i];
+    }
+    reduced.loss_sum += losses[s];
+  }
+  return reduced;
+}
+
 std::string AllReduceSchedule::DescribeMismatch(
     const AllReduceSchedule& other) const {
   std::string diff;
@@ -262,7 +300,7 @@ Status AllReduceCoordinator::HandleLeaf(const Frame& frame, uint32_t rank) {
   const uint64_t round = reader.ReadU64();
   const uint32_t slot = reader.ReadU32();
   const double loss = reader.ReadF64();
-  std::vector<float> grad = reader.ReadFloatVector();
+  const std::vector<float> grad = reader.ReadFloatVector();
   SGCL_RETURN_NOT_OK(reader.Finish("LEAF payload"));
   if (grad.size() != options_.schedule.grad_dim) {
     return Status::InvalidArgument(
@@ -293,17 +331,7 @@ Status AllReduceCoordinator::HandleLeaf(const Frame& frame, uint32_t rank) {
   // has; a deterministic recompute is bitwise-equal, so dropping it is
   // sound.
   if (round < completed_next_) return Status::OK();
-  PendingRound& pending = pending_[round];
-  if (pending.present.empty()) {
-    pending.leaf_grads.resize(leaves);
-    pending.leaf_losses.assign(leaves, 0.0);
-    pending.present.assign(leaves, false);
-  }
-  if (pending.present[slot]) return Status::OK();
-  pending.present[slot] = true;
-  pending.leaf_grads[slot] = std::move(grad);
-  pending.leaf_losses[slot] = loss;
-  ++pending.received;
+  if (!pending_[round].Add(slot, leaves, loss, grad)) return Status::OK();
   // Promote every newly-complete round in order. Rounds complete in
   // order by construction (no worker reaches round r+1 before applying
   // round r), but the loop keeps the invariant local instead of
@@ -314,19 +342,8 @@ Status AllReduceCoordinator::HandleLeaf(const Frame& frame, uint32_t rank) {
     const uint32_t want =
         options_.schedule.leaves_in_round(completed_next_);
     if (it->second.received < want) break;
-    ReducedRound reduced;
-    reduced.round = completed_next_;
-    reduced.leaf_count = want;
-    reduced.grad_sum.assign(options_.schedule.grad_dim, 0.0f);
-    // The determinism kernel: fixed slot-order summation, independent
-    // of arrival order and worker count.
-    for (uint32_t s = 0; s < want; ++s) {
-      const std::vector<float>& leaf = it->second.leaf_grads[s];
-      for (size_t i = 0; i < reduced.grad_sum.size(); ++i) {
-        reduced.grad_sum[i] += leaf[i];
-      }
-      reduced.loss_sum += it->second.leaf_losses[s];
-    }
+    ReducedRound reduced = it->second.Reduce(completed_next_, want,
+                                             options_.schedule.grad_dim);
     pending_.erase(it);
     completed_[reduced.round] = std::move(reduced);
     ++completed_next_;
@@ -428,6 +445,9 @@ Status AllReduceClient::SubmitLeaf(uint64_t round, uint32_t slot, double loss,
 }
 
 Result<ReducedRound> AllReduceClient::GetRound(uint64_t round) {
+  static Counter* const allreduce_us_counter =
+      MetricsRegistry::Global().GetCounter("comms/allreduce_us");
+  const ScopedUsTimer wait_timer(allreduce_us_counter);
   BufferWriter writer;
   writer.WriteU64(round);
   SGCL_RETURN_NOT_OK(channel_.Send(FrameType::kRoundRequest, writer.bytes()));
@@ -459,6 +479,37 @@ Status AllReduceClient::Goodbye(uint32_t rank) {
   BufferWriter writer;
   writer.WriteU32(rank);
   return channel_.Send(FrameType::kGoodbye, writer.bytes());
+}
+
+Status LocalRoundReducer::SubmitLeaf(uint64_t round, uint32_t slot,
+                                     double loss,
+                                     const std::vector<float>& grad) {
+  const uint32_t leaves =
+      LeavesInRound(batches_per_epoch_, accum_,
+                    round % RoundsPerEpoch(batches_per_epoch_, accum_));
+  if (slot >= leaves || (leaves_.received > 0 && round != round_)) {
+    return Status::FailedPrecondition(StrFormat(
+        "leaf %u of round %llu is not part of the open round %llu", slot,
+        static_cast<unsigned long long>(round),
+        static_cast<unsigned long long>(round_)));
+  }
+  round_ = round;
+  round_leaves_ = leaves;
+  leaves_.Add(slot, leaves, loss, grad);
+  return Status::OK();
+}
+
+Result<ReducedRound> LocalRoundReducer::GetRound(uint64_t round) {
+  if (round != round_ || leaves_.received == 0 ||
+      leaves_.received < round_leaves_) {
+    return Status::FailedPrecondition(StrFormat(
+        "round %llu has not received all its leaves",
+        static_cast<unsigned long long>(round)));
+  }
+  ReducedRound reduced =
+      leaves_.Reduce(round, round_leaves_, leaves_.grads[0].size());
+  leaves_.Clear();
+  return reduced;
 }
 
 }  // namespace sgcl

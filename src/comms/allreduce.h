@@ -95,6 +95,40 @@ struct ReducedRound {
   std::vector<float> grad_sum;
 };
 
+// The leaves of one round collected by slot, and the determinism kernel
+// that reduces them. Shared by the coordinator and LocalRoundReducer, so
+// an in-process world-1 run reduces to the coordinator's exact bits.
+struct RoundLeaves {
+  std::vector<std::vector<float>> grads;  // by slot
+  std::vector<double> losses;             // by slot
+  std::vector<bool> present;              // by slot
+  uint32_t received = 0;
+
+  // Stores slot `slot` of a `leaves`-leaf round into the slot's buffer.
+  // First write wins: false (and nothing stored) when the slot is already
+  // present.
+  bool Add(uint32_t slot, uint32_t leaves, double loss,
+           const std::vector<float>& grad);
+  // Empties the round for the next one, keeping every slot's buffer.
+  void Clear();
+  // Fixed slot-order sums of the first `leaf_count` slots into a
+  // `grad_dim`-float gradient and a double loss, independent of the
+  // order the leaves arrived in.
+  ReducedRound Reduce(uint64_t round, uint32_t leaf_count,
+                      uint64_t grad_dim) const;
+};
+
+// Where a training loop sends each computed leaf and collects each
+// reduced round. Two implementations: AllReduceClient (a multi-process
+// cluster) and LocalRoundReducer (world 1, in process).
+class RoundReducer {
+ public:
+  virtual ~RoundReducer() = default;
+  virtual Status SubmitLeaf(uint64_t round, uint32_t slot, double loss,
+                            const std::vector<float>& grad) = 0;
+  virtual Result<ReducedRound> GetRound(uint64_t round) = 0;
+};
+
 struct AllReduceCoordinatorOptions {
   AllReduceSchedule schedule;
   // Completed rounds kept for rejoin catch-up; once evicted a round is
@@ -143,13 +177,6 @@ class AllReduceCoordinator {
       SGCL_NO_THREAD_SAFETY_ANALYSIS;
 
  private:
-  struct PendingRound {
-    std::vector<std::vector<float>> leaf_grads;  // by slot
-    std::vector<double> leaf_losses;             // by slot
-    std::vector<bool> present;                   // by slot
-    uint32_t received = 0;
-  };
-
   void AcceptLoop();
   void HandleConnection(FramedChannel* channel);
   // Protocol steps (called from handler threads). HandleHello returns
@@ -173,7 +200,7 @@ class AllReduceCoordinator {
   // behind; rejoins are rare and connections are cheap).
   std::vector<std::thread> handler_threads_ SGCL_GUARDED_BY(mu_);
   std::vector<std::unique_ptr<FramedChannel>> channels_ SGCL_GUARDED_BY(mu_);
-  std::map<uint64_t, PendingRound> pending_ SGCL_GUARDED_BY(mu_);
+  std::map<uint64_t, RoundLeaves> pending_ SGCL_GUARDED_BY(mu_);
   std::map<uint64_t, ReducedRound> completed_ SGCL_GUARDED_BY(mu_);
   uint64_t completed_next_ SGCL_GUARDED_BY(mu_) = 0;
   int goodbyes_ SGCL_GUARDED_BY(mu_) = 0;
@@ -203,7 +230,7 @@ struct JoinReply {
 };
 
 // Worker-side protocol driver: one connection, used from one thread.
-class AllReduceClient {
+class AllReduceClient final : public RoundReducer {
  public:
   AllReduceClient() = default;
 
@@ -218,13 +245,14 @@ class AllReduceClient {
 
   // Fire-and-forget upload of one computed leaf.
   Status SubmitLeaf(uint64_t round, uint32_t slot, double loss,
-                    const std::vector<float>& grad);
+                    const std::vector<float>& grad) override;
 
-  // Blocks until `round` is reduced and returns it. FailedPrecondition
-  // when the round was evicted from the coordinator's cache (the
-  // checkpoint cadence outran cache_rounds), Unavailable on timeout or
-  // a dead coordinator.
-  Result<ReducedRound> GetRound(uint64_t round);
+  // Blocks until `round` is reduced and returns it; the time blocked is
+  // added to counter "comms/allreduce_us". FailedPrecondition when the
+  // round was evicted from the coordinator's cache (the checkpoint
+  // cadence outran cache_rounds), Unavailable on timeout or a dead
+  // coordinator.
+  Result<ReducedRound> GetRound(uint64_t round) override;
 
   // Clean shutdown notice; the coordinator counts these for
   // WaitForGoodbyes.
@@ -235,6 +263,30 @@ class AllReduceClient {
 
  private:
   FramedChannel channel_;  // default "comms" fault prefix
+};
+
+// The world-1 reducer: this process computes every leaf of a round, then
+// reduces them in process with the coordinator's RoundLeaves::Reduce. It
+// opens no socket and exports no comms/* metric.
+class LocalRoundReducer final : public RoundReducer {
+ public:
+  // Rounds of `accum` leaves over epochs of `batches_per_epoch` batches.
+  LocalRoundReducer(uint64_t batches_per_epoch, uint32_t accum)
+      : batches_per_epoch_(batches_per_epoch), accum_(accum) {}
+
+  // FailedPrecondition for a slot outside the round, or a leaf of
+  // another round while one is open.
+  Status SubmitLeaf(uint64_t round, uint32_t slot, double loss,
+                    const std::vector<float>& grad) override;
+  // FailedPrecondition unless every leaf of `round` was submitted.
+  Result<ReducedRound> GetRound(uint64_t round) override;
+
+ private:
+  const uint64_t batches_per_epoch_;
+  const uint32_t accum_;
+  uint64_t round_ = 0;          // the open round
+  uint32_t round_leaves_ = 0;   // its width
+  RoundLeaves leaves_;
 };
 
 }  // namespace sgcl

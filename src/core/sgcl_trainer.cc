@@ -1,145 +1,11 @@
 #include "core/sgcl_trainer.h"
 
-#include <algorithm>
-#include <cmath>
-#include <filesystem>
-
 #include "comms/allreduce.h"
 #include "common/logging.h"
-#include "common/metrics.h"
-#include "common/stopwatch.h"
 #include "common/string_util.h"
-#include "common/trace.h"
 #include "core/train_state.h"
-#include "data/prefetcher.h"
-#include "data/rank_assign.h"
-#include "nn/checkpoint.h"
 
 namespace sgcl {
-namespace {
-
-// Stage-duration counters follow the "time/<stage>_us" convention
-// (see metrics.h); this extracts them as {stage: seconds}.
-std::map<std::string, double> StageSeconds(const MetricsSnapshot& snap) {
-  std::map<std::string, double> stages;
-  const std::string prefix = "time/";
-  const std::string suffix = "_us";
-  for (const auto& [name, us] : snap.counters) {
-    if (name.rfind(prefix, 0) != 0) continue;
-    if (name.size() < prefix.size() + suffix.size()) continue;
-    if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) !=
-        0) {
-      continue;
-    }
-    const std::string stage = name.substr(
-        prefix.size(), name.size() - prefix.size() - suffix.size());
-    stages[stage] = static_cast<double>(us) * 1e-6;
-  }
-  return stages;
-}
-
-std::map<std::string, double> StageDelta(
-    const std::map<std::string, double>& before,
-    const std::map<std::string, double>& after) {
-  std::map<std::string, double> delta;
-  for (const auto& [stage, seconds] : after) {
-    const auto it = before.find(stage);
-    const double prev = it == before.end() ? 0.0 : it->second;
-    if (seconds > prev) delta[stage] = seconds - prev;
-  }
-  return delta;
-}
-
-// The epoch's batch index lists under the loop's batching rules;
-// shared verbatim by Pretrain and PretrainDistributed so the global
-// schedule is one piece of code, not two that must agree.
-std::vector<std::vector<int64_t>> BuildEpochBatches(
-    const std::vector<int64_t>& order, int batch_size,
-    bool* logged_dropped_tail) {
-  std::vector<std::vector<int64_t>> batch_indices;
-  batch_indices.reserve(order.size() / batch_size + 1);
-  for (size_t start = 0; start + 1 < order.size();
-       start += static_cast<size_t>(batch_size)) {
-    const size_t end =
-        std::min(order.size(), start + static_cast<size_t>(batch_size));
-    if (end - start < 2) {
-      // InfoNCE needs at least one negative, so a trailing batch of one
-      // graph is skipped — every epoch, since the shuffle only reorders.
-      if (!*logged_dropped_tail) {
-        SGCL_LOG(DEBUG) << "Pretrain: dropping trailing batch of size "
-                        << (end - start) << " (dataset size " << order.size()
-                        << ", batch_size " << batch_size
-                        << "); these graphs are skipped each epoch";
-        *logged_dropped_tail = true;
-      }
-      break;
-    }
-    batch_indices.emplace_back(order.begin() + start, order.begin() + end);
-  }
-  return batch_indices;
-}
-
-// splitmix64 finalizer (same constants as common/rng's seeding).
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-// Concatenates every parameter's gradient in Parameters() order — the
-// leaf layout the all-reduce sums and ApplyMeanGradients unpacks.
-void FlattenGradients(const std::vector<Tensor>& params,
-                      std::vector<float>* out) {
-  out->clear();
-  for (const Tensor& param : params) {
-    const std::vector<float>& grad = param.grad_values();
-    out->insert(out->end(), grad.begin(), grad.end());
-  }
-}
-
-// Writes grad_sum / leaf_count into every parameter's gradient buffer.
-// Every rank divides the same sums by the same count, so the update
-// tape stays bitwise-identical across the cluster.
-void ApplyMeanGradients(std::vector<Tensor>* params,
-                        const std::vector<float>& grad_sum,
-                        uint32_t leaf_count) {
-  const float count = static_cast<float>(leaf_count);
-  size_t offset = 0;
-  for (Tensor& param : *params) {
-    float* grad = param.grad();
-    const size_t n = static_cast<size_t>(param.numel());
-    for (size_t i = 0; i < n; ++i) grad[i] = grad_sum[offset + i] / count;
-    offset += n;
-  }
-}
-
-}  // namespace
-
-uint64_t DeriveBatchSeed(uint64_t run_seed, int epoch, int64_t global_batch) {
-  uint64_t x = Mix64(run_seed);
-  x = Mix64(x ^ static_cast<uint64_t>(epoch));
-  x = Mix64(x ^ static_cast<uint64_t>(global_batch));
-  return x;
-}
-
-int64_t PretrainBatchesPerEpoch(int64_t selected, int batch_size) {
-  int64_t count = 0;
-  for (int64_t start = 0; start + 1 < selected; start += batch_size) {
-    if (std::min(selected, start + batch_size) - start < 2) break;
-    ++count;
-  }
-  return count;
-}
-
-void RecordEpochLossMetrics(float mean_loss) {
-  static Gauge* const loss_gauge =
-      MetricsRegistry::Global().GetGauge("train/last_epoch_loss");
-  static Counter* const nonfinite_counter =
-      MetricsRegistry::Global().GetCounter("train/nonfinite_loss");
-  loss_gauge->Set(mean_loss);
-  if (!std::isfinite(mean_loss)) nonfinite_counter->Increment();
-}
 
 SgclTrainer::SgclTrainer(const SgclConfig& config, uint64_t seed)
     : config_(config), seed_(seed), rng_(seed) {
@@ -153,6 +19,23 @@ SgclTrainer::SgclTrainer(const SgclConfig& config, uint64_t seed)
                                       config_.learning_rate);
 }
 
+RoundLoopMethod SgclTrainer::LoopMethod() {
+  RoundLoopMethod method;
+  method.params = model_->Parameters();
+  method.optimizer = optimizer_.get();
+  method.shuffle_rng = &rng_;
+  method.run_seed = seed_;
+  method.config_fingerprint = ConfigFingerprint(config_);
+  method.epochs = config_.epochs;
+  method.batch_size = config_.batch_size;
+  method.grad_clip = config_.grad_clip;
+  method.batch_loss = [this](const std::vector<const Graph*>& graphs,
+                             Rng* rng) {
+    return model_->ComputeLoss(graphs, rng);
+  };
+  return method;
+}
+
 Result<PretrainStats> SgclTrainer::Pretrain(const GraphDataset& dataset,
                                             const std::vector<int64_t>& indices,
                                             const PretrainOptions& options) {
@@ -160,324 +43,10 @@ Result<PretrainStats> SgclTrainer::Pretrain(const GraphDataset& dataset,
   return Pretrain(source, indices, options);
 }
 
-void SgclTrainer::ShuffleOrder(std::vector<int64_t>* order,
-                               const std::vector<IndexRange>& blocks) {
-  if (blocks.size() <= 1) {
-    // Single-block source: the historical global shuffle, bit-identical
-    // to the pre-GraphSource loop.
-    rng_.Shuffle(order);
-    return;
-  }
-  // Block-aware shuffle: shuffle which blocks (shards) come in what
-  // order, and independently shuffle indices inside each block. Batches
-  // then touch shards in runs instead of uniformly at random, so the
-  // reader's decoded-shard cache keeps its bounded size effective. The
-  // trade (standard for out-of-core loaders) is that two graphs from
-  // different shards can never share a batch unless adjacent in the
-  // shard sequence.
-  std::vector<std::vector<int64_t>> groups(blocks.size());
-  for (int64_t idx : *order) {
-    // Blocks are sorted, disjoint, and cover the source: find the one
-    // holding idx.
-    size_t lo = 0, hi = blocks.size() - 1;
-    while (lo < hi) {
-      const size_t mid = (lo + hi + 1) / 2;
-      if (blocks[mid].begin <= idx) {
-        lo = mid;
-      } else {
-        hi = mid - 1;
-      }
-    }
-    groups[lo].push_back(idx);
-  }
-  std::vector<size_t> sequence;
-  sequence.reserve(groups.size());
-  for (size_t b = 0; b < groups.size(); ++b) {
-    if (!groups[b].empty()) sequence.push_back(b);
-  }
-  rng_.Shuffle(&sequence);
-  order->clear();
-  for (size_t b : sequence) {
-    rng_.Shuffle(&groups[b]);
-    order->insert(order->end(), groups[b].begin(), groups[b].end());
-  }
-}
-
 Result<PretrainStats> SgclTrainer::Pretrain(const GraphSource& source,
                                             const std::vector<int64_t>& indices,
                                             const PretrainOptions& options) {
-  std::vector<int64_t> order = indices;
-  if (order.empty()) {
-    order.resize(source.size());
-    for (int64_t i = 0; i < source.size(); ++i) order[i] = i;
-  }
-  if (order.size() < 2) {
-    return Status::InvalidArgument(
-        "Pretrain needs at least 2 graphs (InfoNCE requires a negative)");
-  }
-  for (int64_t index : order) {
-    if (index < 0 || index >= source.size()) {
-      return Status::OutOfRange("Pretrain index outside source");
-    }
-  }
-  if (options.checkpoint_every_batches < 0) {
-    return Status::InvalidArgument(
-        "PretrainOptions::checkpoint_every_batches must be >= 0");
-  }
-  if (options.checkpoint_every_batches > 0 &&
-      options.checkpoint_dir.empty()) {
-    return Status::InvalidArgument(
-        "checkpoint_every_batches requires checkpoint_dir");
-  }
-  if (!options.checkpoint_dir.empty()) {
-    if (options.checkpoint_every <= 0) {
-      return Status::InvalidArgument(
-          "PretrainOptions::checkpoint_every must be >= 1");
-    }
-    std::error_code ec;
-    std::filesystem::create_directories(options.checkpoint_dir, ec);
-    if (ec) {
-      return Status::Internal(
-          StrFormat("cannot create checkpoint directory %s: %s",
-                    options.checkpoint_dir.c_str(), ec.message().c_str()));
-    }
-  }
-
-  PretrainStats stats;
-  stats.epoch_losses.reserve(config_.epochs);
-  stats.epoch_seconds.reserve(config_.epochs);
-  const uint64_t fingerprint = ConfigFingerprint(config_);
-  const uint64_t source_fingerprint = source.ContentFingerprint();
-  // Recorded in checkpoints for distributed batch-seed replay; a
-  // resumed run carries the original forward even when this process was
-  // constructed with a different seed.
-  uint64_t train_seed = seed_;
-  int start_epoch = 0;
-  int64_t resume_batch_cursor = 0;
-  double resume_partial_loss = 0.0;
-  double restored_seconds = 0.0;
-  if (!options.resume_from.empty()) {
-    Stopwatch load_watch;
-    SGCL_ASSIGN_OR_RETURN(const TrainState state,
-                          LoadTrainCheckpoint(options.resume_from));
-    if (state.config_fingerprint != fingerprint) {
-      return Status::InvalidArgument(StrFormat(
-          "%s was written by a run with config fingerprint %016llx, this "
-          "trainer has %016llx",
-          options.resume_from.c_str(),
-          static_cast<unsigned long long>(state.config_fingerprint),
-          static_cast<unsigned long long>(fingerprint)));
-    }
-    // A checkpoint is bound to its training data: refuse resume against
-    // a source with different content (legacy checkpoints carry 0 and
-    // skip the check).
-    if (state.source_fingerprint != 0 &&
-        state.source_fingerprint != source_fingerprint) {
-      return Status::InvalidArgument(StrFormat(
-          "%s was written against a source with fingerprint %016llx, this "
-          "call trains on %016llx",
-          options.resume_from.c_str(),
-          static_cast<unsigned long long>(state.source_fingerprint),
-          static_cast<unsigned long long>(source_fingerprint)));
-    }
-    // The checkpointed permutation must cover exactly the graphs this
-    // call selected; a different index set is a different run.
-    std::vector<int64_t> want = order;
-    std::vector<int64_t> got = state.order;
-    std::sort(want.begin(), want.end());
-    std::sort(got.begin(), got.end());
-    if (want != got) {
-      return Status::InvalidArgument(StrFormat(
-          "%s covers a different graph index set than this Pretrain call",
-          options.resume_from.c_str()));
-    }
-    SGCL_RETURN_NOT_OK(ApplyModuleParams(state.model_params, model_.get(),
-                                         options.resume_from));
-    SGCL_RETURN_NOT_OK(optimizer_->ImportState(state.optimizer));
-    rng_.SetState(state.rng);
-    if (state.train_seed != 0) train_seed = state.train_seed;
-    order = state.order;
-    start_epoch = state.next_epoch;
-    resume_batch_cursor = state.batch_cursor;
-    resume_partial_loss = state.partial_loss_sum;
-    stats.epoch_losses = state.epoch_losses;
-    stats.epoch_seconds = state.epoch_seconds;
-    stats.total_batches = state.total_batches;
-    for (double s : state.epoch_seconds) restored_seconds += s;
-    const double load_seconds = load_watch.ElapsedSeconds();
-    MetricsRegistry::Global().GetCounter("checkpoint/loads")->Increment();
-    MetricsRegistry::Global()
-        .GetCounter("time/checkpoint_us")
-        ->Increment(static_cast<int64_t>(load_seconds * 1e6));
-    SGCL_LOG(INFO) << "resumed from " << options.resume_from << " at epoch "
-                   << start_epoch << " batch " << resume_batch_cursor << " ("
-                   << load_seconds << "s load)";
-  }
-  Stopwatch run_watch;
-  const std::map<std::string, double> run_stage_before =
-      StageSeconds(MetricsRegistry::Global().Snapshot());
-  std::map<std::string, double> stage_before = run_stage_before;
-  static Counter* const epochs_counter =
-      MetricsRegistry::Global().GetCounter("train/epochs");
-  static Counter* const batches_counter =
-      MetricsRegistry::Global().GetCounter("train/batches");
-
-  const std::vector<IndexRange> blocks = source.FetchBlocks();
-  PrefetcherOptions prefetch_options;
-  prefetch_options.depth = options.prefetch_depth;
-  BatchPrefetcher prefetcher(&source, prefetch_options);
-
-  // Saves `state`-independent checkpoint fields and publishes to `path`.
-  const auto save_checkpoint =
-      [&](int next_epoch, int64_t batch_cursor, double partial_loss_sum,
-          const std::string& path) -> Status {
-    return SaveTrainingCheckpoint(options, stats, order, fingerprint,
-                                  source_fingerprint, train_seed, next_epoch,
-                                  batch_cursor, partial_loss_sum, path);
-  };
-
-  for (int epoch = start_epoch; epoch < config_.epochs; ++epoch) {
-    SGCL_TRACE_SPAN("train/epoch");
-    Stopwatch epoch_watch;
-    // A mid-epoch resume re-enters an epoch whose shuffle already
-    // happened (the restored `order` is post-shuffle and the restored
-    // RNG already consumed it), so only fresh epochs reshuffle.
-    const bool mid_epoch_resume =
-        epoch == start_epoch && resume_batch_cursor > 0;
-    if (!mid_epoch_resume) ShuffleOrder(&order, blocks);
-    // Materialize the epoch's batch index lists up front so the prefetch
-    // pipeline can run ahead of compute.
-    std::vector<std::vector<int64_t>> batch_indices =
-        BuildEpochBatches(order, config_.batch_size, &logged_dropped_tail_);
-    const int64_t epoch_batch_total =
-        static_cast<int64_t>(batch_indices.size());
-    double epoch_loss = 0.0;
-    int64_t batches = 0;
-    if (mid_epoch_resume) {
-      // Fast-forward: the first batch_cursor batches already ran before
-      // the checkpoint; drop them and seed the running loss sum.
-      batches = std::min(resume_batch_cursor, epoch_batch_total);
-      epoch_loss = resume_partial_loss;
-      batch_indices.erase(batch_indices.begin(),
-                          batch_indices.begin() + batches);
-    }
-    prefetcher.BeginEpoch(std::move(batch_indices));
-    while (prefetcher.remaining() > 0) {
-      if (options.should_cancel && options.should_cancel()) {
-        stats.cancelled = true;
-        stats.total_seconds = restored_seconds + run_watch.ElapsedSeconds();
-        stats.stage_seconds =
-            StageDelta(run_stage_before,
-                       StageSeconds(MetricsRegistry::Global().Snapshot()));
-        return stats;
-      }
-      // Maybe open a sampled trace rooted at this batch: train/batch
-      // becomes the root span and the stage spans below (plus any
-      // prefetch/decode work this batch schedules) nest under it.
-      // Sampling never touches rng_ (deterministic atomic counter), so
-      // losses are bitwise-independent of the rate.
-      const TraceContext batch_trace = TraceRing::Global().MaybeStartTrace();
-      ScopedTraceContext batch_trace_install(batch_trace);
-      SGCL_TRACE_SPAN("train/batch");
-      SGCL_ASSIGN_OR_RETURN(const FetchedGraphs fetched, prefetcher.Next());
-      optimizer_->ZeroGrad();
-      Tensor loss = model_->ComputeLoss(fetched.graphs(), &rng_);
-      {
-        SGCL_TRACE_SPAN_TIMED("backward");
-        loss.Backward();
-      }
-      {
-        SGCL_TRACE_SPAN_TIMED("optimizer");
-        optimizer_->ClipGradNorm(config_.grad_clip);
-        optimizer_->Step();
-      }
-      epoch_loss += loss.item();
-      ++batches;
-      batches_counter->Increment();
-      if (options.checkpoint_every_batches > 0 &&
-          batches % options.checkpoint_every_batches == 0 &&
-          batches < epoch_batch_total) {
-        SGCL_RETURN_NOT_OK(save_checkpoint(
-            epoch, batches, epoch_loss,
-            MidEpochCheckpointFileName(options.checkpoint_dir, epoch,
-                                       batches)));
-      }
-    }
-    const float mean_loss =
-        batches > 0 ? static_cast<float>(epoch_loss / batches) : 0.0f;
-    stats.epoch_losses.push_back(mean_loss);
-    const double epoch_seconds = epoch_watch.ElapsedSeconds();
-    stats.epoch_seconds.push_back(epoch_seconds);
-    stats.total_batches += batches;
-    epochs_counter->Increment();
-    RecordEpochLossMetrics(mean_loss);
-    SGCL_LOG(DEBUG) << "pretrain epoch " << epoch << " loss " << mean_loss;
-    if (!options.checkpoint_dir.empty() &&
-        ((epoch + 1) % options.checkpoint_every == 0 ||
-         epoch + 1 == config_.epochs)) {
-      SGCL_RETURN_NOT_OK(save_checkpoint(
-          epoch + 1, 0, 0.0,
-          CheckpointFileName(options.checkpoint_dir, epoch + 1)));
-    }
-    if (options.on_epoch_end) {
-      const std::map<std::string, double> stage_after =
-          StageSeconds(MetricsRegistry::Global().Snapshot());
-      EpochReport report;
-      report.epoch = epoch;
-      report.total_epochs = config_.epochs;
-      report.mean_loss = mean_loss;
-      report.batches = batches;
-      report.seconds = epoch_seconds;
-      report.stage_seconds = StageDelta(stage_before, stage_after);
-      stage_before = std::move(stage_after);
-      options.on_epoch_end(report);
-    }
-  }
-  stats.total_seconds = restored_seconds + run_watch.ElapsedSeconds();
-  stats.stage_seconds = StageDelta(
-      run_stage_before, StageSeconds(MetricsRegistry::Global().Snapshot()));
-  return stats;
-}
-
-Status SgclTrainer::SaveTrainingCheckpoint(
-    const PretrainOptions& options, const PretrainStats& stats,
-    const std::vector<int64_t>& order, uint64_t config_fingerprint,
-    uint64_t source_fingerprint, uint64_t train_seed, int next_epoch,
-    int64_t batch_cursor, double partial_loss_sum, const std::string& path) {
-  Stopwatch save_watch;
-  TrainState state;
-  state.config_fingerprint = config_fingerprint;
-  state.model_params = SerializeModuleParams(*model_);
-  state.optimizer = optimizer_->ExportState();
-  state.rng = rng_.GetState();
-  state.next_epoch = next_epoch;
-  state.total_epochs = config_.epochs;
-  state.total_batches = stats.total_batches;
-  state.order = order;
-  state.epoch_losses = stats.epoch_losses;
-  state.epoch_seconds = stats.epoch_seconds;
-  state.batch_cursor = batch_cursor;
-  state.partial_loss_sum = partial_loss_sum;
-  state.source_fingerprint = source_fingerprint;
-  state.train_seed = train_seed;
-  SGCL_RETURN_NOT_OK(SaveTrainCheckpoint(state, path));
-  SGCL_RETURN_NOT_OK(PruneCheckpoints(options.checkpoint_dir,
-                                      options.checkpoint_keep_last));
-  const double save_seconds = save_watch.ElapsedSeconds();
-  MetricsRegistry::Global().GetCounter("checkpoint/saves")->Increment();
-  MetricsRegistry::Global()
-      .GetCounter("time/checkpoint_us")
-      ->Increment(static_cast<int64_t>(save_seconds * 1e6));
-  SGCL_LOG(DEBUG) << "checkpoint " << path << " saved in " << save_seconds
-                  << "s";
-  if (options.on_checkpoint) {
-    CheckpointReport report;
-    report.path = path;
-    report.epoch = next_epoch - (batch_cursor > 0 ? 0 : 1);
-    report.seconds = save_seconds;
-    options.on_checkpoint(report);
-  }
-  return Status::OK();
+  return RunRoundLoop(LoopMethod(), source, indices, options);
 }
 
 Result<PretrainStats> SgclTrainer::PretrainDistributed(
@@ -509,315 +78,38 @@ Result<PretrainStats> SgclTrainer::PretrainDistributed(
         "DistributedPretrainOptions::coordinator_port must be set");
   }
 
-  std::vector<int64_t> order = indices;
-  if (order.empty()) {
-    order.resize(source.size());
-    for (int64_t i = 0; i < source.size(); ++i) order[i] = i;
-  }
-  if (order.size() < 2) {
-    return Status::InvalidArgument(
-        "Pretrain needs at least 2 graphs (InfoNCE requires a negative)");
-  }
-  for (int64_t index : order) {
-    if (index < 0 || index >= source.size()) {
-      return Status::OutOfRange("Pretrain index outside source");
-    }
-  }
-  if (options.checkpoint_every_batches < 0) {
-    return Status::InvalidArgument(
-        "PretrainOptions::checkpoint_every_batches must be >= 0");
-  }
-  if (options.checkpoint_every_batches > 0 &&
-      options.checkpoint_dir.empty()) {
-    return Status::InvalidArgument(
-        "checkpoint_every_batches requires checkpoint_dir");
-  }
-  if (!options.checkpoint_dir.empty()) {
-    if (options.checkpoint_every <= 0) {
-      return Status::InvalidArgument(
-          "PretrainOptions::checkpoint_every must be >= 1");
-    }
-    std::error_code ec;
-    std::filesystem::create_directories(options.checkpoint_dir, ec);
-    if (ec) {
-      return Status::Internal(
-          StrFormat("cannot create checkpoint directory %s: %s",
-                    options.checkpoint_dir.c_str(), ec.message().c_str()));
-    }
-  }
-
-  PretrainStats stats;
-  stats.epoch_losses.reserve(config_.epochs);
-  stats.epoch_seconds.reserve(config_.epochs);
-  const uint64_t fingerprint = ConfigFingerprint(config_);
-  const uint64_t source_fingerprint = source.ContentFingerprint();
-  uint64_t train_seed = seed_;
-  int start_epoch = 0;
-  int64_t resume_batch_cursor = 0;
-  double resume_partial_loss = 0.0;
-  double restored_seconds = 0.0;
-  if (!options.resume_from.empty()) {
-    Stopwatch load_watch;
-    SGCL_ASSIGN_OR_RETURN(const TrainState state,
-                          LoadTrainCheckpoint(options.resume_from));
-    if (state.config_fingerprint != fingerprint) {
-      return Status::InvalidArgument(StrFormat(
-          "%s was written by a run with config fingerprint %016llx, this "
-          "trainer has %016llx",
-          options.resume_from.c_str(),
-          static_cast<unsigned long long>(state.config_fingerprint),
-          static_cast<unsigned long long>(fingerprint)));
-    }
-    if (state.source_fingerprint != 0 &&
-        state.source_fingerprint != source_fingerprint) {
-      return Status::InvalidArgument(StrFormat(
-          "%s was written against a source with fingerprint %016llx, this "
-          "call trains on %016llx",
-          options.resume_from.c_str(),
-          static_cast<unsigned long long>(state.source_fingerprint),
-          static_cast<unsigned long long>(source_fingerprint)));
-    }
-    std::vector<int64_t> want = order;
-    std::vector<int64_t> got = state.order;
-    std::sort(want.begin(), want.end());
-    std::sort(got.begin(), got.end());
-    if (want != got) {
-      return Status::InvalidArgument(StrFormat(
-          "%s covers a different graph index set than this Pretrain call",
-          options.resume_from.c_str()));
-    }
-    if (state.batch_cursor % dist.grad_accum != 0) {
-      // Distributed checkpoints are only ever written at round
-      // boundaries; a mid-round cursor means this checkpoint came from a
-      // run with a different grad_accum (or the plain loop).
-      return Status::InvalidArgument(StrFormat(
-          "%s has batch cursor %lld, not a multiple of grad_accum %d — it "
-          "was not written by a distributed run with this round size",
-          options.resume_from.c_str(),
-          static_cast<long long>(state.batch_cursor), dist.grad_accum));
-    }
-    SGCL_RETURN_NOT_OK(ApplyModuleParams(state.model_params, model_.get(),
-                                         options.resume_from));
-    SGCL_RETURN_NOT_OK(optimizer_->ImportState(state.optimizer));
-    rng_.SetState(state.rng);
-    if (state.train_seed != 0) train_seed = state.train_seed;
-    order = state.order;
-    start_epoch = state.next_epoch;
-    resume_batch_cursor = state.batch_cursor;
-    resume_partial_loss = state.partial_loss_sum;
-    stats.epoch_losses = state.epoch_losses;
-    stats.epoch_seconds = state.epoch_seconds;
-    stats.total_batches = state.total_batches;
-    for (double s : state.epoch_seconds) restored_seconds += s;
-    const double load_seconds = load_watch.ElapsedSeconds();
-    MetricsRegistry::Global().GetCounter("checkpoint/loads")->Increment();
-    MetricsRegistry::Global()
-        .GetCounter("time/checkpoint_us")
-        ->Increment(static_cast<int64_t>(load_seconds * 1e6));
-    SGCL_LOG(INFO) << "rank " << dist.rank << " resumed from "
-                   << options.resume_from << " at epoch " << start_epoch
-                   << " batch " << resume_batch_cursor << " ("
-                   << load_seconds << "s load)";
-  }
-
-  std::vector<Tensor> params = model_->Parameters();
-  uint64_t grad_dim = 0;
-  for (const Tensor& param : params) {
-    grad_dim += static_cast<uint64_t>(param.numel());
-  }
-  AllReduceSchedule schedule;
-  schedule.world_size = static_cast<uint32_t>(dist.world_size);
-  schedule.accum = static_cast<uint32_t>(dist.grad_accum);
-  schedule.epochs = static_cast<uint32_t>(config_.epochs);
-  schedule.grad_dim = grad_dim;
-  schedule.batches_per_epoch = static_cast<uint64_t>(PretrainBatchesPerEpoch(
-      static_cast<int64_t>(order.size()), config_.batch_size));
-  schedule.config_fingerprint = fingerprint;
-  schedule.source_fingerprint = source_fingerprint;
-  schedule.run_seed = train_seed;
-  const uint64_t rounds_per_epoch = schedule.rounds_per_epoch();
-  const uint64_t accum = schedule.accum;
-
-  WorkerHello hello;
-  hello.rank = static_cast<uint32_t>(dist.rank);
-  hello.schedule = schedule;
-  hello.next_round = static_cast<uint64_t>(start_epoch) * rounds_per_epoch +
-                     static_cast<uint64_t>(resume_batch_cursor) / accum;
   AllReduceClient client;
-  SGCL_ASSIGN_OR_RETURN(
-      const JoinReply reply,
-      client.Join(dist.coordinator_port, hello, dist.connect_deadline_ms,
-                  dist.allreduce_timeout_ms));
-  // Rounds below this are already reduced cluster-wide: replay them from
-  // the coordinator's cache (no compute) to catch back up to lockstep.
-  const uint64_t cached_through = reply.completed_rounds;
-  if (cached_through > hello.next_round) {
-    SGCL_LOG(INFO) << "rank " << dist.rank << " catching up: rounds ["
-                   << hello.next_round << ", " << cached_through
-                   << ") replay from the coordinator cache";
-  }
-
-  Stopwatch run_watch;
-  const std::map<std::string, double> run_stage_before =
-      StageSeconds(MetricsRegistry::Global().Snapshot());
-  std::map<std::string, double> stage_before = run_stage_before;
-  static Counter* const epochs_counter =
-      MetricsRegistry::Global().GetCounter("train/epochs");
-  static Counter* const batches_counter =
-      MetricsRegistry::Global().GetCounter("train/batches");
-  static Counter* const allreduce_us_counter =
-      MetricsRegistry::Global().GetCounter("comms/allreduce_us");
-
-  const std::vector<IndexRange> blocks = source.FetchBlocks();
-  PrefetcherOptions prefetch_options;
-  prefetch_options.depth = options.prefetch_depth;
-  BatchPrefetcher prefetcher(&source, prefetch_options);
-
-  const auto save_checkpoint =
-      [&](int next_epoch, int64_t batch_cursor, double partial_loss_sum,
-          const std::string& path) -> Status {
-    return SaveTrainingCheckpoint(options, stats, order, fingerprint,
-                                  source_fingerprint, train_seed, next_epoch,
-                                  batch_cursor, partial_loss_sum, path);
+  RoundLoopCluster cluster;
+  cluster.rank = dist.rank;
+  cluster.world_size = dist.world_size;
+  cluster.grad_accum = dist.grad_accum;
+  cluster.reducer = &client;
+  cluster.join = [&](uint64_t next_round,
+                     uint64_t run_seed) -> Result<uint64_t> {
+    const int64_t selected =
+        indices.empty() ? source.size() : static_cast<int64_t>(indices.size());
+    WorkerHello hello;
+    hello.rank = static_cast<uint32_t>(dist.rank);
+    hello.schedule = MakePretrainSchedule(config_, source, selected,
+                                          dist.world_size, dist.grad_accum,
+                                          run_seed);
+    hello.next_round = next_round;
+    SGCL_ASSIGN_OR_RETURN(
+        const JoinReply reply,
+        client.Join(dist.coordinator_port, hello, dist.connect_deadline_ms,
+                    dist.allreduce_timeout_ms));
+    if (reply.completed_rounds > next_round) {
+      SGCL_LOG(INFO) << "rank " << dist.rank << " catching up: rounds ["
+                     << next_round << ", " << reply.completed_rounds
+                     << ") replay from the coordinator cache";
+    }
+    return reply.completed_rounds;
   };
-
-  std::vector<float> leaf_grad;
-  for (int epoch = start_epoch; epoch < config_.epochs; ++epoch) {
-    SGCL_TRACE_SPAN("train/epoch");
-    Stopwatch epoch_watch;
-    const bool mid_epoch_resume =
-        epoch == start_epoch && resume_batch_cursor > 0;
-    // The shuffle consumes this rank's own rng_ — identically on every
-    // rank, since all start from the same seed (or the same restored RNG
-    // state) and the stream is touched by nothing else. Catch-up epochs
-    // replayed from cache still shuffle, keeping the stream in sync.
-    if (!mid_epoch_resume) ShuffleOrder(&order, blocks);
-    const std::vector<std::vector<int64_t>> all_batches =
-        BuildEpochBatches(order, config_.batch_size, &logged_dropped_tail_);
-    const int64_t epoch_batch_total =
-        static_cast<int64_t>(all_batches.size());
-    SGCL_CHECK(epoch_batch_total ==
-               static_cast<int64_t>(schedule.batches_per_epoch));
-    double epoch_loss = 0.0;
-    int64_t batches = 0;
-    if (mid_epoch_resume) {
-      batches = std::min(resume_batch_cursor, epoch_batch_total);
-      epoch_loss = resume_partial_loss;
-    }
-    const uint64_t first_round = static_cast<uint64_t>(batches) / accum;
-    // Feed the prefetcher exactly the leaves this rank will compute this
-    // epoch, in (round, slot) order — cached rounds are replayed, not
-    // recomputed, so their batches never decode.
-    std::vector<std::vector<int64_t>> my_batches;
-    for (uint64_t r = first_round; r < rounds_per_epoch; ++r) {
-      const uint64_t global_round =
-          static_cast<uint64_t>(epoch) * rounds_per_epoch + r;
-      if (global_round < cached_through) continue;
-      const uint32_t leaves = schedule.leaves_in_round(global_round);
-      for (uint32_t slot = 0; slot < leaves; ++slot) {
-        if (RankOwningSlot(slot, dist.world_size) != dist.rank) continue;
-        my_batches.push_back(
-            all_batches[static_cast<int64_t>(r * accum + slot)]);
-      }
-    }
-    prefetcher.BeginEpoch(std::move(my_batches));
-    int64_t last_ckpt_marker =
-        options.checkpoint_every_batches > 0
-            ? batches / options.checkpoint_every_batches
-            : 0;
-    for (uint64_t r = first_round; r < rounds_per_epoch; ++r) {
-      const uint64_t global_round =
-          static_cast<uint64_t>(epoch) * rounds_per_epoch + r;
-      const uint32_t leaves = schedule.leaves_in_round(global_round);
-      if (global_round >= cached_through) {
-        for (uint32_t slot = 0; slot < leaves; ++slot) {
-          if (RankOwningSlot(slot, dist.world_size) != dist.rank) continue;
-          const TraceContext batch_trace =
-              TraceRing::Global().MaybeStartTrace();
-          ScopedTraceContext batch_trace_install(batch_trace);
-          SGCL_TRACE_SPAN("train/batch");
-          SGCL_ASSIGN_OR_RETURN(const FetchedGraphs fetched,
-                                prefetcher.Next());
-          optimizer_->ZeroGrad();
-          // Position-keyed stochastic draws: any worker recomputing this
-          // (epoch, batch) cell — original owner or elastic rejoiner —
-          // draws the identical stream.
-          const int64_t global_batch = static_cast<int64_t>(r * accum + slot);
-          Rng batch_rng(DeriveBatchSeed(train_seed, epoch, global_batch));
-          Tensor loss = model_->ComputeLoss(fetched.graphs(), &batch_rng);
-          {
-            SGCL_TRACE_SPAN_TIMED("backward");
-            loss.Backward();
-          }
-          FlattenGradients(params, &leaf_grad);
-          SGCL_RETURN_NOT_OK(client.SubmitLeaf(
-              global_round, slot, static_cast<double>(loss.item()),
-              leaf_grad));
-        }
-      }
-      Stopwatch allreduce_watch;
-      SGCL_ASSIGN_OR_RETURN(const ReducedRound round,
-                            client.GetRound(global_round));
-      allreduce_us_counter->Increment(
-          static_cast<int64_t>(allreduce_watch.ElapsedSeconds() * 1e6));
-      {
-        SGCL_TRACE_SPAN_TIMED("optimizer");
-        ApplyMeanGradients(&params, round.grad_sum, round.leaf_count);
-        optimizer_->ClipGradNorm(config_.grad_clip);
-        optimizer_->Step();
-      }
-      epoch_loss += round.loss_sum;
-      batches += round.leaf_count;
-      batches_counter->Increment(round.leaf_count);
-      if (options.checkpoint_every_batches > 0 &&
-          batches < epoch_batch_total) {
-        // Round granularity: fire when the completed-batch count crossed
-        // a cadence multiple since the previous round.
-        const int64_t marker = batches / options.checkpoint_every_batches;
-        if (marker > last_ckpt_marker) {
-          last_ckpt_marker = marker;
-          SGCL_RETURN_NOT_OK(save_checkpoint(
-              epoch, batches, epoch_loss,
-              MidEpochCheckpointFileName(options.checkpoint_dir, epoch,
-                                         batches)));
-        }
-      }
-    }
-    const float mean_loss =
-        batches > 0 ? static_cast<float>(epoch_loss / batches) : 0.0f;
-    stats.epoch_losses.push_back(mean_loss);
-    const double epoch_seconds = epoch_watch.ElapsedSeconds();
-    stats.epoch_seconds.push_back(epoch_seconds);
-    stats.total_batches += batches;
-    epochs_counter->Increment();
-    RecordEpochLossMetrics(mean_loss);
-    SGCL_LOG(DEBUG) << "pretrain epoch " << epoch << " loss " << mean_loss
-                    << " (rank " << dist.rank << "/" << dist.world_size
-                    << ")";
-    if (!options.checkpoint_dir.empty() &&
-        ((epoch + 1) % options.checkpoint_every == 0 ||
-         epoch + 1 == config_.epochs)) {
-      SGCL_RETURN_NOT_OK(save_checkpoint(
-          epoch + 1, 0, 0.0,
-          CheckpointFileName(options.checkpoint_dir, epoch + 1)));
-    }
-    if (options.on_epoch_end) {
-      const std::map<std::string, double> stage_after =
-          StageSeconds(MetricsRegistry::Global().Snapshot());
-      EpochReport report;
-      report.epoch = epoch;
-      report.total_epochs = config_.epochs;
-      report.mean_loss = mean_loss;
-      report.batches = batches;
-      report.seconds = epoch_seconds;
-      report.stage_seconds = StageDelta(stage_before, stage_after);
-      stage_before = std::move(stage_after);
-      options.on_epoch_end(report);
-    }
-  }
-  stats.total_seconds = restored_seconds + run_watch.ElapsedSeconds();
-  stats.stage_seconds = StageDelta(
-      run_stage_before, StageSeconds(MetricsRegistry::Global().Snapshot()));
+  PretrainOptions worker_options = options;
+  worker_options.should_cancel = nullptr;
+  SGCL_ASSIGN_OR_RETURN(
+      PretrainStats stats,
+      RunRoundLoop(LoopMethod(), source, indices, worker_options, cluster));
   SGCL_RETURN_NOT_OK(client.Goodbye(static_cast<uint32_t>(dist.rank)));
   client.Disconnect();
   return stats;

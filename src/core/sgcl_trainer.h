@@ -1,114 +1,20 @@
-// Self-supervised pretraining loop for SGCL, with an observer-based
+// Self-supervised pretraining for SGCL, plain or data-parallel, through
+// the shared round loop (core/round_loop.h) with its observer-based
 // progress/observability API.
 #ifndef SGCL_CORE_SGCL_TRAINER_H_
 #define SGCL_CORE_SGCL_TRAINER_H_
 
-#include <functional>
-#include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "core/round_loop.h"
 #include "core/sgcl_model.h"
 #include "graph/dataset.h"
 #include "graph/graph_source.h"
 #include "tensor/optimizer.h"
 
 namespace sgcl {
-
-// Per-epoch progress record handed to PretrainOptions::on_epoch_end.
-struct EpochReport {
-  int epoch = 0;        // 0-based
-  int total_epochs = 0;
-  float mean_loss = 0.0f;  // mean minibatch loss of this epoch
-  int64_t batches = 0;
-  double seconds = 0.0;  // wall time of this epoch
-  // Wall seconds spent per instrumented stage during this epoch, keyed by
-  // stage name ("generator", "augmentation", "encode", "loss",
-  // "backward", "optimizer", ...). Derived from the global metrics
-  // registry's "time/<stage>_us" counters, so stages nested in parallel
-  // workers aggregate across threads and a stage's total can exceed the
-  // epoch's wall time.
-  std::map<std::string, double> stage_seconds;
-};
-
-struct PretrainStats {
-  std::vector<float> epoch_losses;   // mean minibatch loss per epoch
-  std::vector<double> epoch_seconds; // wall time per epoch
-  double total_seconds = 0.0;
-  int64_t total_batches = 0;
-  // Sum of per-epoch stage_seconds over the whole run.
-  std::map<std::string, double> stage_seconds;
-  // True when PretrainOptions::should_cancel stopped the run early;
-  // epoch_losses then holds only the completed epochs.
-  bool cancelled = false;
-};
-
-// Record of one checkpoint save handed to PretrainOptions::on_checkpoint.
-struct CheckpointReport {
-  std::string path;
-  int epoch = 0;         // 0-based epoch the checkpoint was taken after
-  double seconds = 0.0;  // serialize + atomic-publish wall time
-};
-
-// Observability and control hooks for Pretrain. Default-constructed
-// options reproduce the plain training loop exactly: the observer only
-// reads timings, so attaching one never changes epoch_losses (the loop's
-// RNG stream and arithmetic are untouched). Checkpointing is likewise
-// off the training tape — it snapshots state between epochs, so enabling
-// it never perturbs losses either.
-struct PretrainOptions {
-  // Called after each completed epoch.
-  std::function<void(const EpochReport&)> on_epoch_end;
-  // Polled between batches; returning true stops training after the
-  // current batch (the partial epoch is discarded from epoch_losses and
-  // stats.cancelled is set).
-  std::function<bool()> should_cancel;
-
-  // Crash-safe checkpointing (core/train_state.h). When checkpoint_dir
-  // is non-empty, a checkpoint is written atomically after every
-  // checkpoint_every-th completed epoch and after the final epoch,
-  // retaining the checkpoint_keep_last newest files.
-  std::string checkpoint_dir;
-  int checkpoint_every = 1;
-  int checkpoint_keep_last = 3;
-  // Path of a checkpoint to resume from (typically
-  // FindLatestCheckpoint(checkpoint_dir)). The trainer must have been
-  // constructed with a config whose ConfigFingerprint matches the
-  // checkpoint's, and the call's `indices` must select the same graph
-  // set the checkpointed run used. The resumed run replays the exact
-  // remaining epochs: its PretrainStats (including the restored-epoch
-  // prefix) is bitwise identical to an uninterrupted run's.
-  std::string resume_from;
-  // Called after each successful checkpoint save.
-  std::function<void(const CheckpointReport&)> on_checkpoint;
-
-  // Streaming pipeline (data/prefetcher.h): batches kept in flight ahead
-  // of the training step. <= 0 fetches synchronously. Prefetching only
-  // moves *when* decode happens, never what is computed, so changing the
-  // depth cannot change losses.
-  int prefetch_depth = 2;
-  // When > 0 (and checkpoint_dir is set), additionally checkpoint inside
-  // each epoch after every N completed batches. These mid-epoch
-  // checkpoints carry a batch-level cursor, so a kill at any shard
-  // boundary resumes bitwise-exactly (see core/train_state.h).
-  int64_t checkpoint_every_batches = 0;
-};
-
-// The seed of the derived RNG stream that batch `global_batch` of epoch
-// `epoch` consumes in distributed pretraining (splitmix64-style
-// finalizer chain). Keyed on the run's ORIGINAL trainer seed
-// (TrainState::train_seed), not the current process's, so an elastically
-// restarted worker — even one handed a fresh ctor seed — replays
-// bit-identical stochastic draws for every batch it recomputes.
-uint64_t DeriveBatchSeed(uint64_t run_seed, int epoch, int64_t global_batch);
-
-// Batches one Pretrain epoch runs over `selected` graphs at
-// `batch_size` (trailing batches with fewer than 2 graphs are dropped —
-// InfoNCE needs a negative). The distributed schedule quantity K: every
-// worker and the coordinator must compute the same value.
-int64_t PretrainBatchesPerEpoch(int64_t selected, int batch_size);
 
 // Data-parallel settings for PretrainDistributed. The schedule is
 // defined by (grad_accum, the global batch schedule); world_size only
@@ -132,13 +38,6 @@ struct DistributedPretrainOptions {
   int connect_deadline_ms = 15000;
 };
 
-// Publishes one epoch's loss to the global metrics registry: sets gauge
-// "train/last_epoch_loss" and increments counter "train/nonfinite_loss"
-// when the loss is NaN/Inf — divergence must show up in exports (where
-// JSON serializes the loss itself as null), not be masked. Called by
-// Pretrain after every epoch; exposed for direct unit testing.
-void RecordEpochLossMetrics(float mean_loss);
-
 class SgclTrainer {
  public:
   // `config` must pass SgclConfig::Validate(); a failed validation is a
@@ -147,15 +46,12 @@ class SgclTrainer {
   SgclTrainer(const SgclConfig& config, uint64_t seed);
 
   // Runs config.epochs of Adam over shuffled minibatches of `source`
-  // (indices into it; empty = all graphs). Minibatches with fewer than 2
-  // graphs are skipped (InfoNCE needs a negative). Returns
-  // InvalidArgument when fewer than 2 graphs are selected or an index is
-  // out of range. Batches stream through the prefetch pipeline; for
-  // multi-block sources (sharded stores) the per-epoch shuffle is
-  // block-aware — shard order and within-shard order are both shuffled,
-  // but a batch never straddles more shards than it must — bounding the
-  // decoded-shard working set. Single-block sources (in-memory) shuffle
-  // globally, bit-identical to the historical loop.
+  // (indices into it; empty = all graphs): RunRoundLoop at world 1, one
+  // batch per round, so every batch draws its stochastic augmentation
+  // from Rng(DeriveBatchSeed(seed, epoch, batch)) and losses equal a
+  // world-1, grad_accum-1 PretrainDistributed run bit for bit. Returns
+  // InvalidArgument when fewer than 2 graphs are selected, OutOfRange
+  // when an index is outside the source (see RunRoundLoop).
   Result<PretrainStats> Pretrain(const GraphSource& source,
                                  const std::vector<int64_t>& indices = {},
                                  const PretrainOptions& options = {});
@@ -172,12 +68,13 @@ class SgclTrainer {
   // at `dist.coordinator_port` each round. Per-epoch losses are
   // bitwise-identical for every world_size (including 1) given the same
   // config, seed, data, and grad_accum — see comms/allreduce.h for the
-  // argument. Checkpoints (same PretrainOptions knobs) are written at
-  // round boundaries; resume_from rejoins a live cluster elastically,
-  // replaying missed rounds from the coordinator's cache. The epoch
-  // shuffle consumes this trainer's own RNG (identically on every
-  // rank); per-batch stochastic draws come from DeriveBatchSeed streams
-  // instead, so they are position- not history-dependent.
+  // argument — and at grad_accum 1 they equal plain Pretrain's.
+  // Checkpoints (same PretrainOptions knobs) are written at round
+  // boundaries; resume_from rejoins a live cluster elastically,
+  // replaying missed rounds from the coordinator's cache. Returns
+  // InvalidArgument, before connecting, for a world_size below 1, a
+  // rank outside [0, world_size), a grad_accum below 1 or below
+  // world_size, or an unset coordinator_port.
   // PretrainOptions::should_cancel is ignored — one worker cancelling
   // unilaterally would stall the cluster; stop distributed runs by
   // stopping the job.
@@ -188,33 +85,16 @@ class SgclTrainer {
 
   SgclModel& model() { return *model_; }
   const SgclModel& model() const { return *model_; }
-  // The ctor seed (the distributed handshake's run_seed for fresh runs).
-  uint64_t seed() const { return seed_; }
 
  private:
-  // Per-epoch permutation update; block-aware for multi-block sources.
-  void ShuffleOrder(std::vector<int64_t>* order,
-                    const std::vector<IndexRange>& blocks);
-
-  // Serializes the complete resumable run state and publishes it
-  // atomically to `path` (shared by Pretrain and PretrainDistributed;
-  // both checkpoint formats are the same format).
-  Status SaveTrainingCheckpoint(const PretrainOptions& options,
-                                const PretrainStats& stats,
-                                const std::vector<int64_t>& order,
-                                uint64_t config_fingerprint,
-                                uint64_t source_fingerprint,
-                                uint64_t train_seed, int next_epoch,
-                                int64_t batch_cursor,
-                                double partial_loss_sum,
-                                const std::string& path);
+  // What the round loop needs from this trainer.
+  RoundLoopMethod LoopMethod();
 
   SgclConfig config_;
   uint64_t seed_;
-  Rng rng_;
+  Rng rng_;  // model initialization, then the epoch shuffle
   std::unique_ptr<SgclModel> model_;
   std::unique_ptr<Adam> optimizer_;
-  bool logged_dropped_tail_ = false;  // log the skipped size-1 tail once
 };
 
 }  // namespace sgcl

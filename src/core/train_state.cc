@@ -109,6 +109,7 @@ std::string SerializeCursorSection(const TrainState& state) {
   writer.WriteF64(state.partial_loss_sum);
   writer.WriteU64(state.source_fingerprint);
   writer.WriteU64(state.train_seed);
+  writer.WriteU32(state.grad_accum);
   return writer.TakeBytes();
 }
 
@@ -140,9 +141,11 @@ Status ParseCursorSection(const std::string& bytes, const std::string& what,
           StrFormat("%s cursor section has a corrupt batch cursor",
                     what.c_str()));
     }
-    // Second cursor extension (same appended-field discipline): the
-    // run's original trainer seed, for distributed batch-seed replay.
+    // Later cursor extensions (same appended-field discipline): the
+    // run's original trainer seed, for batch-seed replay, then the round
+    // size the run was written under.
     if (reader.remaining() > 0) out->train_seed = reader.ReadU64();
+    if (reader.remaining() > 0) out->grad_accum = reader.ReadU32();
   }
   if (static_cast<int64_t>(out->epoch_losses.size()) != next_epoch ||
       seconds_count != next_epoch) {

@@ -1,6 +1,7 @@
-// Crash-safe training checkpoints: the complete resumable state of an
-// SGCL pretraining run, serialized into the v2 section container
-// (nn/checkpoint.h) and published atomically (common/io.h).
+// Crash-safe training checkpoints: the complete resumable state of a
+// pretraining run of the shared round loop (core/round_loop.h),
+// serialized into the v2 section container (nn/checkpoint.h) and
+// published atomically (common/io.h).
 //
 // The resume contract is *bitwise determinism*: a run checkpointed at
 // epoch k and resumed in a fresh process produces exactly the per-epoch
@@ -8,8 +9,10 @@
 // input to the remaining epochs:
 //   - both towers' parameters and heads (kModel section),
 //   - Adam's step counter and first/second moments (kOptimizer),
-//   - the trainer RNG stream, including the Box-Muller spare (kRng),
-//   - the epoch cursor plus the *current* order permutation — Pretrain
+//   - the epoch-shuffle RNG stream, including the Box-Muller spare
+//     (kRng); per-batch draws need no state, since each batch's stream is
+//     derived from its position (DeriveBatchSeed) and the run seed,
+//   - the epoch cursor plus the *current* order permutation — the loop
 //     shuffles `order` in place, so epoch k+1's shuffle depends on the
 //     post-epoch-k vector, not on the original indices (kCursor),
 //   - a fingerprint of the SgclConfig, checked on resume so state is
@@ -37,7 +40,7 @@ struct TrainState {
                              // plus projection and probability heads, in
                              // SgclModel::Parameters() order)
   AdamState optimizer;
-  RngState rng;              // the trainer's single RNG stream
+  RngState rng;              // the epoch-shuffle RNG stream
   int next_epoch = 0;        // first epoch the resumed run executes
   int total_epochs = 0;      // config.epochs at save time
   int64_t total_batches = 0;
@@ -58,12 +61,17 @@ struct TrainState {
   // resume when nonzero so a checkpoint never silently resumes against
   // different data (0 = unknown/legacy).
   uint64_t source_fingerprint = 0;
-  // The seed the run's trainer was originally constructed with. The
-  // distributed path derives every batch's RNG from this (core
-  // DeriveBatchSeed), so a worker restarted with a *different* ctor
-  // seed still replays bit-identical batches; the handshake requires
-  // all workers to agree on it (0 = pre-extension checkpoint).
+  // The seed the run's trainer was originally constructed with. Every
+  // batch's RNG derives from this (core DeriveBatchSeed), so a process
+  // restarted with a *different* ctor seed still replays bit-identical
+  // batches; the distributed handshake requires all workers to agree on
+  // it (0 = pre-extension checkpoint).
   uint64_t train_seed = 0;
+  // Batches per optimizer step (the round size, grad_accum) the run was
+  // written under: 1 for plain pretraining. Resume refuses any other
+  // round size, since it would continue a different schedule (0 =
+  // written before the field existed; only the cursor is checked).
+  uint32_t grad_accum = 0;
 };
 
 // FNV-1a over a canonical serialization of every SgclConfig field that

@@ -23,19 +23,4 @@ int RankOwningSlot(uint32_t slot, int world_size) {
   return static_cast<int>(slot % static_cast<uint32_t>(world_size));
 }
 
-std::vector<int64_t> OwnedBatchesInEpoch(uint64_t batches_per_epoch,
-                                         uint32_t accum, int world_size,
-                                         int rank) {
-  SGCL_CHECK(world_size > 0);
-  SGCL_CHECK(rank >= 0 && rank < world_size);
-  std::vector<int64_t> owned;
-  for (uint64_t b = 0; b < batches_per_epoch; ++b) {
-    const uint32_t slot = static_cast<uint32_t>(b % accum);
-    if (RankOwningSlot(slot, world_size) == rank) {
-      owned.push_back(static_cast<int64_t>(b));
-    }
-  }
-  return owned;
-}
-
 }  // namespace sgcl

@@ -15,7 +15,6 @@
 #define SGCL_DATA_RANK_ASSIGN_H_
 
 #include <cstdint>
-#include <vector>
 
 namespace sgcl {
 
@@ -31,12 +30,6 @@ uint32_t LeavesInRound(uint64_t batches_per_epoch, uint32_t accum,
 // The rank that computes slot `slot` of every round: round-robin over
 // slots so short tail rounds stay balanced.
 int RankOwningSlot(uint32_t slot, int world_size);
-
-// The global batch indices in [0, batches_per_epoch) whose leaves
-// `rank` owns, ascending. Over all ranks these partition the epoch.
-std::vector<int64_t> OwnedBatchesInEpoch(uint64_t batches_per_epoch,
-                                         uint32_t accum, int world_size,
-                                         int rank);
 
 }  // namespace sgcl
 

@@ -148,9 +148,8 @@ Result<std::string> FindCheckpointSection(
                                     SectionName(static_cast<uint32_t>(id))));
 }
 
-std::string SerializeModuleParams(const Module& module) {
+std::string SerializeModuleParams(const std::vector<Tensor>& params) {
   BufferWriter writer;
-  const std::vector<Tensor> params = module.Parameters();
   writer.WriteI64(static_cast<int64_t>(params.size()));
   for (const Tensor& p : params) {
     writer.WriteI64(static_cast<int64_t>(p.shape().size()));
@@ -160,10 +159,9 @@ std::string SerializeModuleParams(const Module& module) {
   return writer.TakeBytes();
 }
 
-Status ApplyModuleParams(const std::string& bytes, Module* module,
+Status ApplyModuleParams(const std::string& bytes,
+                         const std::vector<Tensor>& params,
                          const std::string& what) {
-  SGCL_CHECK(module != nullptr);
-  std::vector<Tensor> params = module->Parameters();
   std::vector<std::vector<float>> values;
   SGCL_RETURN_NOT_OK(ParseModuleParams(bytes, params, what, &values));
   for (size_t k = 0; k < params.size(); ++k) {
@@ -176,7 +174,7 @@ Status SaveCheckpoint(const Module& module, const std::string& path) {
   std::vector<CheckpointSection> sections;
   sections.push_back(
       {static_cast<uint32_t>(CheckpointSectionId::kModel),
-       SerializeModuleParams(module)});
+       SerializeModuleParams(module.Parameters())});
   return AtomicWriteFile(path, SerializeCheckpointV2(sections));
 }
 
@@ -188,7 +186,8 @@ namespace {
 Status LoadCheckpointV1(const std::string& bytes, const std::string& path,
                         Module* module) {
   // Strip the 8-byte header (already validated by the caller).
-  return ApplyModuleParams(bytes.substr(2 * sizeof(uint32_t)), module, path);
+  return ApplyModuleParams(bytes.substr(2 * sizeof(uint32_t)),
+                           module->Parameters(), path);
 }
 
 }  // namespace
@@ -218,7 +217,7 @@ Status LoadCheckpoint(const std::string& path, Module* module) {
   SGCL_ASSIGN_OR_RETURN(
       const std::string model_bytes,
       FindCheckpointSection(sections, CheckpointSectionId::kModel, path));
-  return ApplyModuleParams(model_bytes, module, path);
+  return ApplyModuleParams(model_bytes, module->Parameters(), path);
 }
 
 }  // namespace sgcl

@@ -58,14 +58,16 @@ Result<std::string> FindCheckpointSection(
     const std::vector<CheckpointSection>& sections, CheckpointSectionId id,
     const std::string& what);
 
-// Serializes `module`'s parameters (count, then per tensor shape + f32
-// payload) into a byte string suitable for a kModel section.
-std::string SerializeModuleParams(const Module& module);
+// Serializes a module's parameters (`module.Parameters()`, or any
+// parameter list: count, then per tensor shape + f32 payload) into a
+// byte string suitable for a kModel section.
+std::string SerializeModuleParams(const std::vector<Tensor>& params);
 
-// Parses `bytes` (as produced by SerializeModuleParams) and applies the
-// tensors to `module`. Validates the tensor count and every shape before
-// touching the module: on any error the module is unchanged.
-Status ApplyModuleParams(const std::string& bytes, Module* module,
+// Parses `bytes` (as produced by SerializeModuleParams) and writes the
+// tensors into `params`' shared storage. Validates the tensor count and
+// every shape before touching a tensor: on any error none is changed.
+Status ApplyModuleParams(const std::string& bytes,
+                         const std::vector<Tensor>& params,
                          const std::string& what);
 
 // Writes `module`'s parameters to `path` as a v2 single-section

@@ -2,6 +2,7 @@
 // finite, decrease over a short run, embeddings come out frozen and the
 // encoder is exposed for fine-tuning.
 #include <cmath>
+#include <vector>
 
 #include "baselines/adgcl.h"
 #include "baselines/attr_masking.h"
@@ -141,6 +142,26 @@ TEST(PretrainersTest, NoPretrainEmbedsWithoutTraining) {
   EXPECT_TRUE(stats.epoch_losses.empty());
   Tensor emb = method.EmbedGraphs({&ds.graph(0), &ds.graph(1)});
   EXPECT_EQ(emb.rows(), 2);
+}
+
+// Baselines train through the shared round loop, so their stats carry
+// per-epoch wall times and the batch count like SGCL's.
+TEST(PretrainersTest, StatsTimeEveryEpochAndCountBatches) {
+  GraphDataset ds = SmallDataset();
+  const BaselineConfig cfg = SmallConfig(ds);
+  GraphClBaseline graphcl(cfg);
+  JoaoBaseline joao(cfg);
+  for (Pretrainer* method : std::vector<Pretrainer*>{&graphcl, &joao}) {
+    const PretrainStats stats = method->Pretrain(ds, {});
+    ASSERT_EQ(stats.epoch_losses.size(), static_cast<size_t>(cfg.epochs))
+        << method->name();
+    EXPECT_EQ(stats.epoch_seconds.size(), static_cast<size_t>(cfg.epochs))
+        << method->name();
+    EXPECT_EQ(stats.total_batches,
+              cfg.epochs * PretrainBatchesPerEpoch(ds.size(), cfg.batch_size))
+        << method->name();
+    EXPECT_GT(stats.total_batches, 0) << method->name();
+  }
 }
 
 TEST(PretrainersTest, TrainingReducesLoss) {

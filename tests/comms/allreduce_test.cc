@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "comms/allreduce.h"
+#include "common/metrics.h"
 #include "gtest/gtest.h"
 
 namespace sgcl {
@@ -142,6 +143,50 @@ TEST(AllReduceTest, ReductionIsBitwiseInvariantAcrossWorldAndOrder) {
   }
   EXPECT_NE(forward, backward)
       << "pick nastier magnitudes: float addition commuted here";
+}
+
+// The in-process world-1 reducer runs the coordinator's slot-order sum:
+// the same leaves reduce to the coordinator's bits in any submission
+// order, and the reducer opens no socket and counts no comms round.
+TEST(AllReduceTest, LocalReducerMatchesTheCoordinatorBitwise) {
+  const std::vector<ReducedRound> cluster =
+      ReduceWithWorld(1, /*reverse_slots=*/false);
+  const AllReduceSchedule schedule = TinySchedule(1);
+  ASSERT_EQ(cluster.size(), schedule.total_rounds());
+  Counter* rounds = MetricsRegistry::Global().GetCounter("comms/rounds");
+  Counter* bytes = MetricsRegistry::Global().GetCounter("comms/bytes_sent");
+  const int64_t rounds_before = rounds->value();
+  const int64_t bytes_before = bytes->value();
+  for (bool reverse : {false, true}) {
+    LocalRoundReducer local(schedule.batches_per_epoch, schedule.accum);
+    for (uint64_t round = 0; round < schedule.total_rounds(); ++round) {
+      const uint32_t leaves = schedule.leaves_in_round(round);
+      for (uint32_t i = 0; i < leaves; ++i) {
+        const uint32_t slot = reverse ? leaves - 1 - i : i;
+        ASSERT_TRUE(
+            local.SubmitLeaf(round, slot, LeafLoss(slot), LeafGrad(slot)).ok());
+      }
+      auto reduced = local.GetRound(round);
+      ASSERT_TRUE(reduced.ok()) << reduced.status().ToString();
+      EXPECT_EQ(reduced->round, round);
+      EXPECT_EQ(reduced->leaf_count, cluster[round].leaf_count);
+      EXPECT_EQ(reduced->grad_sum, cluster[round].grad_sum);
+      EXPECT_EQ(reduced->loss_sum, cluster[round].loss_sum);
+    }
+  }
+  EXPECT_EQ(rounds->value(), rounds_before);
+  EXPECT_EQ(bytes->value(), bytes_before);
+}
+
+TEST(AllReduceTest, LocalReducerRefusesIncompleteAndInterleavedRounds) {
+  LocalRoundReducer local(/*batches_per_epoch=*/8, /*accum=*/4);
+  ASSERT_TRUE(local.SubmitLeaf(0, 0, LeafLoss(0), LeafGrad(0)).ok());
+  EXPECT_EQ(local.GetRound(0).status().code(),
+            StatusCode::kFailedPrecondition);  // 1 of 4 leaves
+  EXPECT_EQ(local.SubmitLeaf(1, 0, LeafLoss(0), LeafGrad(0)).code(),
+            StatusCode::kFailedPrecondition);  // round 0 still open
+  EXPECT_EQ(local.SubmitLeaf(0, 4, LeafLoss(4), LeafGrad(4)).code(),
+            StatusCode::kFailedPrecondition);  // round 0 has slots 0..3
 }
 
 TEST(AllReduceTest, RejectsMismatchedSchedule) {

@@ -45,24 +45,6 @@ inline std::string RankCheckpointDir(const ClusterConfig& cc, int rank) {
   return cc.ckpt_root + "/rank-" + std::to_string(rank);
 }
 
-// The coordinator-side schedule for `cc` over `source` (a probe trainer
-// supplies grad_dim the same way the CLI does).
-inline AllReduceSchedule MakeSchedule(const ClusterConfig& cc,
-                                      const GraphSource& source) {
-  SgclTrainer probe(cc.config, cc.seed);
-  AllReduceSchedule schedule;
-  schedule.world_size = static_cast<uint32_t>(cc.world);
-  schedule.accum = static_cast<uint32_t>(cc.accum);
-  schedule.epochs = static_cast<uint32_t>(cc.config.epochs);
-  schedule.grad_dim = static_cast<uint64_t>(probe.model().NumParameters());
-  schedule.batches_per_epoch = static_cast<uint64_t>(
-      PretrainBatchesPerEpoch(source.size(), cc.config.batch_size));
-  schedule.config_fingerprint = ConfigFingerprint(cc.config);
-  schedule.source_fingerprint = source.ContentFingerprint();
-  schedule.run_seed = cc.seed;
-  return schedule;
-}
-
 // One worker lifetime: fresh trainer, join, train (to completion or
 // death).
 inline Result<PretrainStats> RunWorkerOnce(const ClusterConfig& cc,
@@ -127,7 +109,8 @@ class TestCoordinator {
   TestCoordinator(const ClusterConfig& cc, const GraphSource& source)
       : world_(cc.world), timeout_ms_(cc.timeout_ms) {
     AllReduceCoordinatorOptions options;
-    options.schedule = MakeSchedule(cc, source);
+    options.schedule = MakePretrainSchedule(cc.config, source, source.size(),
+                                            cc.world, cc.accum, cc.seed);
     options.cache_rounds = cc.cache_rounds;
     coordinator_ = std::make_unique<AllReduceCoordinator>(options);
     const Status st = coordinator_->Start(0);

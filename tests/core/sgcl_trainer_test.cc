@@ -5,8 +5,10 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
+#include "common/fault.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "data/synthetic_tu.h"
@@ -207,6 +209,49 @@ TEST(SgclTrainerTest, RejectsTooFewGraphs) {
   auto stats = trainer.Pretrain(ds, {0});
   ASSERT_FALSE(stats.ok());
   EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Every malformed DistributedPretrainOptions is refused before the
+// trainer touches the network: comms/connect is armed to crash, and is
+// never hit.
+TEST(SgclTrainerTest, PretrainDistributedRejectsBadOptionsBeforeConnecting) {
+  GraphDataset ds = SmallDataset();
+  const InMemorySource source(&ds);
+  const SgclConfig cfg = SmallConfig(ds.feat_dim());
+  struct Case {
+    const char* message;  // names the offending option
+    void (*mutate)(DistributedPretrainOptions*);
+  };
+  const Case cases[] = {
+      {"world_size must be >= 1",
+       [](DistributedPretrainOptions* d) { d->world_size = 0; }},
+      {"rank 2 outside [0, 2)",
+       [](DistributedPretrainOptions* d) { d->rank = 2; }},
+      {"grad_accum must be >= 1",
+       [](DistributedPretrainOptions* d) { d->grad_accum = 0; }},
+      {"world_size 4 exceeds grad_accum 2",
+       [](DistributedPretrainOptions* d) { d->world_size = 4; }},
+      {"coordinator_port must be set",
+       [](DistributedPretrainOptions* d) { d->coordinator_port = 0; }},
+  };
+  for (const Case& c : cases) {
+    ScopedFaultInjection faults;
+    FaultInjector::Global().Arm("comms/connect", FaultKind::kCrash);
+    // Valid but for the mutation: rank 0 of 2 in rounds of 2.
+    DistributedPretrainOptions dist;
+    dist.world_size = 2;
+    dist.grad_accum = 2;
+    dist.coordinator_port = 1;
+    dist.connect_deadline_ms = 100;
+    c.mutate(&dist);
+    SgclTrainer trainer(cfg, /*seed=*/1);
+    auto stats = trainer.PretrainDistributed(source, {}, {}, dist);
+    EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument)
+        << c.message << ": " << stats.status().ToString();
+    EXPECT_NE(stats.status().message().find(c.message), std::string::npos)
+        << stats.status().ToString();
+    EXPECT_EQ(FaultInjector::Global().hits("comms/connect"), 0) << c.message;
+  }
 }
 
 TEST(SgclTrainerTest, RejectsOutOfRangeIndices) {

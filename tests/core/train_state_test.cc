@@ -130,6 +130,36 @@ TEST(TrainStateTest, RestoredRngContinuesTheStream) {
   }
 }
 
+// Drops the trailing grad_accum field from a checkpoint's cursor
+// section: the bytes a checkpoint written before the field existed has.
+std::string WithoutGradAccum(const std::string& bytes) {
+  auto sections = ParseCheckpointV2(bytes, "strip");
+  EXPECT_TRUE(sections.ok()) << sections.status().ToString();
+  if (!sections.ok()) return bytes;
+  for (CheckpointSection& section : *sections) {
+    if (section.id == static_cast<uint32_t>(CheckpointSectionId::kCursor)) {
+      section.payload.resize(section.payload.size() - sizeof(uint32_t));
+    }
+  }
+  return SerializeCheckpointV2(*sections);
+}
+
+TEST(TrainStateTest, GradAccumRoundTripsAndMayBeAbsent) {
+  TrainState state = MakeState();
+  state.train_seed = 77;
+  state.grad_accum = 4;
+  const std::string bytes = SerializeTrainState(state);
+  auto parsed = ParseTrainState(bytes, "test");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->grad_accum, 4u);
+
+  auto legacy = ParseTrainState(WithoutGradAccum(bytes), "legacy");
+  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  EXPECT_EQ(legacy->grad_accum, 0u);
+  EXPECT_EQ(legacy->train_seed, 77u);
+  EXPECT_EQ(legacy->order, state.order);
+}
+
 TEST(TrainStateTest, TruncationAtEveryByteFailsCleanly) {
   const std::string bytes = SerializeTrainState(MakeState());
   for (size_t len = 0; len < bytes.size(); ++len) {
@@ -259,8 +289,9 @@ TEST(ApplyModuleParamsTest, ShapeMismatchLeavesModuleUntouched) {
   Linear source(2, 3, &rng);
   Linear target(3, 2, &rng);
   const std::vector<float> before = target.weight().values();
-  const Status st =
-      ApplyModuleParams(SerializeModuleParams(source), &target, "mismatch");
+  const Status st = ApplyModuleParams(
+      SerializeModuleParams(source.Parameters()), target.Parameters(),
+      "mismatch");
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("shape"), std::string::npos);
   EXPECT_EQ(target.weight().values(), before);
@@ -357,6 +388,34 @@ TEST(TrainerCheckpointTest, ResumeReproducesUninterruptedRunBitwise) {
     EXPECT_EQ(rest->epoch_losses[e], full->epoch_losses[e]) << "epoch " << e;
   }
   EXPECT_EQ(rest->total_batches, full->total_batches);
+}
+
+// A checkpoint written before grad_accum was recorded still resumes,
+// bitwise, under the cursor check alone.
+TEST(TrainerCheckpointTest, CheckpointWithoutGradAccumResumesBitwise) {
+  GraphDataset ds = SmallDataset();
+  SgclConfig cfg = SmallConfig(ds.feat_dim(), /*epochs=*/3);
+  const std::string dir = TmpDir("trainer_resume_legacy");
+  SgclTrainer trainer(cfg, /*seed=*/5);
+  PretrainOptions options;
+  options.checkpoint_dir = dir;
+  auto full = trainer.Pretrain(ds, {}, options);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+
+  const std::string path = CheckpointFileName(dir, 1);
+  auto bytes = ReadFileToString(path);
+  ASSERT_TRUE(bytes.ok());
+  ASSERT_TRUE(AtomicWriteFile(path, WithoutGradAccum(*bytes)).ok());
+  auto legacy = LoadTrainCheckpoint(path);
+  ASSERT_TRUE(legacy.ok());
+  ASSERT_EQ(legacy->grad_accum, 0u);
+
+  SgclTrainer resumed(cfg, /*seed=*/999);
+  PretrainOptions resume_options;
+  resume_options.resume_from = path;
+  auto rest = resumed.Pretrain(ds, {}, resume_options);
+  ASSERT_TRUE(rest.ok()) << rest.status().ToString();
+  EXPECT_EQ(rest->epoch_losses, full->epoch_losses);
 }
 
 TEST(TrainerCheckpointTest, ResumeRejectsMismatchedConfig) {

@@ -91,18 +91,9 @@ struct WorldResult {
 Result<WorldResult> RunWorld(const SgclConfig& cfg, uint64_t seed,
                              int world, int accum,
                              const GraphSource& source) {
-  SgclTrainer probe(cfg, seed);
   AllReduceCoordinatorOptions copt;
-  copt.schedule.world_size = static_cast<uint32_t>(world);
-  copt.schedule.accum = static_cast<uint32_t>(accum);
-  copt.schedule.epochs = static_cast<uint32_t>(cfg.epochs);
-  copt.schedule.grad_dim =
-      static_cast<uint64_t>(probe.model().NumParameters());
-  copt.schedule.batches_per_epoch = static_cast<uint64_t>(
-      PretrainBatchesPerEpoch(source.size(), cfg.batch_size));
-  copt.schedule.config_fingerprint = ConfigFingerprint(cfg);
-  copt.schedule.source_fingerprint = source.ContentFingerprint();
-  copt.schedule.run_seed = seed;
+  copt.schedule =
+      MakePretrainSchedule(cfg, source, source.size(), world, accum, seed);
   copt.cache_rounds =
       static_cast<int>(copt.schedule.total_rounds()) + 1;
 

@@ -634,16 +634,9 @@ int CmdPretrain(int argc, char** argv) {
       }
     }
     AllReduceSchedule& schedule = dist_run.schedule;
-    schedule.world_size = static_cast<uint32_t>(dist_flags.workers);
-    schedule.accum = static_cast<uint32_t>(dist_flags.grad_accum);
-    schedule.epochs = static_cast<uint32_t>(cfg->epochs);
-    schedule.grad_dim =
-        static_cast<uint64_t>(trainer.model().NumParameters());
-    schedule.batches_per_epoch = static_cast<uint64_t>(
-        PretrainBatchesPerEpoch(source->size(), cfg->batch_size));
-    schedule.config_fingerprint = ConfigFingerprint(*cfg);
-    schedule.source_fingerprint = source->ContentFingerprint();
-    schedule.run_seed = run_seed;
+    schedule = MakePretrainSchedule(*cfg, *source, source->size(),
+                                    dist_flags.workers, dist_flags.grad_accum,
+                                    run_seed);
     // The round cache must cover every round a killed worker could have
     // to replay: since its latest checkpoint (the cadence, doubled for
     // slack), or the whole run when checkpointing is off.
