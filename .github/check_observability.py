@@ -6,18 +6,22 @@ Offline mode (file exports):
 
 Checks that the metrics JSONL parses line-by-line with per-epoch loss and
 stage timings plus a final registry snapshot, and that the trace file is
-chrome://tracing-loadable JSON containing the pipeline's stage spans.
+chrome://tracing-loadable JSON containing the pipeline's stage spans: a
+dump of the trace ring, so every event is tagged with its trace and
+parent span, every parent is in its event's trace, and there are at
+most --trace-ring-size (64) train/batch roots.
 
 Live mode (telemetry endpoint):
     check_observability.py --live <sgcl_cli> <dataset.bin>
 
 Launches `sgcl_cli pretrain --http-port=0 --trace-sample-rate=1`,
 parses the announced port, and curls /healthz, /status, /metrics
-(twice), and /v1/traces while the run is in flight: the Prometheus text
-must parse, carry no duplicate series, and show monotone counters
-across the two scrapes, and the trace ring must hold committed
-train/batch trees. The run's file exports (obs_metrics.jsonl /
-obs_trace.json) are left behind for offline checks.
+(twice), /v1/traces and /trace while the run is in flight: the
+Prometheus text must parse, carry no duplicate series, and show monotone
+counters across the two scrapes, the trace ring must hold committed
+train/batch trees, and /trace must be chrome JSON of at most 64 roots.
+The run's file exports (obs_metrics.jsonl / obs_trace.json) are left
+behind for offline checks.
 
 Serve-trace mode (request tracing end to end):
     check_observability.py --serve <sgcl_cli> <serve_load> \
@@ -41,6 +45,10 @@ import urllib.request
 
 EXPECTED_STAGES = {"generator", "augmentation", "encode", "loss",
                    "backward", "optimizer"}
+
+# The live run's --trace-ring-size: the chrome export holds at most this
+# many traces.
+RING_SIZE = 64
 
 # Every stage a served request passes through; serve/parse is tiny but
 # must still be present for the tree to account for the request.
@@ -78,9 +86,38 @@ def check_files(metrics_path: str, trace_path: str) -> None:
     trace = json.load(open(trace_path))
     names = {event["name"] for event in trace["traceEvents"]}
     assert {"generator", "augmentation", "loss"} <= names, names
+    roots = check_chrome_trees(trace)
+    assert all(root == "train/batch" for root in roots), set(roots)
 
     print(f"ok: {len(epochs)} epoch records, "
-          f"{len(trace['traceEvents'])} trace events")
+          f"{len(trace['traceEvents'])} trace events in {len(roots)} traces")
+
+
+def check_chrome_trees(trace: dict) -> list:
+    """Asserts a chrome export of the trace ring is a set of well-formed
+    span trees (every event tagged, every parent in the event's own
+    trace, at most RING_SIZE traces); returns the root span names."""
+    events = trace["traceEvents"]
+    spans_by_trace = {}
+    for event in events:
+        args = event.get("args", {})
+        for key in ("trace_id", "span_id", "parent_span_id"):
+            assert key in args, f"event lacks args.{key}: {event}"
+        spans_by_trace.setdefault(args["trace_id"], set()).add(
+            args["span_id"])
+    roots = []
+    for event in events:
+        args = event["args"]
+        parent = args["parent_span_id"]
+        if parent == 0:
+            roots.append(event["name"])
+        else:
+            assert parent in spans_by_trace[args["trace_id"]], \
+                f"parent of {event} is not in its trace"
+    assert len(roots) == len(spans_by_trace), \
+        f"{len(roots)} roots for {len(spans_by_trace)} traces"
+    assert len(roots) <= RING_SIZE, f"{len(roots)} roots > {RING_SIZE}"
+    return roots
 
 
 def scrape(port: int, path: str) -> str:
@@ -120,7 +157,8 @@ def check_live(cli: str, dataset: str) -> None:
         [cli, "pretrain", f"--data={dataset}", f"--epochs={epochs}",
          "--hidden=64", "--layers=3", "--batch=8", "--out=obs_model.ckpt",
          "--metrics-out=obs_metrics.jsonl", "--trace-out=obs_trace.json",
-         "--http-port=0", "--trace-sample-rate=1", "--trace-ring-size=64"],
+         "--http-port=0", "--trace-sample-rate=1",
+         f"--trace-ring-size={RING_SIZE}"],
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
     port, run_id = 0, ""
     try:
@@ -169,6 +207,10 @@ def check_live(cli: str, dataset: str) -> None:
         assert traces["sample_rate"] == 1.0, traces
         assert traces["committed"] > 0, traces
         assert traces["traces"][0]["root"] == "train/batch", traces
+
+        # /trace renders the same ring as chrome JSON.
+        chrome_roots = check_chrome_trees(json.loads(scrape(port, "/trace")))
+        assert chrome_roots, "/trace has no committed traces"
     finally:
         # Drain stdout so the CLI never blocks on a full pipe, then wait.
         proc.stdout.read()

@@ -151,8 +151,8 @@ LogMessage::~LogMessage() {
   record.level = level_;
   record.file = file_;
   record.line = line_;
-  record.tid = TraceCollector::CurrentThreadId();
-  record.mono_us = TraceCollector::Global().NowUs();
+  record.tid = TraceThreadId();
+  record.mono_us = TraceNowUs();
   record.wall_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                        std::chrono::system_clock::now().time_since_epoch())
                        .count();

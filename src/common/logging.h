@@ -9,8 +9,8 @@
 // one structured JSON object per record (run id, monotonic time, wall
 // time, dense thread id, level, source, message) so log lines correlate
 // with the metrics registry and trace spans of the same run: thread ids
-// share TraceCollector's dense numbering and timestamps share its
-// monotonic epoch, while the run id (SetRunId) is stamped on all three
+// are trace.h's dense TraceThreadId numbering and timestamps its
+// TraceNowUs clock, while the run id (SetRunId) is stamped on all three
 // export formats.
 #ifndef SGCL_COMMON_LOGGING_H_
 #define SGCL_COMMON_LOGGING_H_
@@ -47,8 +47,8 @@ struct LogRecord {
   LogLevel level = LogLevel::kInfo;
   const char* file = "";  // __FILE__ of the call site
   int line = 0;
-  int tid = 0;         // TraceCollector dense thread id
-  int64_t mono_us = 0; // microseconds on the TraceCollector epoch
+  int tid = 0;         // TraceThreadId() dense thread id
+  int64_t mono_us = 0; // TraceNowUs() microseconds
   int64_t wall_ms = 0; // system_clock milliseconds since the Unix epoch
   std::string run_id;  // GetRunId() at record time
   std::string message;

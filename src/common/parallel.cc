@@ -11,6 +11,7 @@
 #include "common/check.h"
 #include "common/logging.h"
 #include "common/metrics.h"
+#include "common/trace.h"
 
 namespace sgcl {
 namespace {
@@ -115,11 +116,13 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::Submit(std::function<void()> task) {
   TasksCounter()->Increment();
   const auto enqueued = std::chrono::steady_clock::now();
-  auto timed_task = [task = std::move(task), enqueued] {
+  auto timed_task = [task = std::move(task), enqueued,
+                     trace_ctx = CurrentTraceContext()] {
     QueueWaitHistogram()->Observe(static_cast<double>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - enqueued)
             .count()));
+    ScopedTraceContext trace_install(trace_ctx);
     task();
   };
   {

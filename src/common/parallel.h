@@ -48,7 +48,9 @@ class ThreadPool {
 
   int size() const { return static_cast<int>(workers_.size()); }
 
-  // Enqueues `task` for execution on a worker thread.
+  // Enqueues `task` for execution on a worker thread. The task runs
+  // under the submitter's ambient TraceContext (common/trace.h), so its
+  // spans join the submitter's trace.
   void Submit(std::function<void()> task);
 
   // True on a thread owned by any ThreadPool (used to run nested

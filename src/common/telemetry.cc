@@ -244,7 +244,7 @@ Status TelemetryServer::Start(int port, const RunStatusBoard* board) {
   server_.Handle("/trace", [](const HttpRequest&) {
     HttpResponse response;
     response.content_type = "application/json";
-    response.body = TraceCollector::Global().ToChromeTraceJson();
+    response.body = TraceRing::Global().ToChromeTraceJson();
     return response;
   });
   SGCL_RETURN_NOT_OK(server_.Start(port));

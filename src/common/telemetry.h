@@ -8,8 +8,8 @@
 //   /healthz  JSON liveness: status, uptime, run id, version, build info.
 //   /status   JSON live run progress from the RunStatusBoard (state,
 //             in-progress epoch, last losses, per-stage seconds).
-//   /trace    Current chrome://tracing dump of the global TraceCollector
-//             (empty traceEvents when collection is disabled).
+//   /trace    chrome://tracing JSON of the trace ring's committed traces
+//             (empty traceEvents when nothing is sampled).
 //   /v1/traces       Sampled trace ring summaries, newest first
 //                    (?min_duration_us=, ?limit=, ?detail=1 for spans).
 //   /v1/traces/<id>  Span tree for one sampled trace (16-hex-digit id).

@@ -1,8 +1,9 @@
 #include "common/trace.h"
 
 #include <algorithm>
+#include <cctype>
+#include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 
 #include "common/string_util.h"
@@ -11,11 +12,6 @@ namespace sgcl {
 namespace {
 
 std::atomic<int> g_next_thread_id{0};
-
-int AssignThreadId() {
-  thread_local int id = g_next_thread_id.fetch_add(1);
-  return id;
-}
 
 thread_local TraceContext t_ambient_context;  // {0,0} == untraced
 
@@ -39,22 +35,52 @@ void AppendSpanJson(const TraceRing::Span& s, std::string* out) {
       static_cast<long long>(s.start_us), static_cast<long long>(s.dur_us));
 }
 
-// Emits one span-tree node: the span itself, its self time (duration not
-// covered by child spans), and its children ordered by start time.
-void AppendTreeNodeJson(const TraceRing::Span& node,
-                        const std::vector<const TraceRing::Span*>& spans,
-                        int depth, std::string* out) {
-  std::vector<const TraceRing::Span*> children;
-  for (const TraceRing::Span* s : spans) {
-    if (s->parent_span_id == node.span_id && s->span_id != node.span_id) {
-      children.push_back(s);
+// Each span's children, ordered by (start_us, span_id).
+using ChildIndex =
+    std::unordered_map<uint64_t, std::vector<const TraceRing::Span*>>;
+
+ChildIndex IndexChildren(const std::vector<TraceRing::Span>& spans) {
+  ChildIndex index;
+  for (const TraceRing::Span& s : spans) {
+    if (s.parent_span_id != 0 && s.parent_span_id != s.span_id) {
+      index[s.parent_span_id].push_back(&s);
     }
   }
-  std::sort(children.begin(), children.end(),
-            [](const TraceRing::Span* a, const TraceRing::Span* b) {
-              if (a->start_us != b->start_us) return a->start_us < b->start_us;
-              return a->span_id < b->span_id;
-            });
+  for (auto& [parent, children] : index) {
+    std::sort(children.begin(), children.end(),
+              [](const TraceRing::Span* a, const TraceRing::Span* b) {
+                if (a->start_us != b->start_us) {
+                  return a->start_us < b->start_us;
+                }
+                return a->span_id < b->span_id;
+              });
+  }
+  return index;
+}
+
+const std::vector<const TraceRing::Span*>& ChildrenOf(
+    const ChildIndex& index, uint64_t span_id) {
+  static const std::vector<const TraceRing::Span*> kNone;
+  const auto it = index.find(span_id);
+  return it == index.end() ? kNone : it->second;
+}
+
+const TraceRing::Span* FindRoot(const TraceRing::Trace& trace) {
+  for (const TraceRing::Span& s : trace.spans) {
+    if (s.parent_span_id == 0) return &s;
+  }
+  return nullptr;
+}
+
+// Trees deeper than this are malformed parent links, not real nesting.
+constexpr int kMaxTreeDepth = 64;
+
+// Emits one span-tree node: the span itself, its self time (duration not
+// covered by child spans), and its children ordered by start time.
+void AppendTreeNodeJson(const TraceRing::Span& node, const ChildIndex& index,
+                        int depth, std::string* out) {
+  const std::vector<const TraceRing::Span*>& children =
+      ChildrenOf(index, node.span_id);
   int64_t child_us = 0;
   for (const TraceRing::Span* c : children) child_us += c->dur_us;
   const int64_t self_us = std::max<int64_t>(0, node.dur_us - child_us);
@@ -65,15 +91,35 @@ void AppendTreeNodeJson(const TraceRing::Span& node,
       static_cast<unsigned long long>(node.span_id), node.tid,
       static_cast<long long>(node.start_us),
       static_cast<long long>(node.dur_us), static_cast<long long>(self_us));
-  if (depth < 64) {  // guard against malformed parent links
+  if (depth < kMaxTreeDepth) {
     bool first = true;
     for (const TraceRing::Span* c : children) {
       if (!first) *out += ',';
       first = false;
-      AppendTreeNodeJson(*c, spans, depth + 1, out);
+      AppendTreeNodeJson(*c, index, depth + 1, out);
     }
   }
   *out += "]}";
+}
+
+// Emits `node` and its subtree as chrome "X" events, parents first.
+void AppendChromeEvents(const TraceRing::Span& node, const ChildIndex& index,
+                        const std::string& trace_id, int depth,
+                        bool* first, std::string* out) {
+  if (!*first) *out += ',';
+  *first = false;
+  *out += StrFormat(
+      "{\"name\":\"%s\",\"cat\":\"sgcl\",\"ph\":\"X\",\"ts\":%lld,"
+      "\"dur\":%lld,\"pid\":0,\"tid\":%d,\"args\":{\"trace_id\":\"%s\","
+      "\"span_id\":%llu,\"parent_span_id\":%llu}}",
+      JsonEscape(node.name).c_str(), static_cast<long long>(node.start_us),
+      static_cast<long long>(node.dur_us), node.tid, trace_id.c_str(),
+      static_cast<unsigned long long>(node.span_id),
+      static_cast<unsigned long long>(node.parent_span_id));
+  if (depth >= kMaxTreeDepth) return;
+  for (const TraceRing::Span* c : ChildrenOf(index, node.span_id)) {
+    AppendChromeEvents(*c, index, trace_id, depth + 1, first, out);
+  }
 }
 
 }  // namespace
@@ -85,13 +131,34 @@ std::string FormatTraceId(uint64_t trace_id) {
 }
 
 uint64_t ParseTraceId(const std::string& text) {
-  const char* p = text.c_str();
-  if (text.size() > 2 && p[0] == '0' && (p[1] == 'x' || p[1] == 'X')) p += 2;
-  if (*p == '\0' || *p == '-') return 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(p, &end, 16);
-  if (end == p || *end != '\0') return 0;
-  return static_cast<uint64_t>(v);
+  size_t pos = 0;
+  if (text.size() > 2 && text[0] == '0' &&
+      (text[1] == 'x' || text[1] == 'X')) {
+    pos = 2;
+  }
+  const size_t digits = text.size() - pos;
+  if (digits == 0 || digits > 16) return 0;
+  uint64_t value = 0;
+  for (; pos < text.size(); ++pos) {
+    const int c = static_cast<unsigned char>(text[pos]);
+    if (!std::isxdigit(c)) return 0;
+    const int digit = std::isdigit(c) ? c - '0' : std::tolower(c) - 'a' + 10;
+    value = (value << 4) | static_cast<uint64_t>(digit);
+  }
+  return value;
+}
+
+int64_t TraceNowUs() {
+  static const std::chrono::steady_clock::time_point epoch =
+      std::chrono::steady_clock::now();
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now() - epoch)
+      .count();
+}
+
+int TraceThreadId() {
+  thread_local const int id = g_next_thread_id.fetch_add(1);
+  return id;
 }
 
 ScopedTraceContext::ScopedTraceContext(TraceContext ctx) {
@@ -103,83 +170,6 @@ ScopedTraceContext::ScopedTraceContext(TraceContext ctx) {
 
 ScopedTraceContext::~ScopedTraceContext() {
   if (installed_) t_ambient_context = saved_;
-}
-
-TraceCollector::TraceCollector()
-    : epoch_(std::chrono::steady_clock::now()) {}
-
-void TraceCollector::Record(Event event) {
-  std::lock_guard<std::mutex> lock(mu_);
-  events_.push_back(std::move(event));
-}
-
-void TraceCollector::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  events_.clear();
-}
-
-std::vector<TraceCollector::Event> TraceCollector::Events() const {
-  std::vector<Event> events;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    events = events_;
-  }
-  std::sort(events.begin(), events.end(),
-            [](const Event& a, const Event& b) {
-              if (a.start_us != b.start_us) return a.start_us < b.start_us;
-              return a.dur_us > b.dur_us;
-            });
-  return events;
-}
-
-std::string TraceCollector::ToChromeTraceJson() const {
-  std::string out = "{\"traceEvents\":[";
-  bool first = true;
-  for (const Event& e : Events()) {
-    if (!first) out += ',';
-    first = false;
-    out += StrFormat(
-        "{\"name\":\"%s\",\"cat\":\"sgcl\",\"ph\":\"X\",\"ts\":%lld,"
-        "\"dur\":%lld,\"pid\":0,\"tid\":%d",
-        JsonEscape(e.name).c_str(), static_cast<long long>(e.start_us),
-        static_cast<long long>(e.dur_us), e.tid);
-    if (e.trace_id != 0) {
-      out += StrFormat(
-          ",\"args\":{\"trace_id\":\"%s\",\"span_id\":%llu,"
-          "\"parent_span_id\":%llu}",
-          FormatTraceId(e.trace_id).c_str(),
-          static_cast<unsigned long long>(e.span_id),
-          static_cast<unsigned long long>(e.parent_span_id));
-    }
-    out += '}';
-  }
-  out += "],\"displayTimeUnit\":\"ms\"}";
-  return out;
-}
-
-Status TraceCollector::WriteChromeTrace(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return Status::InvalidArgument("cannot open trace file " + path);
-  }
-  out << ToChromeTraceJson() << '\n';
-  out.flush();
-  if (!out) return Status::Internal("short write to trace file " + path);
-  return Status::OK();
-}
-
-int64_t TraceCollector::NowUs() const {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - epoch_)
-      .count();
-}
-
-int TraceCollector::CurrentThreadId() { return AssignThreadId(); }
-
-TraceCollector& TraceCollector::Global() {
-  // NOLINTNEXTLINE(sgcl-R5): intentionally leaked singleton
-  static TraceCollector* collector = new TraceCollector();
-  return *collector;
 }
 
 TraceRing::TraceRing() = default;
@@ -249,15 +239,12 @@ void TraceRing::CommitLocked(uint64_t trace_id) {
   if (it == pending_.end()) return;
   Trace trace;
   trace.trace_id = trace_id;
-  for (const Span& s : it->second) {
-    if (s.parent_span_id == 0) {
-      trace.root_name = s.name;
-      trace.start_us = s.start_us;
-      trace.dur_us = s.dur_us;
-      break;
-    }
-  }
   trace.spans = std::move(it->second);
+  if (const Span* root = FindRoot(trace)) {
+    trace.root_name = root->name;
+    trace.start_us = root->start_us;
+    trace.dur_us = root->dur_us;
+  }
   pending_.erase(it);
   completed_.push_back(std::move(trace));
   ++committed_count_;
@@ -333,22 +320,41 @@ std::string TraceRing::TreeJson(uint64_t trace_id) const {
     }
   }
   if (!found) return std::string();
-  const TraceRing::Span* root = nullptr;
-  std::vector<const Span*> spans;
-  spans.reserve(trace.spans.size());
-  for (const Span& s : trace.spans) {
-    spans.push_back(&s);
-    if (s.parent_span_id == 0) root = &s;
-  }
-  std::string out = StrFormat("{\"trace_id\":\"%s\",\"span_count\":%llu",
-                              FormatTraceId(trace.trace_id).c_str(),
-                              static_cast<unsigned long long>(spans.size()));
-  if (root != nullptr) {
+  std::string out = StrFormat(
+      "{\"trace_id\":\"%s\",\"span_count\":%llu",
+      FormatTraceId(trace.trace_id).c_str(),
+      static_cast<unsigned long long>(trace.spans.size()));
+  if (const Span* root = FindRoot(trace)) {
     out += ",\"root\":";
-    AppendTreeNodeJson(*root, spans, 0, &out);
+    AppendTreeNodeJson(*root, IndexChildren(trace.spans), 0, &out);
   }
   out += '}';
   return out;
+}
+
+std::string TraceRing::ToChromeTraceJson() const {
+  std::vector<Trace> traces = Traces();
+  std::string out = "{\"traceEvents\":[";
+  bool first = true;
+  for (auto it = traces.rbegin(); it != traces.rend(); ++it) {
+    const Span* root = FindRoot(*it);
+    if (root == nullptr) continue;
+    AppendChromeEvents(*root, IndexChildren(it->spans),
+                       FormatTraceId(it->trace_id), 0, &first, &out);
+  }
+  out += "],\"displayTimeUnit\":\"ms\"}";
+  return out;
+}
+
+Status TraceRing::WriteChromeTrace(const std::string& path) const {
+  std::ofstream out(path, std::ios::trunc);
+  if (!out) {
+    return Status::InvalidArgument("cannot open trace file " + path);
+  }
+  out << ToChromeTraceJson() << '\n';
+  out.flush();
+  if (!out) return Status::Internal("short write to trace file " + path);
+  return Status::OK();
 }
 
 TraceRing& TraceRing::Global() {
@@ -364,35 +370,20 @@ uint64_t RecordManualSpan(const char* name, TraceContext parent,
   // (committing the trace); manual spans must nest under a real span.
   if (!parent.valid() || parent.span_id == 0) return 0;
   if (span_id == 0) span_id = TraceRing::NextSpanId();
-  const int64_t dur_us = std::max<int64_t>(0, end_us - start_us);
-  const int tid = TraceCollector::CurrentThreadId();
-  TraceCollector& collector = TraceCollector::Global();
-  if (collector.enabled()) {
-    TraceCollector::Event event;
-    event.name = name;
-    event.tid = tid;
-    event.start_us = start_us;
-    event.dur_us = dur_us;
-    event.trace_id = parent.trace_id;
-    event.span_id = span_id;
-    event.parent_span_id = parent.span_id;
-    collector.Record(std::move(event));
-  }
   TraceRing::Span span;
   span.name = name;
   span.trace_id = parent.trace_id;
   span.span_id = span_id;
   span.parent_span_id = parent.span_id;
-  span.tid = tid;
+  span.tid = TraceThreadId();
   span.start_us = start_us;
-  span.dur_us = dur_us;
+  span.dur_us = std::max<int64_t>(0, end_us - start_us);
   TraceRing::Global().RecordSpan(std::move(span));
   return span_id;
 }
 
 TraceSpan::TraceSpan(const char* name, Counter* time_counter)
     : name_(name), counter_(time_counter) {
-  chrome_ = TraceCollector::Global().enabled();
   const TraceContext ambient = t_ambient_context;
   if (ambient.trace_id != 0) {
     trace_id_ = ambient.trace_id;
@@ -400,46 +391,24 @@ TraceSpan::TraceSpan(const char* name, Counter* time_counter)
     span_id_ = TraceRing::NextSpanId();
     t_ambient_context = TraceContext{trace_id_, span_id_};
   }
-  if (chrome_ || trace_id_ != 0 || counter_ != nullptr) {
-    start_us_ = TraceCollector::Global().NowUs();
-  }
+  if (trace_id_ != 0 || counter_ != nullptr) start_us_ = TraceNowUs();
 }
 
 TraceSpan::~TraceSpan() {
-  if (trace_id_ != 0) {
-    t_ambient_context = TraceContext{trace_id_, parent_span_id_};
-  }
-  if (!chrome_ && trace_id_ == 0 && counter_ == nullptr) return;
-  TraceCollector& collector = TraceCollector::Global();
-  const int64_t end_us = collector.NowUs();
+  if (trace_id_ == 0 && counter_ == nullptr) return;
+  const int64_t end_us = TraceNowUs();
   if (counter_ != nullptr) counter_->Increment(end_us - start_us_);
-  const int tid = (chrome_ && collector.enabled()) || trace_id_ != 0
-                      ? TraceCollector::CurrentThreadId()
-                      : 0;
-  // Spans that began before Enable() (or after a disable) are dropped
-  // rather than recorded with a bogus duration.
-  if (chrome_ && collector.enabled()) {
-    TraceCollector::Event event;
-    event.name = name_;
-    event.tid = tid;
-    event.start_us = start_us_;
-    event.dur_us = end_us - start_us_;
-    event.trace_id = trace_id_;
-    event.span_id = span_id_;
-    event.parent_span_id = parent_span_id_;
-    collector.Record(std::move(event));
-  }
-  if (trace_id_ != 0) {
-    TraceRing::Span span;
-    span.name = name_;
-    span.trace_id = trace_id_;
-    span.span_id = span_id_;
-    span.parent_span_id = parent_span_id_;
-    span.tid = tid;
-    span.start_us = start_us_;
-    span.dur_us = end_us - start_us_;
-    TraceRing::Global().RecordSpan(std::move(span));
-  }
+  if (trace_id_ == 0) return;
+  t_ambient_context = TraceContext{trace_id_, parent_span_id_};
+  TraceRing::Span span;
+  span.name = name_;
+  span.trace_id = trace_id_;
+  span.span_id = span_id_;
+  span.parent_span_id = parent_span_id_;
+  span.tid = TraceThreadId();
+  span.start_us = start_us_;
+  span.dur_us = end_us - start_us_;
+  TraceRing::Global().RecordSpan(std::move(span));
 }
 
 }  // namespace sgcl

@@ -1,6 +1,6 @@
-// Scoped trace spans exported as chrome://tracing "trace event" JSON,
-// plus request-scoped trace trees collected into a bounded in-memory
-// ring buffer (served live at /v1/traces).
+// Scoped trace spans collected into request-/batch-scoped trace trees
+// in a bounded in-memory ring buffer, served live at /v1/traces and
+// exported as chrome://tracing "trace event" JSON (/trace, --trace-out).
 //
 // Usage at an instrumentation site:
 //   void Stage() {
@@ -11,40 +11,35 @@
 // (the "time/<stage>_us" convention consumed by SgclTrainer):
 //   SGCL_TRACE_SPAN_TIMED("generator");   // counter "time/generator_us"
 //
-// Two independent sinks consume spans:
+// TraceRing is the only span sink. A root is opened with
+// TraceRing::MaybeStartTrace() (a deterministic every-Nth sampler; rate
+// 0 disables), installed as the thread's ambient TraceContext via
+// ScopedTraceContext, and every TraceSpan that runs under an ambient
+// context becomes a node in that trace's span tree (64-bit trace id +
+// parent span id). When the root span closes, the assembled tree is
+// committed to the ring (oldest trace evicted) and is queryable as JSON.
+// Spans outside any sampled trace are not recorded anywhere.
 //
-//  1. TraceCollector — the chrome-trace file exporter from PR 2.
-//     Off by default; Enable(true) + WriteChromeTrace() produces a file
-//     loadable by chrome://tracing / Perfetto.
+// Crossing a thread boundary: ThreadPool::Submit carries the
+// submitter's ambient context into the task, so ParallelFor chunks and
+// prefetch fetches join the caller's trace. Threads the pool does not
+// own (the micro-batcher's dispatch thread) capture CurrentTraceContext()
+// on the submitting side and install it with ScopedTraceContext.
 //
-//  2. TraceRing — an always-on bounded ring of *sampled* request/batch
-//     traces. A root is opened with TraceRing::MaybeStartTrace() (a
-//     deterministic every-Nth sampler; rate 0 disables), installed as
-//     the thread's ambient TraceContext via ScopedTraceContext, and
-//     every TraceSpan that runs under an ambient context becomes a node
-//     in that trace's span tree (64-bit trace id + parent span id).
-//     When the root span closes, the assembled tree is committed to the
-//     ring (oldest trace evicted) and is queryable as JSON.
-//
-// Crossing a thread boundary is explicit: capture CurrentTraceContext()
-// on the submitting side, install it with ScopedTraceContext inside the
-// worker. Nothing is propagated implicitly through thread pools.
-//
-// Cost when disabled: a disabled span costs one relaxed atomic load for
-// the chrome collector plus one thread-local read for the ambient
-// context, and no clock reads (TIMED spans keep feeding their counter
-// either way — metrics are always-on). MaybeStartTrace with rate 0 is
-// one relaxed load.
+// Cost when untraced: one thread-local read per span and no clock reads,
+// locks or allocation (TIMED spans keep feeding their counter either
+// way — metrics are always-on). MaybeStartTrace with rate 0 is one
+// relaxed load.
 //
 // Span conventions: names are "<subsystem>/<what>" (stage-level, not
 // per-node — spans inside tight loops belong at chunk granularity).
-// Thread ids are small dense integers assigned in first-span order; tid 0
-// is whichever thread traced first (normally the main thread).
+// Thread ids are small dense integers assigned in first-use order
+// (TraceThreadId); timestamps are TraceNowUs() microseconds. Logging
+// stamps its records with the same clock and ids.
 #ifndef SGCL_COMMON_TRACE_H_
 #define SGCL_COMMON_TRACE_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -72,15 +67,23 @@ struct TraceContext {
 TraceContext CurrentTraceContext();
 
 // Formats a trace id as the 16-digit lowercase hex string used in JSON,
-// HTTP paths, and response headers; ParseTraceId accepts the same form
-// (with or without a "0x" prefix) and returns 0 on malformed input.
+// HTTP paths, and response headers. ParseTraceId accepts 1-16 hex
+// digits after an optional "0x" prefix and returns 0 on anything else
+// (whitespace, signs, more than 16 digits).
 std::string FormatTraceId(uint64_t trace_id);
 uint64_t ParseTraceId(const std::string& text);
 
+// The process's trace clock: microseconds since a steady-clock epoch
+// fixed at first use. Span timestamps, manual-span timestamps and log
+// records all read it, so they share one timeline.
+int64_t TraceNowUs();
+// Dense id of the calling thread, assigned in first-use order.
+int TraceThreadId();
+
 // RAII install/restore of the ambient TraceContext. Used to carry a
-// context across explicit thread boundaries (batcher dispatch thread,
-// prefetcher pool workers); installing an invalid context is a no-op so
-// untraced work pays nothing.
+// context across thread boundaries (pool tasks, the batcher's dispatch
+// thread); installing an invalid context is a no-op so untraced work
+// pays nothing.
 class ScopedTraceContext {
  public:
   explicit ScopedTraceContext(TraceContext ctx);
@@ -92,55 +95,6 @@ class ScopedTraceContext {
  private:
   TraceContext saved_;
   bool installed_ = false;
-};
-
-// Process-wide sink for completed spans (chrome-trace export). Thread-safe.
-class TraceCollector {
- public:
-  struct Event {
-    std::string name;
-    int tid = 0;
-    int64_t start_us = 0;  // relative to the collector's epoch
-    int64_t dur_us = 0;
-    // Trace-tree identity; all zero for spans recorded outside a
-    // sampled trace. Exported as chrome "args" so offline tools can
-    // rebuild the tree from the file.
-    uint64_t trace_id = 0;
-    uint64_t span_id = 0;
-    uint64_t parent_span_id = 0;
-  };
-
-  TraceCollector();
-  TraceCollector(const TraceCollector&) = delete;
-  TraceCollector& operator=(const TraceCollector&) = delete;
-
-  void Enable(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
-  void Record(Event event);
-  void Clear();
-
-  // Copy of all recorded events, ordered by (start_us, dur_us desc) so a
-  // parent span sorts before the children it encloses.
-  std::vector<Event> Events() const;
-
-  // {"traceEvents":[...],"displayTimeUnit":"ms"} with one "ph":"X"
-  // complete event per span.
-  std::string ToChromeTraceJson() const;
-  Status WriteChromeTrace(const std::string& path) const;
-
-  // Microseconds since the collector's epoch (steady clock).
-  int64_t NowUs() const;
-  // Dense id of the calling thread, assigned on first use.
-  static int CurrentThreadId();
-
-  static TraceCollector& Global();
-
- private:
-  std::atomic<bool> enabled_{false};
-  std::chrono::steady_clock::time_point epoch_;
-  mutable std::mutex mu_;
-  std::vector<Event> events_ SGCL_GUARDED_BY(mu_);
 };
 
 // Bounded ring of completed sampled traces. Always on (capacity bounds
@@ -211,6 +165,15 @@ class TraceRing {
   // JSON span tree for /v1/traces/<id>; empty string when unknown.
   std::string TreeJson(uint64_t trace_id) const;
 
+  // chrome://tracing JSON of the committed traces, oldest first:
+  // {"traceEvents":[...],"displayTimeUnit":"ms"} with one "ph":"X"
+  // event per span and args {trace_id, span_id, parent_span_id}. Each
+  // trace is emitted root first in tree order, so a parent precedes its
+  // children; spans not reachable from the root are left out, as in
+  // TreeJson. Backs /trace and --trace-out.
+  std::string ToChromeTraceJson() const;
+  Status WriteChromeTrace(const std::string& path) const;
+
   static TraceRing& Global();
 
  private:
@@ -231,12 +194,11 @@ class TraceRing {
       SGCL_GUARDED_BY(mu_);
 };
 
-// Records a completed span with explicit timestamps (collector-epoch
-// µs, i.e. TraceCollector::NowUs values) as a child of `parent`. Used
-// by instrumentation that reconstructs phases after the fact (the
-// micro-batcher's per-request queue_wait/batch_form/forward). Feeds the
-// chrome collector (when enabled) and the trace ring; no-op returning 0
-// when `parent` is invalid. Returns the span's id. Passing a nonzero
+// Records a completed span with explicit timestamps (TraceNowUs values)
+// into the trace ring as a child of `parent`. Used by instrumentation
+// that reconstructs phases after the fact (the micro-batcher's
+// per-request queue_wait/batch_form/forward); no-op returning 0 when
+// `parent` is invalid. Returns the span's id. Passing a nonzero
 // `span_id` (from TraceRing::NextSpanId) uses it instead of allocating;
 // this lets callers pre-allocate an id, run nested work under
 // ScopedTraceContext{trace_id, span_id}, and record the enclosing span
@@ -246,10 +208,9 @@ uint64_t RecordManualSpan(const char* name, TraceContext parent,
                           uint64_t span_id = 0);
 
 // RAII span. When `time_counter` is non-null the scope's duration is
-// always added to it (in µs); the chrome trace event is only recorded
-// while the global collector is enabled, and the span only joins a
-// TraceRing trace when the thread's ambient TraceContext is valid (in
-// which case the span also becomes the ambient parent for its scope).
+// always added to it (in µs); the span is only recorded when the
+// thread's ambient TraceContext is valid, in which case it joins that
+// trace and becomes the ambient parent for its scope.
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name, Counter* time_counter = nullptr);
@@ -266,7 +227,6 @@ class TraceSpan {
  private:
   const char* name_;
   Counter* counter_;
-  bool chrome_ = false;       // record into TraceCollector on close
   uint64_t trace_id_ = 0;     // nonzero => part of a ring trace
   uint64_t span_id_ = 0;
   uint64_t parent_span_id_ = 0;

@@ -386,7 +386,6 @@ Result<PretrainStats> RunRoundLoop(const RoundLoopMethod& method,
   const size_t batch_size = static_cast<size_t>(method.batch_size);
   std::vector<float> leaf_grad;
   for (int epoch = start_epoch; epoch < method.epochs; ++epoch) {
-    SGCL_TRACE_SPAN("train/epoch");
     Stopwatch epoch_watch;
     // A mid-epoch resume re-enters an epoch whose shuffle already
     // happened (the restored `order` is post-shuffle and the restored

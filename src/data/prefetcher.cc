@@ -48,12 +48,9 @@ void BatchPrefetcher::Schedule() {
     ++outstanding_;
     queue_depth->Set(static_cast<double>(outstanding_));
   }
-  // Capture the scheduler's ambient TraceContext: when a sampled
-  // training batch schedules this fetch, the fetch's spans join that
-  // batch's trace across the pool-thread boundary.
-  const TraceContext trace_ctx = CurrentTraceContext();
-  GlobalThreadPool().Submit([this, slot, indices, trace_ctx] {
-    ScopedTraceContext trace_install(trace_ctx);
+  // The pool task inherits this thread's trace context: when a sampled
+  // training batch schedules the fetch, its spans join that batch's trace.
+  GlobalThreadPool().Submit([this, slot, indices] {
     FetchedGraphs fetched;
     Status status = Status::OK();
     {
@@ -92,9 +89,9 @@ Result<FetchedGraphs> BatchPrefetcher::Next() {
     if (!slot->done) {
       // The consumer outran the pipeline — the stall the bench watches.
       stall_counter->Increment();
-      const int64_t stall_start_us = TraceCollector::Global().NowUs();
+      const int64_t stall_start_us = TraceNowUs();
       cv_.wait(lock, [&] { return slot->done; });
-      const int64_t stall_end_us = TraceCollector::Global().NowUs();
+      const int64_t stall_end_us = TraceNowUs();
       stall_us->Observe(static_cast<double>(stall_end_us - stall_start_us));
       RecordManualSpan("stream/consumer_stall", CurrentTraceContext(),
                        stall_start_us, stall_end_us);

@@ -391,13 +391,13 @@ ShardedGraphStore::GetShard(int64_t shard) const {
   // Decode outside the lock so concurrent Fetches of different shards
   // overlap. Two threads may race on the same shard and both decode it —
   // harmless (both results are identical; the second insert wins).
-  const int64_t decode_start_us = TraceCollector::Global().NowUs();
+  const int64_t decode_start_us = TraceNowUs();
   std::shared_ptr<const DecodedShard> decoded;
   {
     SGCL_TRACE_SPAN("stream/shard_decode");
     SGCL_ASSIGN_OR_RETURN(decoded, DecodeShard(shard));
   }
-  fetch_us->Observe(static_cast<double>(TraceCollector::Global().NowUs() -
+  fetch_us->Observe(static_cast<double>(TraceNowUs() -
                                         decode_start_us));
   std::lock_guard<std::mutex> lock(mu_);
   ++decode_count_;

@@ -33,7 +33,7 @@ struct MicroBatcher::Pending {
   // at enqueue so the dispatch thread can attribute this request's
   // queue_wait / batch_form phases to its trace.
   TraceContext trace_ctx;
-  int64_t enqueue_us = 0;  // collector-epoch µs, only set when traced
+  int64_t enqueue_us = 0;  // TraceNowUs() µs, only set when traced
   // Stamped by RunBatch before the promise resolves (the fulfilment is
   // the synchronization point): the submitter records its serve/forward
   // span from run_start_us to its own wake-up, so result delivery and
@@ -112,7 +112,7 @@ Result<std::vector<std::vector<float>>> MicroBatcher::Submit(
   pending.enqueue_time = std::chrono::steady_clock::now();
   pending.trace_ctx = CurrentTraceContext();
   if (pending.trace_ctx.valid()) {
-    pending.enqueue_us = TraceCollector::Global().NowUs();
+    pending.enqueue_us = TraceNowUs();
   }
   auto future = pending.promise.get_future();
   {
@@ -137,7 +137,7 @@ Result<std::vector<std::vector<float>>> MicroBatcher::Submit(
     // The request's forward phase, closed at wake-up: the model time is
     // the nested serve/infer_* span, the rest is delivery + scheduling.
     RecordManualSpan("serve/forward", pending.trace_ctx,
-                     pending.run_start_us, TraceCollector::Global().NowUs(),
+                     pending.run_start_us, TraceNowUs(),
                      pending.forward_span_id);
   }
   return result;
@@ -153,7 +153,7 @@ void MicroBatcher::DispatchLoop() {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
       if (stopping_ && queue_.empty()) return;
-      form_start_us = TraceCollector::Global().NowUs();
+      form_start_us = TraceNowUs();
 
       // FILLING: admit the oldest request unconditionally, then keep
       // admitting while the caps hold — waiting out the timeout window
@@ -211,7 +211,7 @@ void MicroBatcher::RunBatch(std::vector<Pending*> batch,
   // Forward span ids are pre-allocated so spans recorded *inside* the
   // forward (inference_session) can nest under them; the forwards run
   // under the first traced request's context.
-  const int64_t run_start_us = TraceCollector::Global().NowUs();
+  const int64_t run_start_us = TraceNowUs();
   std::vector<uint64_t> forward_span_ids(batch.size(), 0);
   TraceContext forward_ctx;
   for (size_t i = 0; i < batch.size(); ++i) {

@@ -22,7 +22,8 @@
 namespace sgcl {
 namespace {
 
-std::string Get(int port, const std::string& path) {
+// Whole HTTP response (status line, headers, body) of GET `path`.
+std::string GetRaw(int port, const std::string& path) {
   const int fd = socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return "";
   struct sockaddr_in addr;
@@ -46,6 +47,11 @@ std::string Get(int port, const std::string& path) {
     response.append(buf, static_cast<size_t>(n));
   }
   close(fd);
+  return response;
+}
+
+std::string Get(int port, const std::string& path) {
+  const std::string response = GetRaw(port, path);
   const size_t pos = response.find("\r\n\r\n");
   return pos == std::string::npos ? "" : response.substr(pos + 4);
 }
@@ -257,6 +263,29 @@ TEST(TelemetryServerTest, TraceEndpointsServeSampledTraces) {
   const std::string malformed = Get(server.port(), "/v1/traces/not-hex");
   EXPECT_NE(malformed.find("unknown trace"), std::string::npos);
 
+  server.Stop();
+  TraceRing::Global().SetSampleRate(0.0);
+  TraceRing::Global().Clear();
+}
+
+TEST(TelemetryServerTest, SignedTraceIdIsUnknown) {
+  // A committed trace's id behind a '+' is malformed, not an alias.
+  TraceRing::Global().SetSampleRate(1.0);
+  TraceRing::Global().Clear();
+  const TraceContext ctx = TraceRing::Global().MaybeStartTrace();
+  ASSERT_TRUE(ctx.valid());
+  {
+    ScopedTraceContext install(ctx);
+    TraceSpan root("test/request");
+  }
+  const std::string id = FormatTraceId(ctx.trace_id);
+  RunStatusBoard board;
+  TelemetryServer server;
+  ASSERT_TRUE(server.Start(0, &board).ok());
+  EXPECT_EQ(GetRaw(server.port(), "/v1/traces/" + id).rfind("HTTP/1.1 200", 0),
+            0u);
+  const std::string signed_id = GetRaw(server.port(), "/v1/traces/+" + id);
+  EXPECT_EQ(signed_id.rfind("HTTP/1.1 404", 0), 0u) << signed_id;
   server.Stop();
   TraceRing::Global().SetSampleRate(0.0);
   TraceRing::Global().Clear();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -12,116 +13,180 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
 #include "common/parallel.h"
 
 namespace sgcl {
 namespace {
 
-// The global collector is process-wide; each test starts from a clean,
-// enabled state and disables on exit so other tests see the default-off
-// behavior.
+// One event of the ring's chrome export, as a test reads it back.
+struct ChromeEvent {
+  std::string name;
+  int tid = 0;
+  int64_t ts = 0;
+  int64_t dur = 0;
+  std::string trace_id;  // empty when the event carries no args
+  uint64_t span_id = 0;
+  uint64_t parent_span_id = 0;
+};
+
+std::vector<ChromeEvent> ParseChromeEvents(const std::string& json) {
+  std::vector<ChromeEvent> out;
+  const Result<JsonValue> doc = JsonValue::Parse(json);
+  EXPECT_TRUE(doc.ok()) << json;
+  if (!doc.ok()) return out;
+  const JsonValue* events = doc->Find("traceEvents");
+  EXPECT_TRUE(events != nullptr && events->is_array()) << json;
+  if (events == nullptr || !events->is_array()) return out;
+  for (const JsonValue& e : events->AsArray()) {
+    ChromeEvent event;
+    event.name = e.GetString("name");
+    event.tid = static_cast<int>(e.GetDouble("tid", -1));
+    event.ts = static_cast<int64_t>(e.GetDouble("ts"));
+    event.dur = static_cast<int64_t>(e.GetDouble("dur"));
+    if (const JsonValue* args = e.Find("args")) {
+      event.trace_id = args->GetString("trace_id");
+      event.span_id = static_cast<uint64_t>(args->GetDouble("span_id"));
+      event.parent_span_id =
+          static_cast<uint64_t>(args->GetDouble("parent_span_id"));
+    }
+    out.push_back(std::move(event));
+  }
+  return out;
+}
+
+// The trace ring's chrome export (ToChromeTraceJson / WriteChromeTrace,
+// behind /trace and --trace-out). Each test starts from an empty ring
+// that samples every root, and restores rate 0 on exit so other tests
+// see the untraced default.
 class TraceTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    TraceCollector::Global().Clear();
-    TraceCollector::Global().Enable(true);
+  void SetUp() override { ResetRing(1.0); }
+  void TearDown() override { ResetRing(0.0); }
+
+  static void ResetRing(double rate) {
+    TraceRing::Global().SetSampleRate(rate);
+    TraceRing::Global().SetCapacity(256);
+    TraceRing::Global().Clear();
   }
-  void TearDown() override {
-    TraceCollector::Global().Enable(false);
-    TraceCollector::Global().Clear();
+
+  // Runs `body` under a root span `root` of a newly sampled trace (an
+  // untraced span when the sampler declines).
+  template <typename Body>
+  static void Sampled(const char* root, Body body) {
+    ScopedTraceContext install(TraceRing::Global().MaybeStartTrace());
+    TraceSpan span(root);
+    body();
+  }
+
+  static std::vector<ChromeEvent> Events() {
+    return ParseChromeEvents(TraceRing::Global().ToChromeTraceJson());
   }
 };
 
 TEST_F(TraceTest, DisabledSpansRecordNothing) {
-  TraceCollector::Global().Enable(false);
-  { SGCL_TRACE_SPAN("ignored"); }
-  EXPECT_TRUE(TraceCollector::Global().Events().empty());
+  // Rate 0 opens no trace, and a span outside any trace is not recorded.
+  TraceRing::Global().SetSampleRate(0.0);
+  Sampled("ignored/root", [] { SGCL_TRACE_SPAN("ignored/child"); });
+  TraceRing::Global().SetSampleRate(1.0);
+  { SGCL_TRACE_SPAN("ignored/untraced"); }
+  EXPECT_TRUE(Events().empty());
 }
 
 TEST_F(TraceTest, NestedSpansSortParentFirst) {
-  // Sub-µs scopes can tie on (start, dur), making the order ambiguous;
-  // the sleeps force inner to outlast the tie and outer to outlast inner.
-  {
-    SGCL_TRACE_SPAN("outer");
-    {
-      SGCL_TRACE_SPAN("inner");
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  auto events = TraceCollector::Global().Events();
+  // The ring stores spans in completion order (inner first); the export
+  // puts the enclosing span first.
+  Sampled("outer", [] { SGCL_TRACE_SPAN("inner"); });
+  const std::vector<ChromeEvent> events = Events();
   ASSERT_EQ(events.size(), 2u);
-  // Parent starts no later and lasts at least as long; the (start asc,
-  // dur desc) order puts it first.
   EXPECT_EQ(events[0].name, "outer");
   EXPECT_EQ(events[1].name, "inner");
-  EXPECT_LE(events[0].start_us, events[1].start_us);
-  EXPECT_GE(events[0].start_us + events[0].dur_us,
-            events[1].start_us + events[1].dur_us);
+  EXPECT_EQ(events[0].parent_span_id, 0u);
+  EXPECT_EQ(events[1].parent_span_id, events[0].span_id);
+  EXPECT_LE(events[0].ts, events[1].ts);
+  EXPECT_GE(events[0].ts + events[0].dur, events[1].ts + events[1].dur);
   EXPECT_EQ(events[0].tid, events[1].tid);
 }
 
 TEST_F(TraceTest, TimedSpanFeedsCounterEvenWhenDisabled) {
-  TraceCollector::Global().Enable(false);
+  TraceRing::Global().SetSampleRate(0.0);
   Counter* counter =
       MetricsRegistry::Global().GetCounter("time/trace_test_stage_us");
   counter->Reset();
-  { SGCL_TRACE_SPAN_TIMED("trace_test_stage"); }
-  EXPECT_GE(counter->value(), 0);
-  EXPECT_TRUE(TraceCollector::Global().Events().empty());
-  // Enabled, the same site records a span too.
-  TraceCollector::Global().Enable(true);
-  { SGCL_TRACE_SPAN_TIMED("trace_test_stage"); }
-  auto events = TraceCollector::Global().Events();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].name, "trace_test_stage");
+  {
+    SGCL_TRACE_SPAN_TIMED("trace_test_stage");
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_GE(counter->value(), 1000);
+  EXPECT_TRUE(Events().empty());
+  // Under a sampled root, the same kind of site records a span too.
+  TraceRing::Global().SetSampleRate(1.0);
+  Sampled("test/root", [] { SGCL_TRACE_SPAN_TIMED("trace_test_stage"); });
+  const std::vector<ChromeEvent> events = Events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[1].name, "trace_test_stage");
 }
 
 TEST_F(TraceTest, ChromeTraceJsonShape) {
-  { SGCL_TRACE_SPAN("stage/a"); }
-  const std::string json = TraceCollector::Global().ToChromeTraceJson();
+  EXPECT_EQ(TraceRing::Global().ToChromeTraceJson(),
+            "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}");
+  const TraceContext ctx = TraceRing::Global().MaybeStartTrace();
+  {
+    ScopedTraceContext install(ctx);
+    TraceSpan span("stage/a");
+  }
+  const std::string json = TraceRing::Global().ToChromeTraceJson();
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"stage/a\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+  EXPECT_NE(json.find("\"args\":{\"trace_id\":\"" +
+                      FormatTraceId(ctx.trace_id) + "\""),
+            std::string::npos);
   EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
 }
 
 TEST_F(TraceTest, WriteChromeTraceRoundTrip) {
-  { SGCL_TRACE_SPAN("stage/write"); }
+  Sampled("stage/write", [] {});
   const std::string path =
       ::testing::TempDir() + "/sgcl_trace_test_out.json";
-  ASSERT_TRUE(TraceCollector::Global().WriteChromeTrace(path).ok());
+  ASSERT_TRUE(TraceRing::Global().WriteChromeTrace(path).ok());
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::stringstream buffer;
   buffer << in.rdbuf();
-  EXPECT_NE(buffer.str().find("stage/write"), std::string::npos);
+  const std::vector<ChromeEvent> events = ParseChromeEvents(buffer.str());
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].name, "stage/write");
   std::remove(path.c_str());
 }
 
 TEST_F(TraceTest, WriteChromeTraceRejectsBadPath) {
-  EXPECT_FALSE(TraceCollector::Global()
+  EXPECT_FALSE(TraceRing::Global()
                    .WriteChromeTrace("/nonexistent-dir/trace.json")
                    .ok());
 }
 
 TEST_F(TraceTest, ConcurrentThreadPoolSpansAreDenseAndWellNested) {
-  // TSan-covered: spans recorded from ThreadPool workers land with small
-  // dense thread ids, and spans sharing a tid are well-nested (chrome
-  // tracing renders overlapping-but-not-nested spans on one track as
-  // garbage).
-  ParallelFor(0, 64, /*grain=*/4, [](int64_t lo, int64_t hi) {
-    SGCL_TRACE_SPAN("pool/chunk_outer");
-    for (int64_t i = lo; i < hi; ++i) {
-      SGCL_TRACE_SPAN("pool/chunk_inner");
-    }
+  // TSan-covered: spans recorded from ThreadPool workers (which inherit
+  // the sampled root's context) land with small dense thread ids, and
+  // spans sharing a tid are well-nested (chrome tracing renders
+  // overlapping-but-not-nested spans on one track as garbage).
+  Sampled("pool/root", [] {
+    ParallelFor(0, 64, /*grain=*/4, [](int64_t lo, int64_t hi) {
+      SGCL_TRACE_SPAN("pool/chunk_outer");
+      for (int64_t i = lo; i < hi; ++i) {
+        SGCL_TRACE_SPAN("pool/chunk_inner");
+      }
+    });
   });
-  const auto events = TraceCollector::Global().Events();
-  ASSERT_FALSE(events.empty());
+  std::vector<ChromeEvent> events = Events();
+  int inner = 0;
+  for (const ChromeEvent& e : events) inner += e.name == "pool/chunk_inner";
+  EXPECT_EQ(inner, 64);
   std::set<int> tids;
-  for (const auto& e : events) tids.insert(e.tid);
+  for (const ChromeEvent& e : events) tids.insert(e.tid);
   // Dense ids: every id seen across the process so far is a small
   // non-negative integer bounded by pool size + observed threads, never a
   // raw OS thread id.
@@ -134,18 +199,21 @@ TEST_F(TraceTest, ConcurrentThreadPoolSpansAreDenseAndWellNested) {
   // Well-nested per tid: spans sorted by (start asc, dur desc) behave
   // like a bracket sequence — each next span either nests inside the
   // enclosing open span or starts after it ends, never straddles.
-  std::map<int, std::vector<TraceCollector::Event>> by_tid;
-  for (const auto& e : events) by_tid[e.tid].push_back(e);
+  std::sort(events.begin(), events.end(),
+            [](const ChromeEvent& a, const ChromeEvent& b) {
+              if (a.ts != b.ts) return a.ts < b.ts;
+              return a.dur > b.dur;
+            });
+  std::map<int, std::vector<ChromeEvent>> by_tid;
+  for (const ChromeEvent& e : events) by_tid[e.tid].push_back(e);
   for (const auto& [tid, spans] : by_tid) {
-    std::vector<const TraceCollector::Event*> open;
-    for (const auto& e : spans) {
-      while (!open.empty() &&
-             e.start_us >= open.back()->start_us + open.back()->dur_us) {
+    std::vector<const ChromeEvent*> open;
+    for (const ChromeEvent& e : spans) {
+      while (!open.empty() && e.ts >= open.back()->ts + open.back()->dur) {
         open.pop_back();
       }
       if (!open.empty()) {
-        EXPECT_LE(e.start_us + e.dur_us,
-                  open.back()->start_us + open.back()->dur_us)
+        EXPECT_LE(e.ts + e.dur, open.back()->ts + open.back()->dur)
             << "span " << e.name << " straddles " << open.back()->name
             << " on tid " << tid;
       }
@@ -155,15 +223,80 @@ TEST_F(TraceTest, ConcurrentThreadPoolSpansAreDenseAndWellNested) {
 }
 
 TEST_F(TraceTest, ClearDropsEvents) {
-  { SGCL_TRACE_SPAN("gone"); }
-  EXPECT_FALSE(TraceCollector::Global().Events().empty());
-  TraceCollector::Global().Clear();
-  EXPECT_TRUE(TraceCollector::Global().Events().empty());
+  Sampled("gone", [] {});
+  EXPECT_FALSE(Events().empty());
+  TraceRing::Global().Clear();
+  EXPECT_TRUE(Events().empty());
 }
 
-// TraceRing tests run with the chrome collector off (the ring is an
-// independent sink); each test resets the global ring's sampling,
-// capacity, and contents so tests are order-independent.
+TEST_F(TraceTest, ChromeJsonIsParentFirstTaggedAndBounded) {
+  // Five three-level traces into a ring of three: the export holds the
+  // newest three, every event is tagged, each trace starts at its root,
+  // and every other event follows its parent within the same trace.
+  TraceRing::Global().SetCapacity(3);
+  for (int i = 0; i < 5; ++i) {
+    Sampled("test/root", [] {
+      SGCL_TRACE_SPAN("test/child");
+      { SGCL_TRACE_SPAN("test/grandchild"); }
+      { SGCL_TRACE_SPAN("test/grandchild"); }
+    });
+  }
+  const std::vector<ChromeEvent> events = Events();
+  ASSERT_EQ(events.size(), 3u * 4u);
+  std::map<std::string, std::set<uint64_t>> seen;  // trace id -> span ids
+  std::string current;
+  for (const ChromeEvent& e : events) {
+    ASSERT_FALSE(e.trace_id.empty()) << e.name;
+    ASSERT_NE(e.span_id, 0u) << e.name;
+    if (e.parent_span_id == 0) {
+      EXPECT_EQ(e.name, "test/root");
+      EXPECT_EQ(seen.count(e.trace_id), 0u) << "trace split or repeated";
+      current = e.trace_id;
+    } else {
+      EXPECT_EQ(e.trace_id, current) << "event outside its trace's run";
+      EXPECT_EQ(seen[e.trace_id].count(e.parent_span_id), 1u)
+          << e.name << " precedes its parent";
+    }
+    seen[e.trace_id].insert(e.span_id);
+  }
+  EXPECT_EQ(seen.size(), TraceRing::Global().capacity());
+}
+
+TEST(TraceIdTest, ParseAcceptsOnlyOneToSixteenHexDigits) {
+  struct Case {
+    const char* text;
+    uint64_t want;
+  };
+  const Case cases[] = {
+      {"00000000deadbeef", 0xdeadbeefULL},
+      {"ffffffffffffffff", 0xffffffffffffffffULL},
+      {"0xDEADBEEF", 0xdeadbeefULL},
+      {"0X1f", 0x1fULL},
+      {"0x0123456789abcdef", 0x0123456789abcdefULL},
+      {"ff", 0xffULL},
+      {"7", 7},
+      // Malformed input parses to 0.
+      {" ff", 0},
+      {"\tff", 0},
+      {"ff ", 0},
+      {"+ff", 0},
+      {"-ff", 0},
+      {"fffffffffffffffff", 0},         // 17 digits
+      {"ffffffffffffffffffffffff", 0},  // 24 digits
+      {"0x11111111111111111", 0},       // 17 digits after 0x
+      {"", 0},
+      {"0x", 0},
+      {"0x+1", 0},
+      {"0xg", 0},
+      {"12zz", 0},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(ParseTraceId(c.text), c.want) << "input \"" << c.text << "\"";
+  }
+}
+
+// Each TraceRing test resets the global ring's sampling, capacity, and
+// contents so tests are order-independent.
 class TraceRingTest : public ::testing::Test {
  protected:
   void SetUp() override { ResetRing(); }
@@ -424,6 +557,41 @@ TEST_F(TraceRingTest, ConcurrentCommitsStayBoundedAndWellFormed) {
     EXPECT_EQ(trace.root_name, "test/root");
     EXPECT_EQ(trace.spans.size(), 2u);
   }
+}
+
+TEST_F(TraceRingTest, ConcurrentPoolChunksInheritTheSubmittersContext) {
+  // TSan-covered: no ScopedTraceContext in the chunk body. ThreadPool
+  // carries the caller's context into each task, so every chunk span
+  // joins the trace as a child of the span enclosing the ParallelFor.
+  SetParallelThreads(4);
+  TraceRing::Global().SetSampleRate(1.0);
+  const TraceContext ctx = TraceRing::Global().MaybeStartTrace();
+  ASSERT_TRUE(ctx.valid());
+  uint64_t stage_span_id = 0;
+  {
+    ScopedTraceContext install(ctx);
+    TraceSpan root("test/root");
+    TraceSpan stage("test/stage");
+    stage_span_id = stage.context().span_id;
+    // 32 items, grain 2, 4 workers: four chunks, three on pool threads.
+    ParallelFor(0, 32, /*grain=*/2, [](int64_t, int64_t) {
+      SGCL_TRACE_SPAN("test/chunk");
+    });
+  }
+  SetParallelThreads(0);
+  const auto traces = TraceRing::Global().Traces();
+  ASSERT_EQ(traces.size(), 1u);
+  int chunks = 0;
+  std::set<int> chunk_tids;
+  for (const auto& s : traces[0].spans) {
+    if (s.name != "test/chunk") continue;
+    ++chunks;
+    chunk_tids.insert(s.tid);
+    EXPECT_EQ(s.trace_id, ctx.trace_id);
+    EXPECT_EQ(s.parent_span_id, stage_span_id);
+  }
+  EXPECT_EQ(chunks, 4);
+  EXPECT_GE(chunk_tids.size(), 2u);
 }
 
 }  // namespace

@@ -42,8 +42,9 @@
 //
 // Observability (pretrain/bench): --metrics-out streams one JSON object
 // per epoch (loss, wall seconds, per-stage seconds) plus a final line
-// embedding the full metrics-registry snapshot; --trace-out writes a
-// chrome://tracing / Perfetto-loadable span file for the whole run;
+// embedding the full metrics-registry snapshot; --trace-out writes the
+// trace ring (the last --trace-ring-size sampled batches) as a
+// chrome://tracing / Perfetto-loadable span file;
 // --log-json appends structured JSONL log records; --http-port serves
 // live /metrics /healthz /status /trace for the duration of the run.
 // Every sink and endpoint is stamped with one generated run id so the
@@ -187,20 +188,25 @@ struct ObservabilityFlags {
                   "write per-epoch metrics as JSONL to this path "
                   "(truncates an existing file)");
     flags->String("trace-out", &trace_out,
-                  "write a chrome://tracing span file to this path "
-                  "(truncates an existing file)");
+                  "write the trace ring as a chrome://tracing span file to "
+                  "this path at the end of the run: the last "
+                  "--trace-ring-size sampled batches (every batch when "
+                  "--trace-sample-rate is 0; truncates an existing file)");
     flags->String("log-json", &log_json,
                   "append structured JSONL log records to this path "
                   "(appends across runs; correlate by run_id; also lowers "
                   "the log level to info)");
     flags->Int("http-port", &http_port,
                "serve live telemetry on 127.0.0.1:<port> for the duration "
-               "of the run (/metrics /healthz /status /trace /v1/traces); "
-               "0 picks an ephemeral port, -1 disables");
+               "of the run (/metrics /healthz /status /trace /v1/traces; "
+               "/trace and /v1/traces hold only batches sampled by "
+               "--trace-sample-rate or --trace-out); 0 picks an ephemeral "
+               "port, -1 disables");
     flags->Double("trace-sample-rate", &trace_sample_rate,
                   "sample this fraction of training batches into the "
                   "in-memory trace ring (deterministic every-Nth, never "
-                  "touches the training RNG; 0 disables; span trees at "
+                  "touches the training RNG; 0 disables, or samples every "
+                  "batch when --trace-out is set; span trees at "
                   "/v1/traces when --http-port is set)");
     flags->Int64("trace-ring-size", &trace_ring_size,
                  "capacity of the in-memory trace ring, in traces "
@@ -396,16 +402,14 @@ Result<PretrainStats> ObservedPretrain(SgclTrainer* trainer,
   }
   LogSinkGuard sink_guard(log_sink.get());
 
-  TraceCollector& collector = TraceCollector::Global();
-  // The /trace endpoint needs span collection on even without a file sink.
-  const bool tracing = !obs.trace_out.empty() || obs.http_port >= 0;
-  if (tracing) {
-    collector.Clear();
-    collector.Enable(true);
-  }
   SGCL_RETURN_NOT_OK(
       ValidateTraceFlags(obs.trace_sample_rate, obs.trace_ring_size));
-  TraceRing::Global().SetSampleRate(obs.trace_sample_rate);
+  // --trace-out dumps the ring, so on its own (rate left at 0) it
+  // samples every batch.
+  TraceRing::Global().SetSampleRate(
+      !obs.trace_out.empty() && obs.trace_sample_rate == 0.0
+          ? 1.0
+          : obs.trace_sample_rate);
   TraceRing::Global().SetCapacity(static_cast<size_t>(obs.trace_ring_size));
   TraceRing::Global().Clear();  // per-run isolation, like the metrics
   MetricsRegistry::Global().Reset();  // per-run isolation
@@ -480,14 +484,10 @@ Result<PretrainStats> ObservedPretrain(SgclTrainer* trainer,
   board.EndRun(stats.ok());
   SGCL_LOG(INFO) << command << " finished: run " << GetRunId()
                  << (stats.ok() ? " ok" : " failed");
-  if (tracing) {
-    collector.Enable(false);
-  }
   if (!obs.trace_out.empty()) {
-    Status st = collector.WriteChromeTrace(obs.trace_out);
-    if (!st.ok()) return st;
-    std::printf("wrote %s (%zu spans)\n", obs.trace_out.c_str(),
-                collector.Events().size());
+    SGCL_RETURN_NOT_OK(TraceRing::Global().WriteChromeTrace(obs.trace_out));
+    std::printf("wrote %s (%zu traces)\n", obs.trace_out.c_str(),
+                TraceRing::Global().Traces().size());
   }
   if (metrics_stream.is_open()) {
     // Final record: whole-run totals plus the full registry snapshot.

@@ -2,14 +2,14 @@
 //
 //   trace_report <trace.json> [--top=5] [--min-duration-us=0]
 //
-// Accepts either trace format the repo produces and prints the same
-// breakdown the live /v1/traces endpoints serve, but offline:
+// Accepts either export of the trace ring and prints the same breakdown
+// the live /v1/traces endpoints serve, but offline:
 //
-//  * a TraceRing dump — `curl /v1/traces?detail=1` (the object with a
+//  * a ring dump — `curl /v1/traces?detail=1` (the object with a
 //    "traces" array, each trace carrying its flat span list), or
-//  * a chrome://tracing file written by --trace-out, where sampled
-//    spans carry {"args":{"trace_id",...}} (untagged events are
-//    aggregated too, but can't be attributed to a request).
+//  * a chrome://tracing file written by --trace-out or served at /trace,
+//    where every event carries {"args":{"trace_id","span_id",
+//    "parent_span_id"}}; an event without args.trace_id is malformed.
 //
 // Output: a per-stage *self-time* table (span duration minus enclosed
 // child spans, so stages don't double-count their children) with
@@ -107,42 +107,36 @@ Result<std::vector<ReportTrace>> LoadRingDump(const JsonValue& doc) {
   return traces;
 }
 
-// Chrome trace: {"traceEvents":[{"name","ts","dur","args":{...}}]}.
-// Events tagged with args.trace_id are grouped into traces; untagged
-// events are collected under a synthetic "(untraced)" bucket so a plain
-// --trace-out file still yields a stage table.
-Result<std::vector<ReportTrace>> LoadChromeTrace(const JsonValue& doc,
-                                                 int64_t* untagged_events) {
+// Chrome trace (--trace-out, /trace): {"traceEvents":[{"name","ts","dur",
+// "args":{"trace_id","span_id","parent_span_id"}}]}. Every event must be
+// tagged with its trace; events group into traces by args.trace_id.
+Result<std::vector<ReportTrace>> LoadChromeTrace(const JsonValue& doc) {
   const JsonValue* arr = doc.Find("traceEvents");
   if (arr == nullptr || !arr->is_array()) {
     return Status::InvalidArgument("\"traceEvents\" is not an array");
   }
   std::map<std::string, ReportTrace> by_id;
   std::vector<std::string> order;  // first-seen, keeps output stable
-  ReportTrace untraced;
-  uint64_t synthetic_id = 1;  // untagged events carry no span ids
   for (const JsonValue& e : arr->AsArray()) {
     if (!e.is_object()) {
       return Status::InvalidArgument("trace event is not an object");
     }
-    ReportSpan span;
-    span.name = e.GetString("name");
-    span.start_us = static_cast<int64_t>(e.GetDouble("ts", 0));
-    span.dur_us = static_cast<int64_t>(e.GetDouble("dur", 0));
-    if (span.name.empty()) {
-      return Status::InvalidArgument("trace event without a name");
-    }
     const JsonValue* args = e.Find("args");
     const std::string id = args != nullptr ? args->GetString("trace_id") : "";
     if (id.empty()) {
-      ++*untagged_events;
-      span.span_id = synthetic_id++;
-      untraced.spans.push_back(std::move(span));
-      continue;
+      return Status::InvalidArgument("trace event \"" + e.GetString("name") +
+                                     "\" has no args.trace_id");
     }
+    ReportSpan span;
+    span.name = e.GetString("name");
     span.span_id = static_cast<uint64_t>(args->GetDouble("span_id", 0));
     span.parent_span_id =
         static_cast<uint64_t>(args->GetDouble("parent_span_id", 0));
+    span.start_us = static_cast<int64_t>(e.GetDouble("ts", 0));
+    span.dur_us = static_cast<int64_t>(e.GetDouble("dur", 0));
+    if (span.name.empty() || span.span_id == 0) {
+      return Status::InvalidArgument("trace event missing name or span_id");
+    }
     ReportTrace& trace = by_id[id];
     if (trace.trace_id.empty()) {
       trace.trace_id = id;
@@ -159,13 +153,6 @@ Result<std::vector<ReportTrace>> LoadChromeTrace(const JsonValue& doc,
     ReportTrace& trace = by_id[id];
     ComputeSelfTimes(&trace.spans);
     traces.push_back(std::move(trace));
-  }
-  if (!untraced.spans.empty()) {
-    untraced.trace_id = "(untraced)";
-    untraced.root_name = "(untraced events)";
-    // No parent links: self time degenerates to raw duration.
-    for (ReportSpan& s : untraced.spans) s.self_us = s.dur_us;
-    traces.push_back(std::move(untraced));
   }
   return traces;
 }
@@ -251,19 +238,17 @@ void PrintStageTable(const std::vector<ReportTrace>& traces) {
 }
 
 void PrintSlowestTraces(const std::vector<ReportTrace>& traces, int64_t top) {
-  std::vector<const ReportTrace*> real;
-  for (const ReportTrace& t : traces) {
-    if (t.trace_id != "(untraced)") real.push_back(&t);
-  }
-  if (real.empty() || top <= 0) return;
-  std::sort(real.begin(), real.end(),
+  if (traces.empty() || top <= 0) return;
+  std::vector<const ReportTrace*> sorted;
+  for (const ReportTrace& t : traces) sorted.push_back(&t);
+  std::sort(sorted.begin(), sorted.end(),
             [](const ReportTrace* a, const ReportTrace* b) {
               return a->dur_us > b->dur_us;
             });
-  const size_t k = std::min(real.size(), static_cast<size_t>(top));
-  std::printf("\nslowest %zu of %zu traces:\n", k, real.size());
+  const size_t k = std::min(sorted.size(), static_cast<size_t>(top));
+  std::printf("\nslowest %zu of %zu traces:\n", k, sorted.size());
   for (size_t i = 0; i < k; ++i) {
-    const ReportTrace& t = *real[i];
+    const ReportTrace& t = *sorted[i];
     std::printf("  %s  %lld us  %s (%zu spans)\n", t.trace_id.c_str(),
                 static_cast<long long>(t.dur_us), t.root_name.c_str(),
                 t.spans.size());
@@ -326,7 +311,6 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", doc.status().ToString().c_str());
     return 2;
   }
-  int64_t untagged_events = 0;
   Result<std::vector<ReportTrace>> loaded =
       Status::InvalidArgument("unreachable");
   const char* format = nullptr;
@@ -335,7 +319,7 @@ int Run(int argc, char** argv) {
     loaded = LoadRingDump(*doc);
   } else if (doc->Find("traceEvents") != nullptr) {
     format = "chrome trace";
-    loaded = LoadChromeTrace(*doc, &untagged_events);
+    loaded = LoadChromeTrace(*doc);
   } else {
     std::fprintf(stderr,
                  "error: %s is neither a /v1/traces dump (\"traces\") nor a "
@@ -352,27 +336,19 @@ int Run(int argc, char** argv) {
   std::vector<ReportTrace> traces;
   size_t dropped = 0;
   for (ReportTrace& t : *loaded) {
-    if (t.trace_id != "(untraced)" && t.dur_us < min_duration_us) {
+    if (t.dur_us < min_duration_us) {
       ++dropped;
       continue;
     }
     traces.push_back(std::move(t));
   }
   size_t spans = 0;
-  size_t real_traces = 0;
-  for (const ReportTrace& t : traces) {
-    spans += t.spans.size();
-    if (t.trace_id != "(untraced)") ++real_traces;
-  }
+  for (const ReportTrace& t : traces) spans += t.spans.size();
   std::printf("%s: %s, %zu trace(s), %zu span(s)", files[0].c_str(), format,
-              real_traces, spans);
+              traces.size(), spans);
   if (dropped > 0) {
     std::printf(", %zu below --min-duration-us=%lld", dropped,
                 static_cast<long long>(min_duration_us));
-  }
-  if (untagged_events > 0) {
-    std::printf(", %lld untagged event(s)",
-                static_cast<long long>(untagged_events));
   }
   std::printf("\n\n");
   if (spans == 0) {
