@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""CI smoke for `sgcl_cli serve` + serve_load + the serving bench gate.
+"""CI smoke for `sgcl_cli serve` driven by serve_load.
 
-    check_serve.py <sgcl_cli> <serve_load> <bench_diff> \
-                   <dataset.bin> <gin.ckpt> <gcn.ckpt> <baseline.json>
+    check_serve.py <sgcl_cli> <serve_load> <dataset.bin> <gin.ckpt> \
+                   <gcn.ckpt>
 
-Runs the two scenario pairs recorded in BENCH_serve.json:
+Runs two scenario pairs:
 
   serve/batched vs serve/batch1            GCN checkpoint (tape path)
   serve/fused_batched vs serve/fused_batch1  GIN checkpoint (fused plan)
@@ -15,15 +15,9 @@ with micro-batching on (--max-batch-graphs=16), then with batch-size-1
 serving (--max-batch-graphs=1). The tape path has a real per-forward
 fixed cost (op dispatch + tensor allocation), so its pair is where
 micro-batching shows a >= 2x QPS win; the fused GIN plan's per-forward
-cost is near zero, so its pair is expected ~1x and is tracked for
-latency regressions instead.
-
-The four result files are merged into serve_current.json and fed to
-`bench_diff --report-only` against the committed BENCH_serve.json —
-report-only because CI runners are noisy; the gate is that both files
-parse and the benchmark names line up (bench_diff exits 2 on zero
-matches). The >= 2x acceptance number is measured on the pinned bench
-VM, not here.
+cost is near zero, so its pair is expected ~1x. Each pair's QPS ratio is
+printed, not asserted: CI runners are noisy. Serving speed is tracked by
+perfbench's serve-open workload (BENCH_serve-open.json).
 """
 import json
 import re
@@ -105,31 +99,12 @@ def run_pair(cli, serve_load, dataset, model, model_args, prefix):
     print(f"ok: {prefix}batched {qps_b:.1f} qps (occupancy {occupancy:.2f}) "
           f"vs {prefix}batch1 {qps_1:.1f} qps "
           f"-> {qps_b / max(qps_1, 1e-9):.2f}x")
-    return batched, batch1
 
 
 def main() -> int:
-    cli, serve_load, bench_diff, dataset, gin, gcn, baseline = sys.argv[1:8]
-
-    tape_b, tape_1 = run_pair(cli, serve_load, dataset, gcn, GCN_ARGS,
-                              "serve/")
-    fused_b, fused_1 = run_pair(cli, serve_load, dataset, gin, GIN_ARGS,
-                                "serve/fused_")
-
-    merged = {"context": tape_b["context"],
-              "benchmarks": (tape_b["benchmarks"] + tape_1["benchmarks"] +
-                             fused_b["benchmarks"] + fused_1["benchmarks"])}
-    with open("serve_current.json", "w") as out:
-        json.dump(merged, out, indent=1)
-
-    diff = subprocess.run(
-        [bench_diff, baseline, "serve_current.json",
-         "--threshold-pct=25", "--report-only"],
-        capture_output=True, text=True)
-    sys.stdout.write(diff.stdout)
-    sys.stderr.write(diff.stderr)
-    assert diff.returncode == 0, \
-        f"bench_diff exited {diff.returncode} (name mismatch vs baseline?)"
+    cli, serve_load, dataset, gin, gcn = sys.argv[1:6]
+    run_pair(cli, serve_load, dataset, gcn, GCN_ARGS, "serve/")
+    run_pair(cli, serve_load, dataset, gin, GIN_ARGS, "serve/fused_")
     return 0
 
 

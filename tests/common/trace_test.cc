@@ -362,7 +362,9 @@ TEST_F(TraceRingTest, RootSpanCommitsAssembledTree) {
   }
   ASSERT_NE(root_span_id, 0u);
   for (const auto& s : traces[0].spans) {
-    if (s.parent_span_id != 0) EXPECT_EQ(s.parent_span_id, root_span_id);
+    if (s.parent_span_id != 0) {
+      EXPECT_EQ(s.parent_span_id, root_span_id);
+    }
   }
   // The tree JSON nests both children under the root with self_us.
   const std::string tree = TraceRing::Global().TreeJson(trace_id);
@@ -453,7 +455,9 @@ TEST_F(TraceRingTest, ManualSpanWithPreallocatedIdParentsLaterChildren) {
       saw_infer = true;
       EXPECT_EQ(s.parent_span_id, forward_id);
     }
-    if (s.name == "test/forward") EXPECT_EQ(s.span_id, forward_id);
+    if (s.name == "test/forward") {
+      EXPECT_EQ(s.span_id, forward_id);
+    }
   }
   EXPECT_TRUE(saw_infer);
 }

@@ -174,7 +174,7 @@ TEST_F(ServiceTest, MicroBatchedEmbeddingIsBitwiseIdenticalToAlone) {
   // block-diagonal forward (one request with company = one batch).
   const std::string target = OneGraphBody();
   std::string multi = target;
-  multi.insert(multi.rfind("]}"), "," + OtherGraph());
+  multi.insert(multi.rfind("]}"), std::string(",").append(OtherGraph()));
   const std::string batched = FirstRow(Body(Post(port_, "/v1/embed", multi)));
   EXPECT_EQ(alone, batched);
 
@@ -204,7 +204,7 @@ TEST_F(ServiceTest, PredictBatchedIsBitwiseIdenticalToAlone) {
       FirstRow(Body(Post(port_, "/v1/predict", OneGraphBody())));
   ASSERT_FALSE(alone.empty());
   std::string multi = OneGraphBody();
-  multi.insert(multi.rfind("]}"), "," + OtherGraph());
+  multi.insert(multi.rfind("]}"), std::string(",").append(OtherGraph()));
   const std::string batched =
       FirstRow(Body(Post(port_, "/v1/predict", multi)));
   EXPECT_EQ(alone, batched);
@@ -265,7 +265,7 @@ TEST_F(ServiceTest, OverloadGets503WithRetryAfter) {
       entered.set_value();
       release_future.wait();
     }
-    for (const Graph* g : graphs) {
+    for (size_t i = 0; i < graphs.size(); ++i) {
       rows->push_back(std::vector<float>(kHidden, 0.0f));
     }
     return Status::OK();

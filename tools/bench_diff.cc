@@ -1,16 +1,21 @@
-// CI perf-regression gate over google-benchmark JSON result files.
+// CI perf-regression gate over benchmark result files: google-benchmark
+// JSON and the BENCH_*.json files tools/bench_record.py writes.
 //
 //   bench_diff <baseline.json> <current.json> [--threshold-pct=10]
 //              [--report-only] [--fail-on-missing]
 //
 // Loads both files, matches benchmark families by name (the median
-// aggregate when repetitions were used), prints a per-benchmark
-// real-time delta table, and exits nonzero when any matched benchmark is
-// at least --threshold-pct slower than its baseline. --report-only
-// prints the same table but always exits 0 (for informational CI steps
-// on noisy runners); --fail-on-missing additionally fails when a
-// baseline benchmark has no counterpart in the current file (renamed or
-// deleted benchmarks would otherwise dodge the gate).
+// aggregate when repetitions were used), prints a per-benchmark delta
+// table with each value's unit, and exits nonzero when any matched
+// benchmark is at least --threshold-pct worse than its baseline: higher
+// for a lower-is-better entry (times, the default), lower for a
+// higher-is-better one (throughputs). --report-only prints the same table
+// but always exits 0 (for informational CI steps on noisy runners);
+// --fail-on-missing additionally fails when a baseline benchmark has no
+// counterpart in the current file (renamed or deleted benchmarks would
+// otherwise dodge the gate). A "warning:" line names each machine-context
+// key (nproc, isa, build_type, compiler) on which the two files differ;
+// warnings never change the exit code.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -27,7 +32,7 @@ int Run(int argc, char** argv) {
   bool fail_on_missing = false;
   FlagSet flags("bench_diff <baseline.json> <current.json>");
   flags.Double("threshold-pct", &threshold_pct,
-               "fail when a benchmark is at least this % slower");
+               "fail when a benchmark is at least this % worse");
   flags.Bool("report-only", &report_only,
              "print the delta table but always exit 0");
   flags.Bool("fail-on-missing", &fail_on_missing,
@@ -64,15 +69,20 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
-  auto base = LoadBenchmarkJson(files[0]);
+  JsonValue base_context, current_context;
+  auto base = LoadBenchmarkJson(files[0], &base_context);
   if (!base.ok()) {
     std::fprintf(stderr, "error: %s\n", base.status().ToString().c_str());
     return 2;
   }
-  auto current = LoadBenchmarkJson(files[1]);
+  auto current = LoadBenchmarkJson(files[1], &current_context);
   if (!current.ok()) {
     std::fprintf(stderr, "error: %s\n", current.status().ToString().c_str());
     return 2;
+  }
+  for (const std::string& mismatch :
+       ContextMismatches(base_context, current_context)) {
+    std::fprintf(stderr, "warning: %s\n", mismatch.c_str());
   }
 
   const BenchComparison comparison = CompareBenchmarks(*base, *current);

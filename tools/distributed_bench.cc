@@ -1,12 +1,10 @@
 // distributed_bench: data-parallel scaling benchmark over the loopback
-// all-reduce (ISSUE acceptance: 2 workers reach the recorded speedup
-// over 1 worker on the same host WITH bitwise-identical losses).
+// all-reduce: the speedup of N workers over 1 on the same host, reported
+// only WITH bitwise-identical losses.
 //
 //   distributed_bench [--graphs=96] [--epochs=2] [--batch=4]
 //                     [--hidden=16] [--accum=8] [--worlds=1,2]
-//                     [--seed=0] [--out-json=BENCH_distributed.json]
-//                     [--compare=BENCH_distributed.json]
-//                     [--threshold-pct=25]
+//                     [--seed=0] [--out-json=distributed.json]
 //
 // For each worker count in --worlds the tool runs the full production
 // stack in one process: an AllReduceCoordinator plus one thread per
@@ -18,12 +16,12 @@
 // bitwise against world=1 before any throughput number is reported:
 // a speedup that breaks parity is a failure, not a result.
 //
-// Emits google-benchmark JSON (bench_diff-compatible): per-world wall
-// micros, graphs/sec, speedup vs world=1, and the comms counters
-// (allreduce wait micros, bytes moved) that explain scaling gaps.
+// --out-json writes a bench_diff-readable file: per-world wall seconds,
+// graphs/sec, speedup vs world=1, and the comms counters (allreduce wait
+// micros, bytes moved) that explain scaling gaps. tools/bench_record.py
+// records the committed BENCH_distributed.json from it.
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -33,7 +31,6 @@
 #include "comms/allreduce.h"
 #include "common/bench_compare.h"
 #include "common/flags.h"
-#include "common/json.h"
 #include "common/metrics.h"
 #include "common/stopwatch.h"
 #include "core/sgcl_trainer.h"
@@ -53,29 +50,6 @@ int64_t CounterValue(const char* name) {
   const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
   const auto it = snap.counters.find(name);
   return it == snap.counters.end() ? 0 : it->second;
-}
-
-Status WriteBenchJson(
-    const std::string& path,
-    const std::vector<std::pair<std::string, double>>& entries_us,
-    const std::string& context_fields) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return Status::Internal("cannot write " + path);
-  out << "{\"context\":{\"library\":\"distributed_bench\","
-      << context_fields << "},\"benchmarks\":[";
-  for (size_t i = 0; i < entries_us.size(); ++i) {
-    if (i > 0) out << ',';
-    const std::string& name = entries_us[i].first;
-    out << "{\"name\":\"" << JsonEscape(name) << "\",\"run_name\":\""
-        << JsonEscape(name) << "\",\"run_type\":\"iteration\","
-        << "\"iterations\":1,\"real_time\":" << JsonDouble(entries_us[i].second)
-        << ",\"cpu_time\":" << JsonDouble(entries_us[i].second)
-        << ",\"time_unit\":\"us\"}";
-  }
-  out << "]}\n";
-  out.flush();
-  if (!out) return Status::Internal("write failed for " + path);
-  return Status::OK();
 }
 
 struct WorldResult {
@@ -161,8 +135,6 @@ int Run(int argc, char** argv) {
   uint64_t seed = 0;
   std::string worlds_csv = "1,2";
   std::string out_json;
-  std::string compare;
-  double threshold_pct = 25.0;
   FlagSet flags("distributed_bench");
   flags.Int64("graphs", &graphs, "molecules in the benchmark corpus");
   flags.Int("epochs", &epochs, "pretraining epochs per world");
@@ -174,12 +146,7 @@ int Run(int argc, char** argv) {
                "comma-separated worker counts (first must be 1: the "
                "parity baseline)");
   flags.String("out-json", &out_json,
-               "write results as google-benchmark JSON");
-  flags.String("compare", &compare,
-               "baseline google-benchmark JSON to diff against "
-               "(report-only; use bench_diff for gating)");
-  flags.Double("threshold-pct", &threshold_pct,
-               "report --compare slowdowns past this percentage");
+               "write results as a bench_diff-readable JSON file");
   const Status st = flags.Parse(argc, argv, 1);
   if (flags.help_requested()) {
     std::printf("%s", flags.Help().c_str());
@@ -228,7 +195,16 @@ int Run(int argc, char** argv) {
       MakeZincLikeDataset(static_cast<int>(graphs), seed);
   const InMemorySource source(&dataset);
 
-  std::vector<std::pair<std::string, double>> entries;
+  std::vector<BenchEntry> entries;
+  const auto add = [&entries](std::string name, double value,
+                              std::string unit, BenchBetter better) {
+    BenchEntry e;
+    e.name = std::move(name);
+    e.value = value;
+    e.unit = std::move(unit);
+    e.better = better;
+    entries.push_back(std::move(e));
+  };
   std::vector<float> baseline_losses;
   double baseline_gps = 0.0;
   std::printf("corpus: %lld graphs, batch %lld, accum %d, %d epochs\n",
@@ -258,46 +234,26 @@ int Run(int argc, char** argv) {
                 static_cast<long long>(result->bytes));
     const std::string prefix =
         "distributed/world" + std::to_string(world);
-    entries.emplace_back(prefix + "/pretrain", result->wall_s * 1e6);
-    entries.emplace_back(prefix + "/graphs_per_s", gps);
-    entries.emplace_back(prefix + "/speedup_x100", 100.0 * speedup);
-    entries.emplace_back(prefix + "/allreduce_wait_us",
-                         static_cast<double>(result->allreduce_us));
-    entries.emplace_back(prefix + "/comms_bytes",
-                         static_cast<double>(result->bytes));
+    add(prefix + "/pretrain", result->wall_s, "s", BenchBetter::kLower);
+    add(prefix + "/graphs_per_s", gps, "graphs/s", BenchBetter::kHigher);
+    add(prefix + "/speedup_x100", 100.0 * speedup, "%",
+        BenchBetter::kHigher);
+    add(prefix + "/allreduce_wait_us",
+        static_cast<double>(result->allreduce_us), "us", BenchBetter::kLower);
+    add(prefix + "/comms_bytes", static_cast<double>(result->bytes), "bytes",
+        BenchBetter::kLower);
   }
 
   if (!out_json.empty()) {
     const std::string context =
-        "\"graphs\":" + std::to_string(graphs) +
-        ",\"epochs\":" + std::to_string(epochs) +
+        "{\"library\":\"distributed_bench\",\"graphs\":" +
+        std::to_string(graphs) + ",\"epochs\":" + std::to_string(epochs) +
         ",\"batch\":" + std::to_string(batch) +
-        ",\"accum\":" + std::to_string(accum) +
-        ",\"worlds\":\"" + worlds_csv + "\"";
-    const Status written = WriteBenchJson(out_json, entries, context);
+        ",\"accum\":" + std::to_string(accum) + ",\"worlds\":\"" +
+        worlds_csv + "\"}";
+    const Status written = WriteBenchJson(out_json, context, entries);
     if (!written.ok()) return Fail(written);
     std::printf("wrote %s\n", out_json.c_str());
-  }
-  if (!compare.empty()) {
-    auto baseline = LoadBenchmarkJson(compare);
-    if (!baseline.ok()) return Fail(baseline.status());
-    std::vector<BenchEntry> current;
-    for (const auto& [name, value_us] : entries) {
-      BenchEntry e;
-      e.name = name;
-      e.run_name = name;
-      e.real_ns = value_us * 1e3;
-      e.cpu_ns = e.real_ns;
-      current.push_back(std::move(e));
-    }
-    const BenchComparison cmp = CompareBenchmarks(*baseline, current);
-    std::printf("\ncomparison vs %s:\n%s", compare.c_str(),
-                FormatComparison(cmp, threshold_pct).c_str());
-    const int regressions = CountRegressions(cmp, threshold_pct);
-    if (regressions > 0) {
-      std::printf("%d metric(s) regressed past %.1f%% (report-only)\n",
-                  regressions, threshold_pct);
-    }
   }
   return 0;
 }

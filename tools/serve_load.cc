@@ -4,8 +4,7 @@
 //              [--duration-s=S] [--warmup-s=W] [--qps=Q]
 //              [--graphs-per-request=G] [--nodes=N] [--extra-edge-factor=F]
 //              [--pool=R] [--seed=S] [--name-prefix=serve/batched]
-//              [--out-json=current.json] [--compare=BENCH_serve.json]
-//              [--threshold-pct=P]
+//              [--out-json=current.json] [--slowest-traces=K]
 //
 // Drives POST /v1/{embed,predict} over keep-alive connections with a
 // seeded synthetic graph mix: `--pool` request bodies are generated and
@@ -17,11 +16,9 @@
 // Reporting: p50/p95/p99/mean latency, achieved QPS, HTTP error counts,
 // and the server's own batch-occupancy stats scraped from GET /status
 // (the micro-batcher's batch_graphs histogram). --out-json writes a
-// google-benchmark JSON file (bench_diff-compatible): latency quantiles
-// and the mean request interval (1e6/QPS) as microsecond entries — so a
-// QPS drop shows up as a time regression — with QPS, occupancy, and the
-// load configuration recorded in the "context" object. --compare diffs
-// this run against a baseline file, report-only.
+// bench_diff-readable file: achieved QPS (higher is better) and the
+// latency quantiles in microseconds, with QPS, occupancy, request counts
+// and the load configuration recorded in the "context" object.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -35,9 +32,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/bench_compare.h"
@@ -265,28 +262,6 @@ double Quantile(std::vector<double>* sorted, double q) {
   return (*sorted)[lo] * (1.0 - frac) + (*sorted)[hi] * frac;
 }
 
-Status WriteBenchJson(const std::string& path, const std::string& prefix,
-                      const std::vector<std::pair<std::string, double>>& us,
-                      const std::string& context_fields) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return Status::Internal("cannot write " + path);
-  out << "{\"context\":{\"library\":\"serve_load\"," << context_fields
-      << "},\"benchmarks\":[";
-  for (size_t i = 0; i < us.size(); ++i) {
-    if (i > 0) out << ',';
-    const std::string name = prefix + "/" + us[i].first;
-    out << "{\"name\":\"" << JsonEscape(name) << "\",\"run_name\":\""
-        << JsonEscape(name) << "\",\"run_type\":\"iteration\","
-        << "\"iterations\":1,\"real_time\":" << JsonDouble(us[i].second)
-        << ",\"cpu_time\":" << JsonDouble(us[i].second)
-        << ",\"time_unit\":\"us\"}";
-  }
-  out << "]}\n";
-  out.flush();
-  if (!out) return Status::Internal("write failed for " + path);
-  return Status::OK();
-}
-
 int Run(int argc, char** argv) {
   int port = 0;
   std::string endpoint = "embed";
@@ -302,8 +277,6 @@ int Run(int argc, char** argv) {
   uint64_t seed = 1;
   std::string name_prefix = "serve/batched";
   std::string out_json;
-  std::string compare;
-  double threshold_pct = 25.0;
   int64_t slowest_traces = 0;
   FlagSet flags("serve_load");
   flags.Int("port", &port, "sgcl_cli serve port (required)");
@@ -328,12 +301,7 @@ int Run(int argc, char** argv) {
   flags.String("name-prefix", &name_prefix,
                "benchmark entry prefix in --out-json");
   flags.String("out-json", &out_json,
-               "write results as google-benchmark JSON");
-  flags.String("compare", &compare,
-               "baseline google-benchmark JSON to diff against "
-               "(report-only)");
-  flags.Double("threshold-pct", &threshold_pct,
-               "report --compare slowdowns past this percentage");
+               "write results as a bench_diff-readable JSON file");
   flags.Int64("slowest-traces", &slowest_traces,
               "print the trace ids of the K worst-latency sampled "
               "requests (needs the server started with "
@@ -365,16 +333,6 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "error: implausible load configuration\n");
     return 2;
   }
-  std::vector<BenchEntry> baseline;
-  if (!compare.empty()) {
-    auto loaded = LoadBenchmarkJson(compare);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "error: %s\n", loaded.status().ToString().c_str());
-      return 2;
-    }
-    baseline = std::move(*loaded);
-  }
-
   // Model metadata from the server (feature dimension sizes the mix).
   HttpClient probe(port);
   std::string info_body;
@@ -560,19 +518,29 @@ int Run(int argc, char** argv) {
     }
   }
 
-  const double interval_us = achieved_qps > 0.0 ? 1e6 / achieved_qps : 0.0;
-  const std::vector<std::pair<std::string, double>> entries = {
-      {"req_interval_us", interval_us}, {"latency_p50_us", p50},
-      {"latency_p95_us", p95},          {"latency_p99_us", p99},
-      {"latency_mean_us", mean},
-  };
   if (!out_json.empty()) {
+    std::vector<BenchEntry> entries;
+    const auto add = [&](const char* name, double value, const char* unit,
+                         BenchBetter better) {
+      BenchEntry e;
+      e.name = name_prefix + "/" + name;
+      e.value = value;
+      e.unit = unit;
+      e.better = better;
+      entries.push_back(std::move(e));
+    };
+    add("qps", achieved_qps, "req/s", BenchBetter::kHigher);
+    add("latency_p50_us", p50, "us", BenchBetter::kLower);
+    add("latency_p95_us", p95, "us", BenchBetter::kLower);
+    add("latency_p99_us", p99, "us", BenchBetter::kLower);
+    add("latency_mean_us", mean, "us", BenchBetter::kLower);
     const std::string context = StrFormat(
-        "\"endpoint\":\"%s\",\"qps\":%s,\"requests\":%lld,\"ok\":%lld,"
+        "{\"library\":\"serve_load\",\"endpoint\":\"%s\",\"qps\":%s,"
+        "\"requests\":%lld,\"ok\":%lld,"
         "\"concurrency\":%d,\"graphs_per_request\":%lld,\"nodes\":%lld,"
         "\"features\":\"%s\","
         "\"batch_occupancy_mean\":%s,\"batch_occupancy_p95\":%s,"
-        "\"batches\":%lld,\"rejected\":%lld",
+        "\"batches\":%lld,\"rejected\":%lld}",
         endpoint.c_str(), JsonDouble(achieved_qps).c_str(),
         static_cast<long long>(sent), static_cast<long long>(ok), concurrency,
         static_cast<long long>(graphs_per_request),
@@ -580,32 +548,12 @@ int Run(int argc, char** argv) {
         JsonDouble(batch_mean).c_str(),
         JsonDouble(batch_p95).c_str(), static_cast<long long>(batches),
         static_cast<long long>(rejected));
-    const Status written = WriteBenchJson(out_json, name_prefix, entries,
-                                          context);
+    const Status written = WriteBenchJson(out_json, context, entries);
     if (!written.ok()) {
       std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
       return 2;
     }
     std::printf("wrote %s\n", out_json.c_str());
-  }
-  if (!compare.empty()) {
-    std::vector<BenchEntry> current;
-    for (const auto& [name, value] : entries) {
-      BenchEntry e;
-      e.name = name_prefix + "/" + name;
-      e.run_name = e.name;
-      e.real_ns = value * 1e3;
-      e.cpu_ns = e.real_ns;
-      current.push_back(std::move(e));
-    }
-    const BenchComparison cmp = CompareBenchmarks(baseline, current);
-    std::printf("\ncomparison vs %s:\n%s", compare.c_str(),
-                FormatComparison(cmp, threshold_pct).c_str());
-    const int regressions = CountRegressions(cmp, threshold_pct);
-    if (regressions > 0) {
-      std::printf("%d metric(s) regressed past %.1f%% (report-only)\n",
-                  regressions, threshold_pct);
-    }
   }
   if (ok == 0) {
     std::fprintf(stderr, "error: no successful responses\n");

@@ -15,14 +15,6 @@
 //                      shard cache + prefetch depth, not the corpus size
 //   sgcl_cli evaluate  --data=ds.bin --model=model.ckpt [--folds=K]
 //   sgcl_cli scores    --data=ds.bin --model=model.ckpt [--graph=I]
-//   sgcl_cli bench     [--data=ds.bin] [--epochs=N] [--graphs=N]
-//                      [--out-json=stages.json] [--compare=baseline.json]
-//                      [--threshold-pct=P] [...]
-//                      prints a per-stage timing table; --out-json writes
-//                      the stage totals as a google-benchmark JSON file
-//                      (bench_diff-compatible) and --compare diffs the run
-//                      against such a baseline (malformed/empty baseline
-//                      JSON fails with a Status before training starts)
 //   sgcl_cli serve     --model=model.ckpt (--feat-dim=D | --data=ds.bin)
 //                      [--http-port=P] [--http-threads=N]
 //                      [--max-batch-graphs=G] [--max-batch-nodes=V]
@@ -40,11 +32,12 @@
 // malformed values ("--epochs=abc"), unknown flags, and positional
 // arguments are errors, not silent defaults.
 //
-// Observability (pretrain/bench): --metrics-out streams one JSON object
-// per epoch (loss, wall seconds, per-stage seconds) plus a final line
+// Observability (pretrain): --metrics-out streams one JSON object per
+// epoch (loss, wall seconds, per-stage seconds) plus a final line
 // embedding the full metrics-registry snapshot; --trace-out writes the
 // trace ring (the last --trace-ring-size sampled batches) as a
-// chrome://tracing / Perfetto-loadable span file;
+// chrome://tracing / Perfetto-loadable span file, whose per-stage self
+// times `trace_report` tabulates;
 // --log-json appends structured JSONL log records; --http-port serves
 // live /metrics /healthz /status /trace for the duration of the run.
 // Every sink and endpoint is stamped with one generated run id so the
@@ -58,18 +51,15 @@
 // that directory — or from scratch when there is none — and replays the
 // remaining epochs with bitwise-identical losses (core/train_state.h).
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <thread>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "comms/allreduce.h"
-#include "common/bench_compare.h"
 #include "common/flags.h"
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -81,7 +71,6 @@
 #include "data/shard_store.h"
 #include "data/synthetic_tu.h"
 #include "eval/cross_validation.h"
-#include "eval/table.h"
 #include "graph/dataset_io.h"
 #include "graph/graph_source.h"
 #include "nn/checkpoint.h"
@@ -363,14 +352,12 @@ std::string EpochReportJson(const EpochReport& r) {
 }
 
 // Runs Pretrain with the observability sinks and (optionally) the live
-// telemetry endpoint attached; collects per-epoch reports for callers
-// that post-process them (bench's table). `command` labels the run in
-// /status and log records.
+// telemetry endpoint attached. `command` labels the run in /status and
+// log records.
 Result<PretrainStats> ObservedPretrain(SgclTrainer* trainer,
                                        const GraphSource& source,
                                        const ObservabilityFlags& obs,
                                        const char* command, int total_epochs,
-                                       std::vector<EpochReport>* reports,
                                        const CheckpointFlags* ckpt = nullptr,
                                        int prefetch_depth = 2,
                                        DistributedRun* dist = nullptr) {
@@ -446,7 +433,6 @@ Result<PretrainStats> ObservedPretrain(SgclTrainer* trainer,
   PretrainOptions options;
   options.prefetch_depth = prefetch_depth;
   options.on_epoch_end = [&](const EpochReport& report) {
-    if (reports != nullptr) reports->push_back(report);
     if (metrics_stream.is_open()) {
       metrics_stream << EpochReportJson(report) << "\n";
     }
@@ -656,7 +642,7 @@ int CmdPretrain(int argc, char** argv) {
                            1u << 20));
   }
   auto stats = ObservedPretrain(&trainer, *source, obs, "pretrain",
-                                cfg->epochs, nullptr, &ckpt, prefetch_depth,
+                                cfg->epochs, &ckpt, prefetch_depth,
                                 dist_flags.workers > 0 ? &dist_run : nullptr);
   if (!stats.ok()) return Fail(stats.status());
   std::printf("pretrained %d epochs: loss %.4f -> %.4f\n", cfg->epochs,
@@ -737,158 +723,6 @@ int CmdScores(int argc, char** argv) {
       std::printf("  %s", g.semantic_mask()[v] ? "S" : "-");
     }
     std::printf("\n");
-  }
-  return 0;
-}
-
-// Writes the per-stage totals of a bench run as a google-benchmark JSON
-// result file so bench_diff / --compare can consume it. Entries are named
-// "stage/<name>" plus "epoch/wall"; times are seconds (time_unit "s").
-Status WriteStageBenchJson(const std::string& path,
-                           const std::vector<BenchEntry>& entries) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return Status::Internal("cannot write " + path);
-  out << "{\"context\":{\"library\":\"sgcl_cli bench\"},\"benchmarks\":[";
-  for (size_t i = 0; i < entries.size(); ++i) {
-    if (i > 0) out << ',';
-    const double secs = entries[i].real_ns * 1e-9;
-    out << "{\"name\":\"" << JsonEscape(entries[i].name)
-        << "\",\"run_name\":\"" << JsonEscape(entries[i].run_name)
-        << "\",\"run_type\":\"iteration\",\"iterations\":1"
-        << ",\"real_time\":" << JsonDouble(secs)
-        << ",\"cpu_time\":" << JsonDouble(secs) << ",\"time_unit\":\"s\"}";
-  }
-  out << "]}\n";
-  out.flush();
-  if (!out) return Status::Internal("write failed for " + path);
-  return Status::OK();
-}
-
-int CmdBench(int argc, char** argv) {
-  std::string data;
-  std::string dataset = "MUTAG";
-  int graphs = 60;
-  uint64_t seed = 1;
-  std::string out_json;
-  std::string compare;
-  double threshold_pct = 10.0;
-  ModelFlags model_flags;
-  model_flags.epochs = 5;
-  ObservabilityFlags obs;
-  FlagSet flags("sgcl_cli bench");
-  flags.String("data", &data,
-               "dataset path (generates a synthetic one when empty)");
-  flags.String("dataset", &dataset, "TU dataset to synthesize when no --data");
-  flags.Int("graphs", &graphs, "synthesized graph count when no --data");
-  flags.Uint64("seed", &seed, "training seed");
-  flags.String("out-json", &out_json,
-               "write stage totals as google-benchmark JSON");
-  flags.String("compare", &compare,
-               "baseline google-benchmark JSON to diff this run against");
-  flags.Double("threshold-pct", &threshold_pct,
-               "flag --compare slowdowns at or past this percentage");
-  model_flags.Register(&flags);
-  obs.Register(&flags);
-  if (int rc = HandleParse(flags, flags.Parse(argc, argv, 2)); rc >= 0) {
-    return rc;
-  }
-  // Load the baseline up front so a malformed/empty --compare file fails
-  // with a proper Status before any training work starts.
-  std::vector<BenchEntry> baseline;
-  if (!compare.empty()) {
-    auto loaded = LoadBenchmarkJson(compare);
-    if (!loaded.ok()) return Fail(loaded.status());
-    baseline = std::move(*loaded);
-  }
-  GraphDataset ds;
-  if (data.empty()) {
-    auto which = DatasetByName(dataset);
-    if (!which.ok()) return Fail(which.status());
-    SyntheticTuOptions opt;
-    opt.graph_fraction = std::min(
-        1.0, static_cast<double>(graphs) / GetTuConfig(*which).num_graphs);
-    opt.node_cap = 20.0;
-    opt.seed = seed;
-    ds = MakeTuDataset(*which, opt);
-  } else {
-    auto loaded = LoadDataset(data);
-    if (!loaded.ok()) return Fail(loaded.status());
-    ds = std::move(*loaded);
-  }
-  auto cfg = model_flags.ToConfig(ds.feat_dim());
-  if (!cfg.ok()) return Fail(cfg.status());
-  SgclTrainer trainer(*cfg, seed);
-  std::vector<EpochReport> reports;
-  const InMemorySource bench_source(&ds);
-  auto stats = ObservedPretrain(&trainer, bench_source, obs, "bench",
-                                cfg->epochs, &reports);
-  if (!stats.ok()) return Fail(stats.status());
-
-  // Per-stage wall time, mean ± std across epochs, plus the run total.
-  // Stages nest in parallel workers, so a stage total can exceed wall time.
-  std::map<std::string, std::vector<double>> by_stage;
-  std::vector<double> wall;
-  for (const EpochReport& r : reports) {
-    wall.push_back(r.seconds);
-    for (const auto& [stage, secs] : r.stage_seconds) {
-      by_stage[stage].push_back(secs);
-    }
-  }
-  auto mean_std = [](const std::vector<double>& xs) {
-    MeanStd ms;
-    if (xs.empty()) return ms;
-    for (double x : xs) ms.mean += x;
-    ms.mean /= static_cast<double>(xs.size());
-    for (double x : xs) ms.std += (x - ms.mean) * (x - ms.mean);
-    ms.std = std::sqrt(ms.std / static_cast<double>(xs.size()));
-    return ms;
-  };
-  ResultTable table({"s/epoch", "total s"});
-  for (const auto& [stage, secs] : by_stage) {
-    double total = 0.0;
-    for (double s : secs) total += s;
-    table.AddRow(stage, {mean_std(secs), MeanStd{total, 0.0}});
-  }
-  table.AddRow("epoch (wall)",
-               {mean_std(wall), MeanStd{stats->total_seconds, 0.0}});
-  std::printf("\nstage timings over %d epochs (%s, %lld graphs):\n%s",
-              static_cast<int>(reports.size()), model_flags.arch.c_str(),
-              static_cast<long long>(ds.size()),
-              table.ToString(/*with_ranks=*/false).c_str());
-
-  if (!out_json.empty() || !compare.empty()) {
-    std::vector<BenchEntry> current;
-    for (const auto& [stage, secs] : by_stage) {
-      double total = 0.0;
-      for (double s : secs) total += s;
-      BenchEntry e;
-      e.name = "stage/" + stage;
-      e.run_name = e.name;
-      e.real_ns = total * 1e9;
-      e.cpu_ns = e.real_ns;
-      current.push_back(std::move(e));
-    }
-    BenchEntry wall_entry;
-    wall_entry.name = "epoch/wall";
-    wall_entry.run_name = wall_entry.name;
-    wall_entry.real_ns = stats->total_seconds * 1e9;
-    wall_entry.cpu_ns = wall_entry.real_ns;
-    current.push_back(std::move(wall_entry));
-    if (!out_json.empty()) {
-      const Status written = WriteStageBenchJson(out_json, current);
-      if (!written.ok()) return Fail(written);
-      std::printf("wrote %s\n", out_json.c_str());
-    }
-    if (!compare.empty()) {
-      const BenchComparison cmp = CompareBenchmarks(baseline, current);
-      std::printf("\ncomparison vs %s:\n%s", compare.c_str(),
-                  FormatComparison(cmp, threshold_pct).c_str());
-      const int regressions = CountRegressions(cmp, threshold_pct);
-      if (regressions > 0) {
-        std::printf("%d stage(s) regressed past %.1f%% (report-only)\n",
-                    regressions, threshold_pct);
-      }
-    }
   }
   return 0;
 }
@@ -1021,7 +855,7 @@ int Run(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: sgcl_cli "
-                 "<generate|info|pretrain|evaluate|scores|bench|serve> "
+                 "<generate|info|pretrain|evaluate|scores|serve> "
                  "[--flags]\n"
                  "run 'sgcl_cli <command> --help' for per-command flags\n");
     return 2;
@@ -1033,7 +867,6 @@ int Run(int argc, char** argv) {
   if (cmd == "pretrain") return CmdPretrain(argc, argv);
   if (cmd == "evaluate") return CmdEvaluate(argc, argv);
   if (cmd == "scores") return CmdScores(argc, argv);
-  if (cmd == "bench") return CmdBench(argc, argv);
   if (cmd == "serve") return CmdServe(argc, argv);
   std::fprintf(stderr, "unknown command %s\n", cmd.c_str());
   return 2;
