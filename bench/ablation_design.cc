@@ -13,8 +13,8 @@
 #include "common/stopwatch.h"
 #include "eval/evaluator.h"
 
-using namespace sgcl;         // NOLINT
-using namespace sgcl::bench;  // NOLINT
+using namespace sgcl;
+using namespace sgcl::bench;
 
 namespace {
 

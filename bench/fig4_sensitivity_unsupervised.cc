@@ -10,8 +10,8 @@
 #include "common/stopwatch.h"
 #include "eval/evaluator.h"
 
-using namespace sgcl;         // NOLINT
-using namespace sgcl::bench;  // NOLINT
+using namespace sgcl;
+using namespace sgcl::bench;
 
 namespace {
 

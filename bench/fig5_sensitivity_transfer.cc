@@ -12,8 +12,8 @@
 #include "eval/metrics.h"
 #include "graph/splits.h"
 
-using namespace sgcl;         // NOLINT
-using namespace sgcl::bench;  // NOLINT
+using namespace sgcl;
+using namespace sgcl::bench;
 
 namespace {
 

@@ -10,8 +10,8 @@
 #include "eval/evaluator.h"
 #include "eval/table.h"
 
-using namespace sgcl;         // NOLINT
-using namespace sgcl::bench;  // NOLINT
+using namespace sgcl;
+using namespace sgcl::bench;
 
 int main(int argc, char** argv) {
   SetLogLevel(LogLevel::kWarning);

@@ -16,8 +16,8 @@
 #include "data/superpixel.h"
 #include "eval/metrics.h"
 
-using namespace sgcl;         // NOLINT
-using namespace sgcl::bench;  // NOLINT
+using namespace sgcl;
+using namespace sgcl::bench;
 
 namespace {
 

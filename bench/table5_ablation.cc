@@ -17,8 +17,8 @@
 #include "eval/table.h"
 #include "graph/splits.h"
 
-using namespace sgcl;         // NOLINT
-using namespace sgcl::bench;  // NOLINT
+using namespace sgcl;
+using namespace sgcl::bench;
 
 namespace {
 

@@ -10,7 +10,7 @@
 #include "core/sgcl_trainer.h"
 #include "data/superpixel.h"
 
-using namespace sgcl;  // NOLINT: example brevity
+using namespace sgcl;
 
 namespace {
 

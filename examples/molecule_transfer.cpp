@@ -12,7 +12,7 @@
 #include "eval/finetune.h"
 #include "graph/splits.h"
 
-using namespace sgcl;  // NOLINT: example brevity
+using namespace sgcl;
 
 int main(int argc, char** argv) {
   const uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 11;

@@ -11,7 +11,7 @@
 #include "data/synthetic_tu.h"
 #include "eval/cross_validation.h"
 
-using namespace sgcl;  // NOLINT: example brevity
+using namespace sgcl;
 
 int main(int argc, char** argv) {
   const uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 7;

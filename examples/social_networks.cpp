@@ -14,7 +14,7 @@
 #include "data/synthetic_tu.h"
 #include "eval/evaluator.h"
 
-using namespace sgcl;  // NOLINT: example brevity
+using namespace sgcl;
 
 int main(int argc, char** argv) {
   const uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 21;

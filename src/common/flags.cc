@@ -1,7 +1,9 @@
 #include "common/flags.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 
@@ -19,8 +21,19 @@ const char* TypeName(int type) {
 // Strict numeric parses: the whole token must convert, no trailing junk,
 // no out-of-range values (the std::atoi path these replace turned
 // "--epochs=abc" into 0 without a word).
-bool ParseInt64(const std::string& s, int64_t* out) {
+//
+// The strto* family also skips leading whitespace and accepts a leading
+// '+', and strtoull negates a '-' (" -1" became 2^64-1), so the first
+// character is checked here: no whitespace, no '+', and '-' only where
+// the type is signed.
+bool StartsCleanly(const std::string& s, bool allow_minus) {
   if (s.empty()) return false;
+  const unsigned char c = static_cast<unsigned char>(s[0]);
+  return !std::isspace(c) && c != '+' && (allow_minus || c != '-');
+}
+
+bool ParseInt64(const std::string& s, int64_t* out) {
+  if (!StartsCleanly(s, /*allow_minus=*/true)) return false;
   errno = 0;
   char* end = nullptr;
   const long long v = std::strtoll(s.c_str(), &end, 10);
@@ -30,7 +43,7 @@ bool ParseInt64(const std::string& s, int64_t* out) {
 }
 
 bool ParseUint64(const std::string& s, uint64_t* out) {
-  if (s.empty() || s[0] == '-') return false;
+  if (!StartsCleanly(s, /*allow_minus=*/false)) return false;
   errno = 0;
   char* end = nullptr;
   const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
@@ -39,12 +52,16 @@ bool ParseUint64(const std::string& s, uint64_t* out) {
   return true;
 }
 
+// Finite values only: strtod also reads "nan" and "inf", which pass
+// every range check a caller writes as `v < lo || v > hi`.
 bool ParseDouble(const std::string& s, double* out) {
-  if (s.empty()) return false;
+  if (!StartsCleanly(s, /*allow_minus=*/true)) return false;
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
+  if (errno != 0 || end != s.c_str() + s.size() || !std::isfinite(v)) {
+    return false;
+  }
   *out = v;
   return true;
 }

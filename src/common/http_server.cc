@@ -198,6 +198,10 @@ Status HttpServer::Start(int port, const HttpServerOptions& options) {
   if (running()) {
     return Status::InvalidArgument("HttpServer already running");
   }
+  if (port < 0 || port > 65535) {
+    return Status::InvalidArgument(
+        StrFormat("port %d is outside [0, 65535]", port));
+  }
   options_ = options;
   options_.num_threads = std::max(1, options_.num_threads);
   options_.idle_timeout_ms = std::max(1, options_.idle_timeout_ms);

@@ -6,14 +6,13 @@
 #include <algorithm>
 #include <cctype>
 #include <fstream>
-#include <map>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/lint_internal.h"
 #include "common/metrics.h"  // JsonEscape
+#include "common/parallel.h"
 #include "common/string_util.h"
 
 namespace sgcl::lint {
@@ -163,39 +162,6 @@ void ScrubLines(const std::string& content, std::vector<std::string>* raw,
   }
 }
 
-void CollectFallibleNames(const std::string& line,
-                          std::set<std::string>* names) {
-  for (size_t i = 0; i < line.size(); ++i) {
-    size_t after = std::string::npos;
-    if (TokenAt(line, i, "Status")) {
-      after = i + 6;
-    } else if (TokenAt(line, i, "Result")) {
-      size_t j = SkipSpaces(line, i + 6);
-      if (j >= line.size() || line[j] != '<') continue;
-      int depth = 0;
-      while (j < line.size()) {
-        if (line[j] == '<') ++depth;
-        if (line[j] == '>') {
-          --depth;
-          if (depth == 0) break;
-        }
-        ++j;
-      }
-      if (j >= line.size()) continue;  // template args span lines: skip
-      after = j + 1;
-    }
-    if (after == std::string::npos) continue;
-    size_t j = SkipSpaces(line, after);
-    if (j >= line.size() || !IsIdentStart(line[j])) continue;
-    const size_t name_begin = j;
-    while (j < line.size() && IsIdentChar(line[j])) ++j;
-    const std::string name = line.substr(name_begin, j - name_begin);
-    j = SkipSpaces(line, j);
-    if (j < line.size() && line[j] == '(') names->insert(name);
-    i = j;
-  }
-}
-
 }  // namespace internal
 
 namespace {
@@ -283,58 +249,6 @@ Suppressions ParseSuppressions(const std::vector<std::string>& raw,
   return out;
 }
 
-// ---- sgcl-R1 helpers -------------------------------------------------
-
-bool IsMacroName(const std::string& name) {
-  for (char c : name) {
-    if (std::islower(static_cast<unsigned char>(c))) return false;
-  }
-  return true;
-}
-
-const char* const kStatementKeywords[] = {
-    "return",   "if",     "while",  "for",       "switch", "case",
-    "delete",   "new",    "using",  "namespace", "class",  "struct",
-    "enum",     "throw",  "goto",   "else",      "do",     "break",
-    "continue", "public", "private", "protected", "template", "typedef",
-    "co_return", "static_assert", "sizeof",
-};
-
-// If `trimmed` is a bare expression-statement call `a.b.c(...);`,
-// returns the final callee identifier; otherwise "".
-std::string BareCallCallee(const std::string& trimmed) {
-  if (trimmed.empty() || trimmed.back() != ';') return "";
-  if (trimmed.find('=') != std::string::npos) return "";
-  for (const char* kw : kStatementKeywords) {
-    if (TokenAt(trimmed, 0, kw)) return "";
-  }
-  size_t i = 0;
-  std::string last;
-  for (;;) {
-    if (i >= trimmed.size() || !IsIdentStart(trimmed[i])) return "";
-    const size_t begin = i;
-    while (i < trimmed.size() && IsIdentChar(trimmed[i])) ++i;
-    last = trimmed.substr(begin, i - begin);
-    if (i + 1 < trimmed.size() && trimmed[i] == ':' && trimmed[i + 1] == ':') {
-      i += 2;
-      continue;
-    }
-    if (i < trimmed.size() && trimmed[i] == '.') {
-      i += 1;
-      continue;
-    }
-    if (i + 1 < trimmed.size() && trimmed[i] == '-' && trimmed[i + 1] == '>') {
-      i += 2;
-      continue;
-    }
-    break;
-  }
-  if (i >= trimmed.size() || trimmed[i] != '(') return "";
-  // The statement must be nothing but this call: `callee(...);`.
-  if (trimmed.rfind(");") != trimmed.size() - 2) return "";
-  return last;
-}
-
 // ---- sgcl-R3 helpers -------------------------------------------------
 
 const char* const kCheckMacros[] = {
@@ -394,18 +308,16 @@ std::string RuleMessageR2(const std::string& what) {
       what.c_str());
 }
 
-// ---- line pass (sgcl-R1..R7), pre-suppression ------------------------
+// ---- line pass (sgcl-R2..R7), pre-suppression ------------------------
 
 void LineRuleFindings(const std::string& path,
-                      const std::vector<std::string>& raw,
                       const std::vector<std::string>& scrubbed,
-                      const std::vector<std::string>& fallible_names,
                       std::vector<Finding>* out) {
   const bool is_header =
       path.size() > 2 && path.compare(path.size() - 2, 2, ".h") == 0;
 
   const auto emit = [&](size_t line_idx, const char* rule, Severity severity,
-                        std::string message) -> Finding* {
+                        std::string message) {
     Finding f;
     f.file = path;
     f.line = static_cast<int>(line_idx + 1);
@@ -413,11 +325,8 @@ void LineRuleFindings(const std::string& path,
     f.severity = severity;
     f.message = std::move(message);
     out->push_back(std::move(f));
-    return &out->back();
   };
 
-  const std::set<std::string> fallible(fallible_names.begin(),
-                                       fallible_names.end());
   const bool rng_impl = path.rfind("src/common/rng.", 0) == 0;
   // R6 scope: production checkpoint-path sources. Tests are exempt —
   // corruption tests write torn files on purpose.
@@ -432,29 +341,6 @@ void LineRuleFindings(const std::string& path,
 
   for (size_t li = 0; li < scrubbed.size(); ++li) {
     const std::string& line = scrubbed[li];
-
-    // R1: discarded fallible call. Only statement-start lines count: a
-    // line continuing `x =` / `return` from above is part of that
-    // statement, not a discarded call.
-    bool statement_start = true;
-    for (size_t pj = li; pj > 0; --pj) {
-      const std::string prev = Trim(scrubbed[pj - 1]);
-      if (prev.empty()) continue;
-      statement_start = prev.back() == ';' || prev.back() == '{' ||
-                        prev.back() == '}' || prev.back() == ':' ||
-                        prev[0] == '#';
-      break;
-    }
-    const std::string trimmed = Trim(line);
-    const std::string callee =
-        statement_start ? BareCallCallee(trimmed) : std::string();
-    if (!callee.empty() && !IsMacroName(callee) &&
-        fallible.count(callee) != 0) {
-      emit(li, "sgcl-R1", Severity::kWarning,
-           StrFormat("result of fallible call '%s' is discarded; bind it, "
-                     "return it, or wrap it in a check macro",
-                     callee.c_str()));
-    }
 
     // R2: nondeterminism sources.
     if (!rng_impl) {
@@ -619,9 +505,7 @@ void LineRuleFindings(const std::string& path,
     }
   }
 
-  // R4a: include-guard name must derive from the file path. A mismatch
-  // carries fixes renaming every directive-line occurrence of the
-  // actual guard (#ifndef, #define, and the #endif trailer).
+  // R4a: include-guard name must derive from the file path.
   if (is_header) {
     const std::string expected = ExpectedIncludeGuard(path);
     size_t guard_line = std::string::npos;
@@ -639,51 +523,23 @@ void LineRuleFindings(const std::string& path,
            StrFormat("missing include guard (expected #ifndef %s)",
                      expected.c_str()));
     } else if (actual != expected) {
-      Finding* f = emit(
-          guard_line, "sgcl-R4", Severity::kError,
-          StrFormat("include guard '%s' does not match path (expected %s)",
-                    actual.c_str(), expected.c_str()));
-      if (!actual.empty()) {
-        for (size_t li = 0; li < raw.size(); ++li) {
-          if (Trim(scrubbed[li]).rfind("#", 0) != 0) continue;
-          for (size_t pos = 0; (pos = raw[li].find(actual, pos)) !=
-                               std::string::npos;
-               pos += actual.size()) {
-            if (!TokenAt(raw[li], pos, actual)) continue;
-            f->fixes.push_back({static_cast<int>(li + 1),
-                                static_cast<int>(pos),
-                                static_cast<int>(actual.size()), expected});
-          }
-        }
-      }
+      emit(guard_line, "sgcl-R4", Severity::kError,
+           StrFormat("include guard '%s' does not match path (expected %s)",
+                     actual.c_str(), expected.c_str()));
     } else {
       // The matching #define must follow.
       bool defined = false;
-      size_t define_line = std::string::npos;
-      std::string define_name;
       for (size_t li = guard_line + 1; li < scrubbed.size(); ++li) {
         const std::string t = Trim(scrubbed[li]);
         if (t.rfind("#define", 0) == 0) {
-          define_name = Trim(t.substr(7));
-          define_line = li;
-          defined = define_name == expected;
+          defined = Trim(t.substr(7)) == expected;
           break;
         }
       }
       if (!defined) {
-        Finding* f = emit(
-            guard_line, "sgcl-R4", Severity::kError,
-            StrFormat("#ifndef %s is not followed by a matching #define",
-                      expected.c_str()));
-        if (define_line != std::string::npos && !define_name.empty()) {
-          const size_t pos = raw[define_line].find(define_name);
-          if (pos != std::string::npos) {
-            f->fixes.push_back({static_cast<int>(define_line + 1),
-                                static_cast<int>(pos),
-                                static_cast<int>(define_name.size()),
-                                expected});
-          }
-        }
+        emit(guard_line, "sgcl-R4", Severity::kError,
+             StrFormat("#ifndef %s is not followed by a matching #define",
+                       expected.c_str()));
       }
     }
   }
@@ -699,11 +555,11 @@ void SortFindings(std::vector<Finding>* findings) {
             });
 }
 
-}  // namespace
-
 const char* SeverityToString(Severity severity) {
   return severity == Severity::kWarning ? "warning" : "error";
 }
+
+}  // namespace
 
 Result<LintOptions> LoadAllowlist(const std::string& path) {
   std::ifstream in(path);
@@ -742,12 +598,12 @@ Result<LintOptions> LoadAllowlist(const std::string& path) {
       valid_rule = !num.empty() && num.size() <= 2 &&
                    num.find_first_not_of("0123456789") == std::string::npos;
       if (valid_rule) value = std::stoi(num);
-      valid_rule = valid_rule && value >= 1 && value <= 10;
+      valid_rule = valid_rule && value >= 2 && value <= 10;
     }
     if (file.empty() || !valid_rule) {
       return Status::InvalidArgument(
           StrFormat("allowlist %s:%d: bad entry '%s' (rule must be "
-                    "sgcl-R1..sgcl-R10 or *)",
+                    "sgcl-R2..sgcl-R10 or *)",
                     path.c_str(), lineno, entry.c_str()));
     }
     if (reason.empty()) {
@@ -760,18 +616,19 @@ Result<LintOptions> LoadAllowlist(const std::string& path) {
   return options;
 }
 
+namespace internal {
+
 FileAnalysis AnalyzeFile(const std::string& path, const std::string& content,
                          const GlobalTables& tables,
                          const LintOptions& options) {
   std::vector<std::string> raw, scrubbed;
   std::vector<int> comment_cols;
-  internal::ScrubLines(content, &raw, &scrubbed, &comment_cols);
+  ScrubLines(content, &raw, &scrubbed, &comment_cols);
   Suppressions sup = ParseSuppressions(raw, comment_cols);
 
   std::vector<Finding> candidates;
-  LineRuleFindings(path, raw, scrubbed, tables.fallible_names, &candidates);
-  internal::FlowResult flow =
-      internal::RunFlowPass(path, Tokenize(content), tables);
+  LineRuleFindings(path, scrubbed, &candidates);
+  FlowResult flow = RunFlowPass(path, Tokenize(content), tables);
   for (Finding& f : flow.findings) candidates.push_back(std::move(f));
 
   FileAnalysis out;
@@ -824,64 +681,6 @@ FileAnalysis AnalyzeFile(const std::string& path, const std::string& content,
   return out;
 }
 
-std::string ApplyFixes(const std::string& path, const std::string& content,
-                       const std::vector<Finding>& findings) {
-  std::vector<FixEdit> edits;
-  for (const Finding& f : findings) {
-    if (f.file != path) continue;
-    edits.insert(edits.end(), f.fixes.begin(), f.fixes.end());
-  }
-  if (edits.empty()) return content;
-  // Bottom-up, right-to-left so earlier offsets stay valid.
-  std::sort(edits.begin(), edits.end(), [](const FixEdit& a, const FixEdit& b) {
-    if (a.line != b.line) return a.line > b.line;
-    return a.col > b.col;
-  });
-  std::vector<std::string> lines;
-  {
-    std::string cur;
-    for (char c : content) {
-      if (c == '\n') {
-        lines.push_back(cur);
-        cur.clear();
-      } else {
-        cur += c;
-      }
-    }
-    lines.push_back(cur);
-  }
-  int last_line = -1;
-  int last_col = -1;
-  for (const FixEdit& e : edits) {
-    if (e.line < 1 || static_cast<size_t>(e.line) > lines.size()) continue;
-    std::string& line = lines[e.line - 1];
-    if (e.col < 0 || static_cast<size_t>(e.col) > line.size()) continue;
-    // Overlap (same span edited twice): keep the first-applied edit.
-    if (e.line == last_line && e.col + e.len > last_col) continue;
-    const size_t len =
-        std::min(static_cast<size_t>(e.len), line.size() - e.col);
-    line.replace(static_cast<size_t>(e.col), len, e.replacement);
-    last_line = e.line;
-    last_col = e.col;
-  }
-  std::string out;
-  for (size_t i = 0; i < lines.size(); ++i) {
-    if (i > 0) out += '\n';
-    out += lines[i];
-  }
-  return out;
-}
-
-Linter::Linter(LintOptions options) : options_(std::move(options)) {}
-
-void Linter::AddFile(const std::string& path, const std::string& content) {
-  FileDecls decls = ExtractDecls(content);
-  std::set<std::string> names(fallible_names_.begin(), fallible_names_.end());
-  names.insert(decls.fallible_names.begin(), decls.fallible_names.end());
-  fallible_names_.assign(names.begin(), names.end());
-  files_.push_back({path, content, std::move(decls)});
-}
-
 std::vector<Finding> MergeAnalyses(const std::vector<std::string>& paths,
                                    const std::vector<FileAnalysis>& analyses,
                                    const LintOptions& options) {
@@ -928,21 +727,46 @@ std::vector<Finding> MergeAnalyses(const std::vector<std::string>& paths,
   return findings;
 }
 
-std::vector<Finding> Linter::Run() const {
-  std::vector<FileDecls> decls;
-  decls.reserve(files_.size());
-  for (const FileEntry& file : files_) decls.push_back(file.decls);
-  const GlobalTables tables = BuildTables(decls);
+}  // namespace internal
 
+Linter::Linter(LintOptions options) : options_(std::move(options)) {}
+
+void Linter::AddFile(std::string path, std::string content) {
+  files_.push_back({std::move(path), std::move(content)});
+}
+
+std::vector<Finding> Linter::Run() const {
+  std::vector<const FileEntry*> files;
+  files.reserve(files_.size());
+  for (const FileEntry& file : files_) files.push_back(&file);
+  std::sort(files.begin(), files.end(),
+            [](const FileEntry* a, const FileEntry* b) {
+              return a->path < b->path;
+            });
   std::vector<std::string> paths;
-  std::vector<FileAnalysis> analyses;
-  paths.reserve(files_.size());
-  analyses.reserve(files_.size());
-  for (const FileEntry& file : files_) {
-    paths.push_back(file.path);
-    analyses.push_back(AnalyzeFile(file.path, file.content, tables, options_));
-  }
-  return MergeAnalyses(paths, analyses, options_);
+  paths.reserve(files.size());
+  for (const FileEntry* file : files) paths.push_back(file->path);
+  const int64_t n = static_cast<int64_t>(files.size());
+
+  // Phase 1: every file's declarations, merged into repo-wide tables.
+  std::vector<FileDecls> decls(files.size());
+  ParallelFor(0, n, 1, [&](int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) {
+      decls[i] = ExtractDecls(files[i]->content);
+    }
+  });
+  const internal::GlobalTables tables = internal::BuildTables(decls);
+
+  // Phase 2: per-file analysis into per-file slots, merged in path order
+  // so the report is identical for every pool size.
+  std::vector<internal::FileAnalysis> analyses(files.size());
+  ParallelFor(0, n, 1, [&](int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) {
+      analyses[i] = internal::AnalyzeFile(paths[i], files[i]->content,
+                                          tables, options_);
+    }
+  });
+  return internal::MergeAnalyses(paths, analyses, options_);
 }
 
 std::string ExpectedIncludeGuard(const std::string& path) {

@@ -1,16 +1,13 @@
 // sgcl_lint: in-repo static analyzer enforcing project invariants that
-// the compiler cannot (fully) check. Two passes share one engine
-// (DESIGN.md §9): a line pass over comment/string-scrubbed lines for
-// the classic rules R1-R7, and a flow pass over a real token stream
-// with scope tracking and a per-function symbol table for the
-// thread-safety rules R8-R10, which understand the capability
-// annotations in common/thread_annotations.h.
+// no compiler checks. A discarded Status/Result is the compiler's job:
+// both are [[nodiscard]] and the build adds -Werror=unused-result. Two
+// passes share one engine (DESIGN.md §9): a line pass over
+// comment/string-scrubbed lines for the classic rules R2-R7, and a flow
+// pass over a real token stream with scope tracking and a per-function
+// symbol table for the thread-safety rules R8-R10, which understand the
+// capability annotations in common/thread_annotations.h.
 //
 // Rules:
-//   sgcl-R1  no discarded fallible call: a statement that calls a
-//            function known to return Status/Result<T> without binding,
-//            returning, or wrapping the value. Backstops [[nodiscard]]
-//            for call forms the compiler misses.
 //   sgcl-R2  determinism: bans rand()/srand(), std::random_device,
 //            time(nullptr)-style seeding, and std::chrono::system_clock
 //            outside src/common/rng.* (allowlist covers legitimate
@@ -22,7 +19,6 @@
 //   sgcl-R4  header hygiene: include-guard name must be derived from the
 //            file path (src/common/lint.h -> SGCL_COMMON_LINT_H_), and
 //            no `using namespace` at namespace scope in headers.
-//            Guard-name mismatches carry a mechanical fix (--fix).
 //   sgcl-R5  no naked new/delete outside the allowlist (intentionally
 //            leaked singletons carry inline NOLINT suppressions).
 //   sgcl-R6  crash consistency: checkpoint-path sources (any src/ or
@@ -57,9 +53,8 @@
 //   sgcl-R10 atomics hygiene in hot-path files: atomic load()/store()
 //            without an explicit memory-order argument (the implicit
 //            seq_cst is almost never what a hot path wants — and when
-//            it is, it should say so; --fix inserts
-//            std::memory_order_seq_cst), and any `volatile` (volatile
-//            is not a synchronization primitive).
+//            it is, it should say so), and any `volatile` (volatile is
+//            not a synchronization primitive).
 //
 // Suppression: `// NOLINT(sgcl-RN)` on the offending line or
 // `// NOLINTNEXTLINE(sgcl-RN)` on the line above; a bare `// NOLINT`
@@ -71,41 +66,21 @@
 #ifndef SGCL_COMMON_LINT_H_
 #define SGCL_COMMON_LINT_H_
 
-#include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
 
 namespace sgcl::lint {
 
-// Bumped whenever a rule's behavior changes; part of the incremental
-// cache key so stale caches self-invalidate.
-inline constexpr int kEngineVersion = 2;
-
 enum class Severity { kWarning, kError };
-
-const char* SeverityToString(Severity severity);
-
-// A mechanical, semantics-preserving rewrite attached to a finding
-// (sgcl-R4 guard renames, sgcl-R10 explicit memory orders). `col` is a
-// 0-based byte offset into line `line`; `len` bytes starting there are
-// replaced by `replacement` (len 0 = pure insertion).
-struct FixEdit {
-  int line = 0;  // 1-based
-  int col = 0;
-  int len = 0;
-  std::string replacement;
-};
 
 struct Finding {
   std::string file;  // repo-relative path as given to AddFile
   int line = 0;      // 1-based
-  std::string rule;  // "sgcl-R1" .. "sgcl-R10", or "sgcl-nolint"
+  std::string rule;  // "sgcl-R2" .. "sgcl-R10", or "sgcl-nolint"
   Severity severity = Severity::kError;
   std::string message;
-  std::vector<FixEdit> fixes;  // empty when the rule has no auto-fix
 };
 
 // Whole-file exemption: rule "*" exempts the file from every rule.
@@ -162,7 +137,7 @@ std::vector<Token> Tokenize(const std::string& content);
 
 // Per-file declarations the flow rules need repo-wide: annotated
 // guarded members, SGCL_REQUIRES methods, and mutex/atomic members per
-// class, plus the Status/Result-returning function names for sgcl-R1.
+// class.
 struct FileDecls {
   struct GuardedMember {
     std::string class_name;
@@ -175,7 +150,6 @@ struct FileDecls {
     std::string method;
     std::vector<std::string> mutexes;
   };
-  std::vector<std::string> fallible_names;
   std::vector<GuardedMember> guarded_members;
   std::vector<RequiresMethod> requires_methods;
   std::vector<std::string> mutex_members;   // "Class::member"
@@ -184,105 +158,31 @@ struct FileDecls {
 
 FileDecls ExtractDecls(const std::string& content);
 
-// Merged view over every file's declarations. Classes are keyed by
-// unqualified name (namespace collisions are accepted — the repo has
-// none — and documented in DESIGN.md §9).
-struct GlobalTables {
-  std::vector<std::string> fallible_names;               // sorted unique
-  std::vector<FileDecls::GuardedMember> guarded_members; // sorted
-  std::vector<FileDecls::RequiresMethod> requires_methods;
-  std::vector<std::string> mutex_members;                // sorted unique
-  std::vector<std::string> atomic_members;               // sorted unique
-
-  // CRC32 over a canonical serialization plus kEngineVersion; the
-  // incremental cache key for per-file findings.
-  uint32_t Digest() const;
-};
-
-GlobalTables BuildTables(const std::vector<FileDecls>& decls);
-
-// ---- Per-file analysis -----------------------------------------------
-
-// One mutex-acquisition-order edge: `to` was acquired while `from` was
-// held, at file:line.
-struct LockEdge {
-  std::string from;
-  std::string to;
-  std::string file;
-  int line = 0;
-};
-
-// A NOLINT comment that suppressed nothing (candidate sgcl-nolint).
-struct StaleNolint {
-  int line = 0;         // line of the comment
-  std::string rules;    // its category list as written ("sgcl-R5"), or "*"
-};
-
-struct FileAnalysis {
-  std::vector<Finding> findings;  // post-suppression; excludes R9 cycles
-  std::vector<LockEdge> edges;    // post-suppression acquisition edges
-  std::vector<StaleNolint> stale_nolints;
-  // Allowlist entries that actually suppressed a finding in this file.
-  std::vector<std::pair<std::string, std::string>> used_allow;
-};
-
-// Runs both passes over one file. `tables` carries the repo-wide
-// declarations (BuildTables over every file's ExtractDecls). Thread
-// safe and deterministic: analyzing files concurrently and merging in
-// path order reproduces the serial result.
-FileAnalysis AnalyzeFile(const std::string& path, const std::string& content,
-                         const GlobalTables& tables,
-                         const LintOptions& options);
-
-// sgcl-R9: finds cycles in the repo-wide acquisition graph and reports
-// every edge on a cycle at its site. Deterministic (sorted output).
-std::vector<Finding> LockCycleFindings(const std::vector<LockEdge>& edges);
-
-// Folds per-file analyses (paths[i] described by analyses[i]) into the
-// final report exactly as Linter::Run does: per-file findings, stale
-// NOLINT comments, sgcl-R9 cycles over the merged acquisition graph,
-// and stale allowlist entries. Order-insensitive input, sorted output —
-// the contract the parallel/incremental driver relies on.
-std::vector<Finding> MergeAnalyses(const std::vector<std::string>& paths,
-                                   const std::vector<FileAnalysis>& analyses,
-                                   const LintOptions& options);
-
-// Applies every FixEdit among `findings` that targets `path` to
-// `content` and returns the rewritten text. Edits are applied
-// bottom-up so positions stay valid; overlapping edits keep the first.
-std::string ApplyFixes(const std::string& path, const std::string& content,
-                       const std::vector<Finding>& findings);
-
 // ---- Orchestration ---------------------------------------------------
 
-// Two-phase analyzer: AddFile all sources first (phase 1 collects the
-// declaration tables: fallible names for sgcl-R1, guarded members and
-// REQUIRES methods for sgcl-R8/R9), then Run lints every added file and
-// closes the repo-wide acquisition graph. Findings are ordered by
-// (file, line, rule) regardless of insertion order.
+// Two-phase analyzer: AddFile every source, then Run extracts each
+// file's declarations (guarded members and REQUIRES methods for
+// sgcl-R8/R9) into repo-wide tables, lints every file against them, and
+// closes the repo-wide acquisition graph. Both phases fan out over the
+// shared thread pool into per-file slots, so the findings — ordered by
+// (file, line, rule) — are identical for every pool size and every
+// AddFile order.
 class Linter {
  public:
   explicit Linter(LintOptions options);
 
-  void AddFile(const std::string& path, const std::string& content);
+  void AddFile(std::string path, std::string content);
 
   std::vector<Finding> Run() const;
-
-  // Names collected for sgcl-R1 (exposed for tests).
-  const std::vector<std::string>& fallible_names() const {
-    return fallible_names_;
-  }
 
  private:
   struct FileEntry {
     std::string path;
     std::string content;
-    FileDecls decls;
   };
 
   LintOptions options_;
   std::vector<FileEntry> files_;
-  std::vector<std::string> fallible_names_;  // sorted, unique
 };
 
 // One line per finding: "path:line: severity: [rule] message".

@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "common/crc32.h"
 #include "common/lint_internal.h"
 #include "common/string_util.h"
 
@@ -205,6 +204,7 @@ std::vector<Token> Tokenize(const std::string& content) {
 namespace {
 
 using internal::FlowResult;
+using internal::GlobalTables;
 
 Finding MakeFinding(const std::string& file, int line, const char* rule,
                     Severity severity, std::string message) {
@@ -943,16 +943,12 @@ class Walker {
     int depth = 0;
     int args = 0;
     int commas = 0;
-    size_t close = toks_.size() - 1;
     for (size_t k = i + 1; k < toks_.size(); ++k) {
       const std::string& s = toks_[k].text;
       if (s == "(") {
         if (++depth == 1) continue;
       }
-      if (s == ")" && --depth == 0) {
-        close = k;
-        break;
-      }
+      if (s == ")" && --depth == 0) break;
       if (s == "," && depth == 1) {
         ++commas;
         continue;
@@ -962,18 +958,13 @@ class Walker {
     if (args != 0) args += commas;
     const bool missing = t.text == "load" ? args == 0 : args == 1;
     if (!missing) return;
-    Finding f = MakeFinding(
+    flow_->findings.push_back(MakeFinding(
         *path_, t.line, "sgcl-R10", Severity::kWarning,
         StrFormat("atomic %s() without an explicit memory order "
                   "defaults to seq_cst on a hot path; spell the "
                   "ordering (std::memory_order_seq_cst if that is "
                   "really what you want)",
-                  t.text.c_str()));
-    const std::string insert = t.text == "load"
-                                   ? "std::memory_order_seq_cst"
-                                   : ", std::memory_order_seq_cst";
-    f.fixes.push_back({toks_[close].line, toks_[close].col, 0, insert});
-    flow_->findings.push_back(std::move(f));
+                  t.text.c_str())));
   }
 
   void EmitVolatile(const Token& t) {
@@ -999,25 +990,16 @@ class Walker {
 
 FileDecls ExtractDecls(const std::string& content) {
   FileDecls decls;
-  {
-    std::vector<std::string> raw, scrubbed;
-    internal::ScrubLines(content, &raw, &scrubbed, nullptr);
-    std::set<std::string> names;
-    for (const std::string& line : scrubbed) {
-      internal::CollectFallibleNames(line, &names);
-    }
-    decls.fallible_names.assign(names.begin(), names.end());
-  }
   const std::vector<Token> toks = Tokenize(content);
   Walker(toks, nullptr, nullptr, &decls, nullptr).Run();
   return decls;
 }
 
+namespace internal {
+
 GlobalTables BuildTables(const std::vector<FileDecls>& decls) {
   GlobalTables t;
   for (const FileDecls& d : decls) {
-    t.fallible_names.insert(t.fallible_names.end(), d.fallible_names.begin(),
-                            d.fallible_names.end());
     t.guarded_members.insert(t.guarded_members.end(),
                              d.guarded_members.begin(),
                              d.guarded_members.end());
@@ -1033,7 +1015,6 @@ GlobalTables BuildTables(const std::vector<FileDecls>& decls) {
     std::sort(v->begin(), v->end());
     v->erase(std::unique(v->begin(), v->end()), v->end());
   };
-  uniq(&t.fallible_names);
   uniq(&t.mutex_members);
   uniq(&t.atomic_members);
   const auto gm_key = [](const FileDecls::GuardedMember& g) {
@@ -1064,25 +1045,6 @@ GlobalTables BuildTables(const std::vector<FileDecls>& decls) {
   return t;
 }
 
-uint32_t GlobalTables::Digest() const {
-  std::string s = StrFormat("sgcl-lint-v%d\n", kEngineVersion);
-  for (const std::string& n : fallible_names) s += "f:" + n + "\n";
-  for (const auto& g : guarded_members) {
-    s += StrFormat("g:%s:%s:%s:%d\n", g.class_name.c_str(), g.member.c_str(),
-                   g.mutex.c_str(), g.atomic ? 1 : 0);
-  }
-  for (const auto& r : requires_methods) {
-    s += "r:" + r.class_name + ":" + r.method;
-    for (const std::string& m : r.mutexes) s += ":" + m;
-    s += "\n";
-  }
-  for (const std::string& n : mutex_members) s += "m:" + n + "\n";
-  for (const std::string& n : atomic_members) s += "a:" + n + "\n";
-  return Crc32(s);
-}
-
-namespace internal {
-
 bool IsHotPathFile(const std::string& path) {
   static const char* const kPrefixes[] = {
       "src/serve/",
@@ -1106,8 +1068,6 @@ FlowResult RunFlowPass(const std::string& path,
   Walker(tokens, &tables, &path, nullptr, &result).Run();
   return result;
 }
-
-}  // namespace internal
 
 std::vector<Finding> LockCycleFindings(const std::vector<LockEdge>& edges) {
   // Adjacency over unique (from, to) pairs; every concrete site of a
@@ -1172,4 +1132,5 @@ std::vector<Finding> LockCycleFindings(const std::vector<LockEdge>& edges) {
   return findings;
 }
 
+}  // namespace internal
 }  // namespace sgcl::lint

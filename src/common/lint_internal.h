@@ -5,8 +5,8 @@
 #ifndef SGCL_COMMON_LINT_INTERNAL_H_
 #define SGCL_COMMON_LINT_INTERNAL_H_
 
-#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/lint.h"
@@ -25,11 +25,59 @@ void ScrubLines(const std::string& content, std::vector<std::string>* raw,
                 std::vector<std::string>* scrubbed,
                 std::vector<int>* comment_cols);
 
-// Collects names of functions declared to return Status or Result<...>
-// on one (scrubbed) line. Line-local by design: a declaration whose
-// template arguments span lines is skipped (documented limitation).
-void CollectFallibleNames(const std::string& scrubbed_line,
-                          std::set<std::string>* names);
+// Merged view over every file's declarations. Classes are keyed by
+// unqualified name (namespace collisions are accepted — the repo has
+// none — and documented in DESIGN.md §9).
+struct GlobalTables {
+  std::vector<FileDecls::GuardedMember> guarded_members; // sorted
+  std::vector<FileDecls::RequiresMethod> requires_methods;
+  std::vector<std::string> mutex_members;                // sorted unique
+  std::vector<std::string> atomic_members;               // sorted unique
+};
+
+GlobalTables BuildTables(const std::vector<FileDecls>& decls);
+
+// One mutex-acquisition-order edge: `to` was acquired while `from` was
+// held, at file:line.
+struct LockEdge {
+  std::string from;
+  std::string to;
+  std::string file;
+  int line = 0;
+};
+
+// A NOLINT comment that suppressed nothing (candidate sgcl-nolint).
+struct StaleNolint {
+  int line = 0;         // line of the comment
+  std::string rules;    // its category list as written ("sgcl-R5"), or "*"
+};
+
+struct FileAnalysis {
+  std::vector<Finding> findings;  // post-suppression; excludes R9 cycles
+  std::vector<LockEdge> edges;    // post-suppression acquisition edges
+  std::vector<StaleNolint> stale_nolints;
+  // Allowlist entries that actually suppressed a finding in this file.
+  std::vector<std::pair<std::string, std::string>> used_allow;
+};
+
+// Runs both passes over one file against the repo-wide declaration
+// tables. Thread safe and deterministic: Linter::Run analyzes files
+// concurrently and merges them in path order.
+FileAnalysis AnalyzeFile(const std::string& path, const std::string& content,
+                         const GlobalTables& tables,
+                         const LintOptions& options);
+
+// sgcl-R9: finds cycles in the repo-wide acquisition graph and reports
+// every edge on a cycle at its site. Deterministic (sorted output).
+std::vector<Finding> LockCycleFindings(const std::vector<LockEdge>& edges);
+
+// Folds per-file analyses (paths[i] described by analyses[i]) into the
+// final report: per-file findings, stale NOLINT comments, sgcl-R9
+// cycles over the merged acquisition graph, and stale allowlist
+// entries. Order-insensitive input, sorted output.
+std::vector<Finding> MergeAnalyses(const std::vector<std::string>& paths,
+                                   const std::vector<FileAnalysis>& analyses,
+                                   const LintOptions& options);
 
 // Pre-suppression output of the flow pass over one file.
 struct FlowResult {

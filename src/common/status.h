@@ -31,8 +31,9 @@ const char* StatusCodeToString(StatusCode code);
 
 // A cheap, copyable success-or-error value. [[nodiscard]] on the class
 // makes the compiler flag any call whose returned Status is silently
-// dropped — the core of the error model (lint rule sgcl-R1 backstops the
-// cases the compiler cannot see).
+// dropped — the core of the error model. The build makes that diagnostic
+// an error (-Werror=unused-result); tests/testdata/discarded_status.cc
+// pins the call forms it covers.
 class [[nodiscard]] Status {
  public:
   Status() : code_(StatusCode::kOk) {}

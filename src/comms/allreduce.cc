@@ -407,7 +407,11 @@ Result<JoinReply> AllReduceClient::Join(int port, const WorkerHello& hello,
   while (true) {
     const Status status = channel_.Connect(port);
     if (status.ok()) break;
-    if (IsSimulatedCrash(status)) return status;
+    // A crash, or a port no retry can make valid.
+    if (IsSimulatedCrash(status) ||
+        status.code() == StatusCode::kInvalidArgument) {
+      return status;
+    }
     if (std::chrono::steady_clock::now() >= deadline) return status;
     std::this_thread::sleep_for(std::chrono::milliseconds(25));
   }

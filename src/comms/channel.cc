@@ -78,6 +78,10 @@ FramedChannel::~FramedChannel() { Disconnect(); }
 
 Status FramedChannel::Connect(int port) {
   if (connected()) return Status::FailedPrecondition("already connected");
+  if (port < 0 || port > 65535) {
+    return Status::InvalidArgument(
+        StrFormat("port %d is outside [0, 65535]", port));
+  }
   const std::string point = fault_prefix_ + "/connect";
   if (auto fault = FaultInjector::Global().Check(point); fault.has_value()) {
     if (*fault == FaultKind::kCrash) return SimulatedCrash(point);
@@ -220,6 +224,10 @@ FrameListener::~FrameListener() { Disconnect(); }
 
 Status FrameListener::Listen(int port) {
   if (listening()) return Status::FailedPrecondition("already listening");
+  if (port < 0 || port > 65535) {
+    return Status::InvalidArgument(
+        StrFormat("port %d is outside [0, 65535]", port));
+  }
   const int fd = socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     return Status::Internal(StrFormat("socket: %s", std::strerror(errno)));

@@ -23,9 +23,6 @@ MeanStd RunUnsupervisedProtocol(
     // Pretrain on (1 - test_fraction) of the graphs, unlabeled.
     HoldoutSplit split = TrainTestSplit(
         source.size(), 1.0 - options.pretrain_fraction, &rng);
-    // Pretrainer::Pretrain returns plain PretrainStats — the lint R1 hit
-    // is a name collision with SgclTrainer's fallible Pretrain.
-    // NOLINTNEXTLINE(sgcl-R1)
     method->Pretrain(source, split.train);
     // Embed the whole source.
     const FetchedGraphs all = source.FetchAll().value();

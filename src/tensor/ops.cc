@@ -406,17 +406,6 @@ Tensor Sigmoid(const Tensor& a) {
   return UnaryOp(a, std::move(out), std::move(dfdx));
 }
 
-Tensor Tanh(const Tensor& a) {
-  std::vector<float> out(a.values());
-  std::vector<float> dfdx(out.size());
-  for (size_t i = 0; i < out.size(); ++i) {
-    const float t = std::tanh(out[i]);
-    out[i] = t;
-    dfdx[i] = 1.0f - t * t;
-  }
-  return UnaryOp(a, std::move(out), std::move(dfdx));
-}
-
 Tensor Exp(const Tensor& a) {
   std::vector<float> out(a.values());
   std::vector<float> dfdx(out.size());
@@ -435,16 +424,6 @@ Tensor Log(const Tensor& a, float eps) {
     const float x = out[i] > eps ? out[i] : eps;
     out[i] = std::log(x);
     dfdx[i] = 1.0f / x;
-  }
-  return UnaryOp(a, std::move(out), std::move(dfdx));
-}
-
-Tensor Square(const Tensor& a) {
-  std::vector<float> out(a.values());
-  std::vector<float> dfdx(out.size());
-  for (size_t i = 0; i < out.size(); ++i) {
-    dfdx[i] = 2.0f * out[i];
-    out[i] *= out[i];
   }
   return UnaryOp(a, std::move(out), std::move(dfdx));
 }
@@ -565,90 +544,6 @@ Tensor RowL2Normalize(const Tensor& a, float eps) {
           }
         }
       });
-}
-
-Tensor Softmax(const Tensor& a) {
-  SGCL_CHECK_EQ(a.dim(), 2);
-  const int64_t m = a.rows(), n = a.cols();
-  std::vector<float> out(a.values());
-  for (int64_t i = 0; i < m; ++i) {
-    float* row = out.data() + i * n;
-    float mx = row[0];
-    for (int64_t j = 1; j < n; ++j) mx = std::max(mx, row[j]);
-    float denom = 0.0f;
-    for (int64_t j = 0; j < n; ++j) {
-      row[j] = std::exp(row[j] - mx);
-      denom += row[j];
-    }
-    for (int64_t j = 0; j < n; ++j) row[j] /= denom;
-  }
-  auto a_impl = a.impl();
-  return MakeOpOutput(
-      a.shape(), std::move(out), {a},
-      [a_impl, m, n](TensorImpl& self) {
-        if (!a_impl->requires_grad) return;
-        a_impl->EnsureGradAllocated();
-        for (int64_t i = 0; i < m; ++i) {
-          const float* p = self.data.data() + i * n;
-          const float* dy = self.grad.data() + i * n;
-          float dot = 0.0f;
-          for (int64_t j = 0; j < n; ++j) dot += p[j] * dy[j];
-          float* dx = a_impl->grad.data() + i * n;
-          for (int64_t j = 0; j < n; ++j) dx[j] += p[j] * (dy[j] - dot);
-        }
-      });
-}
-
-Tensor LogSoftmax(const Tensor& a) {
-  SGCL_CHECK_EQ(a.dim(), 2);
-  const int64_t m = a.rows(), n = a.cols();
-  std::vector<float> out(a.values());
-  for (int64_t i = 0; i < m; ++i) {
-    float* row = out.data() + i * n;
-    float mx = row[0];
-    for (int64_t j = 1; j < n; ++j) mx = std::max(mx, row[j]);
-    double denom = 0.0;
-    for (int64_t j = 0; j < n; ++j) denom += std::exp(row[j] - mx);
-    const float lse = mx + static_cast<float>(std::log(denom));
-    for (int64_t j = 0; j < n; ++j) row[j] -= lse;
-  }
-  auto a_impl = a.impl();
-  return MakeOpOutput(
-      a.shape(), std::move(out), {a},
-      [a_impl, m, n](TensorImpl& self) {
-        if (!a_impl->requires_grad) return;
-        a_impl->EnsureGradAllocated();
-        for (int64_t i = 0; i < m; ++i) {
-          const float* logp = self.data.data() + i * n;
-          const float* dy = self.grad.data() + i * n;
-          float gsum = 0.0f;
-          for (int64_t j = 0; j < n; ++j) gsum += dy[j];
-          float* dx = a_impl->grad.data() + i * n;
-          for (int64_t j = 0; j < n; ++j) {
-            dx[j] += dy[j] - std::exp(logp[j]) * gsum;
-          }
-        }
-      });
-}
-
-Tensor Dropout(const Tensor& a, float p, Rng* rng, bool training) {
-  SGCL_CHECK_GE(p, 0.0f);
-  SGCL_CHECK_LT(p, 1.0f);
-  if (!training || p == 0.0f) return a;
-  SGCL_CHECK(rng != nullptr);
-  const float scale = 1.0f / (1.0f - p);
-  std::vector<float> out(a.values());
-  std::vector<float> dfdx(out.size());
-  for (size_t i = 0; i < out.size(); ++i) {
-    if (rng->Bernoulli(p)) {
-      out[i] = 0.0f;
-      dfdx[i] = 0.0f;
-    } else {
-      out[i] *= scale;
-      dfdx[i] = scale;
-    }
-  }
-  return UnaryOp(a, std::move(out), std::move(dfdx));
 }
 
 Tensor ConcatCols(const Tensor& a, const Tensor& b) {

@@ -9,7 +9,6 @@
 
 #include <vector>
 
-#include "common/rng.h"
 #include "tensor/tensor.h"
 
 namespace sgcl {
@@ -41,11 +40,9 @@ Tensor Neg(const Tensor& a);
 Tensor Relu(const Tensor& a);
 Tensor LeakyRelu(const Tensor& a, float negative_slope);
 Tensor Sigmoid(const Tensor& a);
-Tensor Tanh(const Tensor& a);
 Tensor Exp(const Tensor& a);
 // Numerically guarded: log(max(a, eps)).
 Tensor Log(const Tensor& a, float eps = 1e-12f);
-Tensor Square(const Tensor& a);
 // Numerically stable log(1 + exp(a)).
 Tensor Softplus(const Tensor& a);
 
@@ -66,13 +63,9 @@ Tensor RowSum(const Tensor& a);
 
 // x_i / max(||x_i||_2, eps).
 Tensor RowL2Normalize(const Tensor& a, float eps = 1e-12f);
-Tensor Softmax(const Tensor& a);
-Tensor LogSoftmax(const Tensor& a);
 
-// ---- Regularization / structure ----
+// ---- Structure ----
 
-// Inverted dropout. Identity when !training or p == 0.
-Tensor Dropout(const Tensor& a, float p, Rng* rng, bool training);
 // [n,da] ++ [n,db] -> [n,da+db].
 Tensor ConcatCols(const Tensor& a, const Tensor& b);
 

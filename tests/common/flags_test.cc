@@ -63,14 +63,44 @@ TEST(FlagSetTest, KeepsDefaultsWhenUnset) {
 
 TEST(FlagSetTest, RejectsMalformedNumbers) {
   int epochs = 20;
+  int64_t big = 0;
+  uint64_t seed = 1;
+  double rate = 0.5;
   FlagSet flags("test");
   flags.Int("epochs", &epochs, "");
+  flags.Int64("big", &big, "");
+  flags.Uint64("seed", &seed, "");
+  flags.Double("rate", &rate, "");
   for (const char* bad : {"--epochs=abc", "--epochs=", "--epochs=3x",
                           "--epochs=1e3", "--epochs=99999999999999"}) {
     Argv args({bad});
     Status st = flags.Parse(args.argc(), args.argv(), 2);
     EXPECT_FALSE(st.ok()) << bad;
   }
+  // strto* would skip the space, take the '+', and negate the '-' of an
+  // unsigned value; strtod would read nan and inf.
+  for (const char* bad :
+       {"--epochs= 5", "--epochs=+5", "--big= -5", "--big=+5", "--seed=-1",
+        "--seed= -1", "--seed=+1", "--seed=\t1", "--rate=nan", "--rate=NaN",
+        "--rate=inf", "--rate=-inf", "--rate=infinity", "--rate= 0.5",
+        "--rate=+0.5", "--rate=1e999"}) {
+    Argv args({bad});
+    Status st = flags.Parse(args.argc(), args.argv(), 2);
+    EXPECT_FALSE(st.ok()) << bad;
+  }
+  EXPECT_EQ(epochs, 20);
+  EXPECT_EQ(big, 0);
+  EXPECT_EQ(seed, 1u);
+  EXPECT_EQ(rate, 0.5);
+  Argv good({"--big=-5000000000", "--seed=18446744073709551615",
+             "--rate=2.5e-3"});
+  ASSERT_TRUE(flags.Parse(good.argc(), good.argv(), 2).ok());
+  EXPECT_EQ(big, -5000000000LL);
+  EXPECT_EQ(seed, 18446744073709551615ULL);
+  EXPECT_DOUBLE_EQ(rate, 2.5e-3);
+  Argv thousand({"--rate=1e3"});
+  ASSERT_TRUE(flags.Parse(thousand.argc(), thousand.argv(), 2).ok());
+  EXPECT_DOUBLE_EQ(rate, 1e3);
 }
 
 TEST(FlagSetTest, RejectsUnknownFlagsAndPositionals) {

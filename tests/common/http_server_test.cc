@@ -385,5 +385,18 @@ TEST(HttpServerTest, StartFailsOnBusyPort) {
   EXPECT_EQ(st.code(), StatusCode::kInternal);
 }
 
+TEST(HttpServerTest, StartRejectsPortsOutsideTheTcpRange) {
+  // Truncated to 16 bits, -1 would serve on 65535 and 70000 on 4464.
+  for (const int port : {-1, 65536, 70000}) {
+    HttpServer server;
+    server.Handle("/x", [](const HttpRequest&) { return HttpResponse{}; });
+    const Status st = server.Start(port);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << port;
+    EXPECT_NE(st.message().find(std::to_string(port)), std::string::npos)
+        << st.ToString();
+    EXPECT_FALSE(server.running());
+  }
+}
+
 }  // namespace
 }  // namespace sgcl

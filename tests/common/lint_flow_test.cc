@@ -1,8 +1,8 @@
 // Flow-pass engine tests: tokenizer goldens, declaration extraction,
 // and positive + negative fixtures for the thread-safety rules
 // sgcl-R8 (guarded members), sgcl-R9 (lock-order cycles, including the
-// seeded cross-file cycle the issue demands), and sgcl-R10 (atomics
-// hygiene), plus --fix round-trips and stale-NOLINT reporting.
+// seeded cross-file cycle), and sgcl-R10 (atomics hygiene), plus
+// stale-NOLINT reporting.
 #include <algorithm>
 #include <string>
 #include <vector>
@@ -130,13 +130,6 @@ TEST(ExtractDeclsTest, FindsGuardedMembersRequiresAndTypes) {
   ASSERT_EQ(d.atomic_members.size(), 2u);
   EXPECT_EQ(d.atomic_members[0], "Board::hits_");
   EXPECT_EQ(d.atomic_members[1], "Board::on_");
-}
-
-TEST(ExtractDeclsTest, DigestChangesWithDeclarations) {
-  const GlobalTables a = BuildTables({ExtractDecls(kAnnotatedClass)});
-  const GlobalTables b = BuildTables({ExtractDecls("int x;\n")});
-  EXPECT_NE(a.Digest(), b.Digest());
-  EXPECT_EQ(a.Digest(), BuildTables({ExtractDecls(kAnnotatedClass)}).Digest());
 }
 
 // ---- sgcl-R8 ---------------------------------------------------------
@@ -412,51 +405,6 @@ TEST(LintR10Test, VolatileFlaggedOnHotPath) {
       LintFiles({{"src/serve/flag.cc", src}});
   ASSERT_EQ(CountRule(findings, "sgcl-R10"), 1);
   EXPECT_NE(findings[0].message.find("volatile"), std::string::npos);
-}
-
-// ---- fixes -----------------------------------------------------------
-
-TEST(LintFixTest, R10FixInsertsSeqCstAndIsIdempotent) {
-  const std::string path = "src/serve/s.cc";
-  const std::string src =
-      "void Tick(std::atomic<int>& unused) {\n"
-      "  static std::atomic<int> n{0};\n"
-      "  int v = n.load();\n"
-      "  n.store(v + 1);\n"
-      "}\n";
-  // Local atomics in a function body are tracked too.
-  const std::vector<Finding> findings = LintFiles({{path, src}});
-  ASSERT_EQ(CountRule(findings, "sgcl-R10"), 2);
-  const std::string fixed = ApplyFixes(path, src, findings);
-  EXPECT_NE(fixed.find("n.load(std::memory_order_seq_cst)"),
-            std::string::npos);
-  EXPECT_NE(fixed.find("n.store(v + 1, std::memory_order_seq_cst)"),
-            std::string::npos);
-  // Round-trip: the fixed file lints clean, and re-fixing changes
-  // nothing.
-  const std::vector<Finding> after = LintFiles({{path, fixed}});
-  EXPECT_EQ(CountRule(after, "sgcl-R10"), 0);
-  EXPECT_EQ(ApplyFixes(path, fixed, after), fixed);
-}
-
-TEST(LintFixTest, R4GuardRenameFixesAllThreeSites) {
-  const std::string path = "src/core/widget.h";
-  const std::string src =
-      "#ifndef WRONG_GUARD_H\n"
-      "#define WRONG_GUARD_H\n"
-      "int f();\n"
-      "#endif  // WRONG_GUARD_H\n";
-  const std::vector<Finding> findings = LintFiles({{path, src}});
-  ASSERT_EQ(CountRule(findings, "sgcl-R4"), 1);
-  const std::string fixed = ApplyFixes(path, src, findings);
-  EXPECT_EQ(fixed,
-            "#ifndef SGCL_CORE_WIDGET_H_\n"
-            "#define SGCL_CORE_WIDGET_H_\n"
-            "int f();\n"
-            "#endif  // SGCL_CORE_WIDGET_H_\n");
-  const std::vector<Finding> after = LintFiles({{path, fixed}});
-  EXPECT_EQ(CountRule(after, "sgcl-R4"), 0);
-  EXPECT_EQ(ApplyFixes(path, fixed, after), fixed);
 }
 
 // ---- stale suppressions ----------------------------------------------

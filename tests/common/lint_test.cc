@@ -3,10 +3,13 @@
 // not, so rules are regression-tested like any other subsystem.
 #include "common/lint.h"
 
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/json.h"
+#include "common/parallel.h"
 #include "gtest/gtest.h"
 
 namespace sgcl::lint {
@@ -25,64 +28,6 @@ std::vector<std::string> Rules(const std::vector<Finding>& findings) {
   rules.reserve(findings.size());
   for (const Finding& f : findings) rules.push_back(f.rule);
   return rules;
-}
-
-// ---- sgcl-R1: discarded fallible call --------------------------------
-
-constexpr char kR1Fires[] = R"(
-Status Flush(int fd);
-void Caller() {
-  Flush(3);
-}
-)";
-
-constexpr char kR1Clean[] = R"(
-Status Flush(int fd);
-Result<int> Read(int fd);
-Status Caller() {
-  Status st = Flush(3);
-  if (!st.ok()) return st;
-  SGCL_RETURN_NOT_OK(Flush(4));
-  SGCL_ASSIGN_OR_RETURN(int n, Read(3));
-  return Flush(n);
-}
-)";
-
-TEST(LintR1Test, FiresOnDiscardedFallibleCall) {
-  const auto findings = LintSnippet("src/common/a.cc", kR1Fires);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "sgcl-R1");
-  EXPECT_EQ(findings[0].line, 4);
-  EXPECT_EQ(findings[0].severity, Severity::kWarning);
-  EXPECT_NE(findings[0].message.find("Flush"), std::string::npos);
-}
-
-TEST(LintR1Test, SilentOnBoundReturnedOrWrappedCalls) {
-  EXPECT_TRUE(LintSnippet("src/common/a.cc", kR1Clean).empty());
-}
-
-TEST(LintR1Test, CollectsNamesAcrossFiles) {
-  // Declaration in one file, discarded call in another.
-  Linter linter({});
-  linter.AddFile("src/common/api.cc", "Status Sync();\n");
-  linter.AddFile("src/core/use.cc", "void F() {\n  Sync();\n}\n");
-  const auto findings = linter.Run();
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].file, "src/core/use.cc");
-  EXPECT_EQ(findings[0].rule, "sgcl-R1");
-}
-
-TEST(LintR1Test, SilentOnContinuationLines) {
-  // The call is the right-hand side of an assignment started above.
-  constexpr char kSnippet[] = R"(
-Status Flush(int fd);
-void Caller() {
-  const Status st =
-      Flush(3);
-  (void)st.ok();
-}
-)";
-  EXPECT_TRUE(LintSnippet("src/common/a.cc", kSnippet).empty());
 }
 
 // ---- sgcl-R2: determinism --------------------------------------------
@@ -415,6 +360,63 @@ TEST(LintReportTest, TextAndJsonAreDeterministicAndParseable) {
   EXPECT_EQ(list->AsArray()[0].GetString("file"), "src/a.cc");
   EXPECT_EQ(list->AsArray()[0].GetString("rule"), "sgcl-R5");
   EXPECT_EQ(list->AsArray()[0].GetString("severity"), "error");
+
+  // A multi-file tree with line-pass, flow-pass, and cross-file findings
+  // reports byte-identically on one pool thread and on four.
+  const std::vector<std::pair<std::string, std::string>> tree = {
+      {"src/serve/flag.h",
+       "#ifndef SGCL_SERVE_FLAG_H_\n#define SGCL_SERVE_FLAG_H_\n"
+       "class Flag {\n"
+       " public:\n"
+       "  bool Get() const { return on_.load(); }\n"
+       " private:\n"
+       "  std::atomic<bool> on_{false};\n"
+       "};\n#endif\n"},
+      {"src/core/pair_ba.cc",
+       "void Pair::BA() {\n"
+       "  std::lock_guard<std::mutex> lb(b_);\n"
+       "  std::lock_guard<std::mutex> la(a_);\n"
+       "}\n"},
+      {"src/core/b.cc", kR2Fires},
+      {"src/core/pair.h",
+       "#ifndef SGCL_CORE_PAIR_H_\n#define SGCL_CORE_PAIR_H_\n"
+       "class Pair {\n"
+       " public:\n"
+       "  void AB();\n"
+       "  void BA();\n"
+       "  void Bump();\n"
+       " private:\n"
+       "  std::mutex a_;\n"
+       "  std::mutex b_;\n"
+       "  int hits_ SGCL_GUARDED_BY(a_) = 0;\n"
+       "};\n#endif\n"},
+      {"src/core/c.cc", kR3Fires},
+      {"src/core/pair_ab.cc",
+       "void Pair::AB() {\n"
+       "  std::lock_guard<std::mutex> la(a_);\n"
+       "  std::lock_guard<std::mutex> lb(b_);\n"
+       "}\n"
+       "void Pair::Bump() { ++hits_; }\n"},
+      {"src/core/e.cc", kR5Fires},
+  };
+  const auto lint_tree = [&] {
+    Linter multi({});
+    for (const auto& [path, content] : tree) multi.AddFile(path, content);
+    return multi.Run();
+  };
+  SetParallelThreads(1);
+  const std::vector<Finding> serial = lint_tree();
+  SetParallelThreads(4);
+  const std::vector<Finding> parallel = lint_tree();
+  SetParallelThreads(0);
+  const std::vector<std::string> serial_rules = Rules(serial);
+  const std::set<std::string> rules(serial_rules.begin(),
+                                    serial_rules.end());
+  for (const char* rule : {"sgcl-R2", "sgcl-R3", "sgcl-R5", "sgcl-R8",
+                           "sgcl-R9", "sgcl-R10"}) {
+    EXPECT_EQ(rules.count(rule), 1u) << rule;
+  }
+  EXPECT_EQ(FormatJson(serial), FormatJson(parallel));
 }
 
 TEST(LintReportTest, EmptyFindingsJson) {

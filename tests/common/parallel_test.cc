@@ -51,7 +51,6 @@ TEST_F(ThreadPoolTest, RunsSubmittedTasks) {
   EXPECT_EQ(pool.size(), 4);
   std::atomic<int> done{0};
   for (int i = 0; i < 100; ++i) {
-    // NOLINTNEXTLINE(sgcl-R1): ThreadPool::Submit returns void
     pool.Submit([&done] { done.fetch_add(1); });
   }
   while (done.load() < 100) std::this_thread::yield();
@@ -62,7 +61,6 @@ TEST_F(ThreadPoolTest, SizeClampedToAtLeastOne) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.size(), 1);
   std::atomic<bool> ran{false};
-  // NOLINTNEXTLINE(sgcl-R1): ThreadPool::Submit returns void
   pool.Submit([&ran] { ran.store(true); });
   while (!ran.load()) std::this_thread::yield();
 }

@@ -169,5 +169,25 @@ TEST(ChannelTest, ListenerPicksDistinctEphemeralPorts) {
   EXPECT_NE(a.port(), b.port());
 }
 
+TEST(ChannelTest, PortsOutsideTheTcpRangeAreInvalidArguments) {
+  // Truncated to 16 bits, 70000 would bind or dial 4464.
+  for (const int port : {-1, 65536, 70000}) {
+    FrameListener listener;
+    const Status listened = listener.Listen(port);
+    EXPECT_EQ(listened.code(), StatusCode::kInvalidArgument) << port;
+    EXPECT_NE(listened.message().find(std::to_string(port)),
+              std::string::npos)
+        << listened.ToString();
+    EXPECT_FALSE(listener.listening());
+    FramedChannel channel;
+    const Status connected = channel.Connect(port);
+    EXPECT_EQ(connected.code(), StatusCode::kInvalidArgument) << port;
+    EXPECT_NE(connected.message().find(std::to_string(port)),
+              std::string::npos)
+        << connected.ToString();
+    EXPECT_FALSE(channel.connected());
+  }
+}
+
 }  // namespace
 }  // namespace sgcl

@@ -85,10 +85,8 @@ TEST(ActivationTest, ForwardValues) {
   EXPECT_FLOAT_EQ(lr.data()[3], 2.0f);
   Tensor s = Sigmoid(Tensor::Scalar(0.0f));
   EXPECT_FLOAT_EQ(s.item(), 0.5f);
-  EXPECT_NEAR(Tanh(Tensor::Scalar(100.0f)).item(), 1.0f, 1e-6f);
   EXPECT_NEAR(Exp(Tensor::Scalar(1.0f)).item(), std::exp(1.0f), 1e-5f);
   EXPECT_NEAR(Log(Tensor::Scalar(std::exp(2.0f))).item(), 2.0f, 1e-5f);
-  EXPECT_FLOAT_EQ(Square(Tensor::Scalar(-3.0f)).item(), 9.0f);
 }
 
 TEST(LogTest, GuardsAgainstNonPositive) {
@@ -121,44 +119,6 @@ TEST(RowL2NormalizeTest, RowsHaveUnitNorm) {
   EXPECT_NEAR(y.At(0, 0), 0.6f, 1e-5f);
   EXPECT_NEAR(y.At(0, 1), 0.8f, 1e-5f);
   EXPECT_NEAR(y.At(1, 0), 1.0f, 1e-5f);
-}
-
-TEST(SoftmaxTest, RowsSumToOneAndAreShiftInvariant) {
-  Tensor x = Tensor::FromVector({2, 3}, {1, 2, 3, 1001, 1002, 1003});
-  Tensor p = Softmax(x);
-  for (int64_t i = 0; i < 2; ++i) {
-    float total = 0.0f;
-    for (int64_t j = 0; j < 3; ++j) total += p.At(i, j);
-    EXPECT_NEAR(total, 1.0f, 1e-5f);
-  }
-  // Shift invariance: both rows identical distributions.
-  for (int64_t j = 0; j < 3; ++j) {
-    EXPECT_NEAR(p.At(0, j), p.At(1, j), 1e-5f);
-  }
-}
-
-TEST(LogSoftmaxTest, MatchesLogOfSoftmax) {
-  Tensor x = Tensor::FromVector({1, 4}, {0.5f, -1, 2, 0});
-  Tensor lp = LogSoftmax(x);
-  Tensor p = Softmax(x);
-  for (int64_t j = 0; j < 4; ++j) {
-    EXPECT_NEAR(lp.data()[j], std::log(p.data()[j]), 1e-5f);
-  }
-}
-
-TEST(DropoutTest, EvalModeIsIdentityAndTrainZeroes) {
-  Rng rng(5);
-  Tensor x = Tensor::Ones({10, 10});
-  Tensor eval = Dropout(x, 0.5f, &rng, /*training=*/false);
-  for (float v : eval.values()) EXPECT_EQ(v, 1.0f);
-  Tensor train = Dropout(x, 0.5f, &rng, /*training=*/true);
-  int zeros = 0;
-  for (float v : train.values()) {
-    EXPECT_TRUE(v == 0.0f || v == 2.0f);  // inverted dropout scaling
-    zeros += (v == 0.0f);
-  }
-  EXPECT_GT(zeros, 20);
-  EXPECT_LT(zeros, 80);
 }
 
 TEST(ConcatColsTest, StacksColumns) {

@@ -320,6 +320,10 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "error: --port is required (see sgcl_cli serve)\n");
     return 2;
   }
+  if (port > 65535) {
+    std::fprintf(stderr, "error: --port=%d is outside [1, 65535]\n", port);
+    return 2;
+  }
   if (endpoint != "embed" && endpoint != "predict") {
     std::fprintf(stderr, "error: --endpoint must be embed or predict\n");
     return 2;

@@ -57,6 +57,7 @@
 #include <thread>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "comms/allreduce.h"
@@ -108,7 +109,7 @@ Result<TuDataset> DatasetByName(const std::string& name) {
                           "RDT-M-5K, IMDB-B)");
 }
 
-// Encoder/training flags shared by pretrain, evaluate, scores, and bench.
+// Encoder/training flags shared by pretrain, evaluate, scores, and serve.
 struct ModelFlags {
   std::string arch = "gin";
   int hidden = 32;
@@ -163,7 +164,7 @@ Status ValidateTraceFlags(double sample_rate, int64_t ring_size) {
   return Status::OK();
 }
 
-// Observability wiring shared by pretrain and bench.
+// Observability wiring for pretrain.
 struct ObservabilityFlags {
   std::string metrics_out;
   std::string trace_out;
@@ -790,6 +791,28 @@ int CmdServe(int argc, char** argv) {
   if (Status trc = ValidateTraceFlags(trace_sample_rate, trace_ring_size);
       !trc.ok()) {
     return Fail(trc);
+  }
+  // The micro-batcher and the service SGCL_CHECK these limits; out of
+  // range they are flag errors, reported before anything loads.
+  const std::pair<const char*, int64_t> at_least_one[] = {
+      {"http-threads", http_threads},
+      {"max-batch-graphs", max_batch_graphs},
+      {"max-batch-nodes", max_batch_nodes},
+      {"max-queue", max_queue},
+      {"max-request-graphs", max_request_graphs},
+      {"max-request-nodes", max_request_nodes},
+  };
+  for (const auto& [name, value] : at_least_one) {
+    if (value < 1) {
+      return Fail(Status::InvalidArgument(std::string("--") + name +
+                                          " must be >= 1, got " +
+                                          std::to_string(value)));
+    }
+  }
+  if (batch_timeout_us < 0) {
+    return Fail(Status::InvalidArgument(
+        "--batch-timeout-us must be >= 0, got " +
+        std::to_string(batch_timeout_us)));
   }
   if (feat_dim <= 0) {
     if (data.empty()) {
