@@ -32,8 +32,8 @@ serve_load --slowest-traces, then asserts: the /metrics latency
 histogram carries a bucket exemplar that resolves at /v1/traces/<id>;
 the span tree is well-formed (serve/request root with queue wait, batch
 formation, forward, and encode children that sum to within 10% of the
-root's wall time); and `trace_report` parses the /v1/traces?detail=1
-dump (nonzero exit on parse failure fails the check).
+root's wall time); and `trace_report` parses the /trace chrome dump
+(nonzero exit on parse failure fails the check).
 """
 import json
 import re
@@ -297,9 +297,9 @@ def check_serve_traces(cli: str, serve_load: str, trace_report: str,
         assert abs(staged - root["dur_us"]) <= 0.1 * root["dur_us"], \
             f"stages cover {staged} of {root['dur_us']} us"
 
-        # trace_report reproduces the breakdown offline from the dump;
-        # a parse failure exits nonzero and fails this check.
-        dump = scrape(port, "/v1/traces?detail=1")
+        # trace_report reproduces the breakdown offline from the chrome
+        # dump; a parse failure exits nonzero and fails this check.
+        dump = scrape(port, "/trace")
         with open("serve_traces.json", "w") as out:
             out.write(dump)
         report = subprocess.run(

@@ -3,21 +3,17 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 
 namespace sgcl {
 namespace {
 
-// FNV-1a over a sequence of int64 values.
+// FNV-1a over the (little-endian) bytes of a sequence of int64 values,
+// masked to a non-negative id.
 int64_t HashSequence(const std::vector<int64_t>& values) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (int64_t v : values) {
-    uint64_t x = static_cast<uint64_t>(v);
-    for (int b = 0; b < 8; ++b) {
-      h ^= (x >> (8 * b)) & 0xffULL;
-      h *= 0x100000001b3ULL;
-    }
-  }
+  const uint64_t h =
+      Fnv1a64(values.data(), values.size() * sizeof(int64_t));
   return static_cast<int64_t>(h & 0x7fffffffffffffffULL);
 }
 

@@ -29,4 +29,14 @@ uint32_t Crc32(const void* data, size_t size, uint32_t seed) {
   return c ^ 0xFFFFFFFFu;
 }
 
+uint64_t Fnv1a64(const void* data, size_t size, uint64_t seed) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  uint64_t h = seed;
+  for (size_t i = 0; i < size; ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
 }  // namespace sgcl

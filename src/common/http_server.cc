@@ -25,6 +25,8 @@ namespace {
 constexpr size_t kMaxHeaderBytes = 8192;
 // Send deadline so one stalled reader cannot hold a serving thread.
 constexpr int kSendTimeoutSec = 5;
+// Keep-alive connections are closed after this many responses.
+constexpr int kMaxRequestsPerConnection = 100000;
 
 const char* StatusText(int status) {
   switch (status) {
@@ -205,8 +207,6 @@ Status HttpServer::Start(int port, const HttpServerOptions& options) {
   options_ = options;
   options_.num_threads = std::max(1, options_.num_threads);
   options_.idle_timeout_ms = std::max(1, options_.idle_timeout_ms);
-  options_.max_requests_per_connection =
-      std::max(1, options_.max_requests_per_connection);
   const int fd = socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     return Status::Internal(StrFormat("socket() failed: %s", strerror(errno)));
@@ -458,7 +458,7 @@ void HttpServer::ServeConnection(int client_fd) {
 
     ++served;
     keep_open = options_.keep_alive && !framing_broken &&
-                served < options_.max_requests_per_connection &&
+                served < kMaxRequestsPerConnection &&
                 !stopping_.load(std::memory_order_acquire);
     if (keep_open) {
       const auto conn = request.headers.find("connection");

@@ -70,16 +70,14 @@ struct HttpServerOptions {
   // the original serialized diagnostics behavior.
   int num_threads = 1;
   // When true, HTTP/1.1 connections persist across requests until the
-  // client sends "Connection: close", the idle timeout fires, or
-  // max_requests_per_connection is reached.
+  // client sends "Connection: close", the idle timeout fires, or the
+  // connection has served 100000 responses.
   bool keep_alive = false;
   // Per-recv deadline; for keep-alive connections this is the idle
   // timeout between requests.
   int idle_timeout_ms = 5000;
   // Bodies larger than this are rejected with 413 (connection closed).
   size_t max_body_bytes = 1 << 20;
-  // Keep-alive connections are closed after this many responses.
-  int max_requests_per_connection = 100000;
   // When true, server-generated errors (400/404/405/408/413/431) carry
   // a JSON body: {"error":{"code":N,"message":"..."}}. Handler-produced
   // responses are never rewritten.

@@ -5,155 +5,13 @@
 
 #include <cerrno>
 #include <cstring>
+#include <fstream>
 #include <sstream>
 
 #include "common/fault.h"
 #include "common/string_util.h"
 
 namespace sgcl {
-
-BinaryWriter::BinaryWriter(const std::string& path)
-    : out_(path, std::ios::binary | std::ios::trunc), path_(path) {}
-
-void BinaryWriter::WriteU32(uint32_t v) {
-  out_.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void BinaryWriter::WriteI64(int64_t v) {
-  out_.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void BinaryWriter::WriteF32(float v) {
-  out_.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void BinaryWriter::WriteBytes(const void* data, size_t size) {
-  // Empty vectors serialize as a zero count with no bytes; their
-  // data() may be null, which ostream::write (and memcpy below) must
-  // never see even with size 0.
-  if (size == 0) return;
-  out_.write(static_cast<const char*>(data),
-             static_cast<std::streamsize>(size));
-}
-
-void BinaryWriter::WriteString(const std::string& s) {
-  WriteI64(static_cast<int64_t>(s.size()));
-  WriteBytes(s.data(), s.size());
-}
-
-void BinaryWriter::WriteFloatVector(const std::vector<float>& v) {
-  WriteI64(static_cast<int64_t>(v.size()));
-  WriteBytes(v.data(), v.size() * sizeof(float));
-}
-
-void BinaryWriter::WriteI32Vector(const std::vector<int32_t>& v) {
-  WriteI64(static_cast<int64_t>(v.size()));
-  WriteBytes(v.data(), v.size() * sizeof(int32_t));
-}
-
-Status BinaryWriter::Close() {
-  out_.flush();
-  if (!out_) {
-    return Status::Internal(StrFormat("write to %s failed", path_.c_str()));
-  }
-  out_.close();
-  return Status::OK();
-}
-
-BinaryReader::BinaryReader(const std::string& path)
-    : in_(path, std::ios::binary), path_(path) {
-  ok_ = static_cast<bool>(in_);
-  if (ok_) {
-    in_.seekg(0, std::ios::end);
-    file_size_ = static_cast<int64_t>(in_.tellg());
-    in_.seekg(0, std::ios::beg);
-  }
-}
-
-int64_t BinaryReader::RemainingBytes() {
-  if (!ok_) return 0;
-  const int64_t pos = static_cast<int64_t>(in_.tellg());
-  return pos < 0 ? 0 : file_size_ - pos;
-}
-
-bool BinaryReader::ReadBytes(void* data, size_t size) {
-  if (!ok_) return false;
-  if (size == 0) return true;
-  in_.read(static_cast<char*>(data), static_cast<std::streamsize>(size));
-  if (!in_) {
-    ok_ = false;
-    eof_ = in_.eof();
-    return false;
-  }
-  return true;
-}
-
-uint32_t BinaryReader::ReadU32() {
-  uint32_t v = 0;
-  ReadBytes(&v, sizeof(v));
-  return v;
-}
-
-int64_t BinaryReader::ReadI64() {
-  int64_t v = 0;
-  ReadBytes(&v, sizeof(v));
-  return v;
-}
-
-float BinaryReader::ReadF32() {
-  float v = 0.0f;
-  ReadBytes(&v, sizeof(v));
-  return v;
-}
-
-std::string BinaryReader::ReadString() {
-  const int64_t size = ReadI64();
-  if (!ok_ || size < 0 || size > RemainingBytes()) {
-    ok_ = false;
-    return std::string();
-  }
-  std::string s(static_cast<size_t>(size), '\0');
-  ReadBytes(s.data(), s.size());
-  return s;
-}
-
-std::vector<float> BinaryReader::ReadFloatVector() {
-  const int64_t size = ReadI64();
-  if (!ok_ || size < 0 ||
-      size > RemainingBytes() / static_cast<int64_t>(sizeof(float))) {
-    ok_ = false;
-    return {};
-  }
-  std::vector<float> v(static_cast<size_t>(size));
-  ReadBytes(v.data(), v.size() * sizeof(float));
-  return v;
-}
-
-std::vector<int32_t> BinaryReader::ReadI32Vector() {
-  const int64_t size = ReadI64();
-  if (!ok_ || size < 0 ||
-      size > RemainingBytes() / static_cast<int64_t>(sizeof(int32_t))) {
-    ok_ = false;
-    return {};
-  }
-  std::vector<int32_t> v(static_cast<size_t>(size));
-  ReadBytes(v.data(), v.size() * sizeof(int32_t));
-  return v;
-}
-
-Status BinaryReader::Finish() {
-  if (!ok_) {
-    return Status::InvalidArgument(
-        StrFormat("truncated or unreadable file %s", path_.c_str()));
-  }
-  // Check for trailing bytes.
-  in_.peek();
-  if (!in_.eof()) {
-    return Status::InvalidArgument(
-        StrFormat("trailing bytes in %s", path_.c_str()));
-  }
-  return Status::OK();
-}
 
 void BufferWriter::WriteU32(uint32_t v) { WriteBytes(&v, sizeof(v)); }
 void BufferWriter::WriteI64(int64_t v) { WriteBytes(&v, sizeof(v)); }

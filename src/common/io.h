@@ -1,20 +1,15 @@
-// Small binary IO helpers used by checkpoint and dataset serialization.
-// All multi-byte values are little-endian (the library does not target
-// big-endian hosts).
+// Small binary IO helpers used by every on-disk format (checkpoints,
+// datasets, shard stores). All multi-byte values are little-endian (the
+// library does not target big-endian hosts).
 //
-// Two families:
-//  * BinaryWriter/BinaryReader stream straight to/from a file — fine for
-//    bulk data (datasets) where a torn write only loses that file.
-//  * BufferWriter/BufferReader work on an in-memory byte string, paired
-//    with AtomicWriteFile / ReadFileToString for crash-safe artifacts
-//    (checkpoints): serialize fully in memory, then publish the bytes
-//    with temp-file -> fsync -> rename so a reader never observes a
-//    partial file under the final name.
+// BufferWriter/BufferReader work on an in-memory byte string, paired
+// with AtomicWriteFile / ReadFileToString: serialize fully in memory,
+// then publish the bytes with temp-file -> fsync -> rename so a reader
+// never observes a partial file under the final name.
 #ifndef SGCL_COMMON_IO_H_
 #define SGCL_COMMON_IO_H_
 
 #include <cstdint>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -22,62 +17,8 @@
 
 namespace sgcl {
 
-class BinaryWriter {
- public:
-  // Opens `path` for writing; check ok() before use.
-  explicit BinaryWriter(const std::string& path);
-
-  [[nodiscard]] bool ok() const { return static_cast<bool>(out_); }
-
-  void WriteU32(uint32_t v);
-  void WriteI64(int64_t v);
-  void WriteF32(float v);
-  void WriteBytes(const void* data, size_t size);
-  void WriteString(const std::string& s);
-  void WriteFloatVector(const std::vector<float>& v);
-  void WriteI32Vector(const std::vector<int32_t>& v);
-
-  // Flushes and reports the final status.
-  Status Close();
-
- private:
-  std::ofstream out_;
-  std::string path_;
-};
-
-class BinaryReader {
- public:
-  explicit BinaryReader(const std::string& path);
-
-  [[nodiscard]] bool ok() const { return ok_; }
-  // True once a read ran past the end of the file (ok() turns false too).
-  [[nodiscard]] bool eof() const { return eof_; }
-
-  uint32_t ReadU32();
-  int64_t ReadI64();
-  float ReadF32();
-  std::string ReadString();
-  std::vector<float> ReadFloatVector();
-  std::vector<int32_t> ReadI32Vector();
-
-  // InvalidArgument when any read failed or trailing bytes remain.
-  Status Finish();
-
- private:
-  bool ReadBytes(void* data, size_t size);
-  // Bytes left between the read cursor and end-of-file.
-  int64_t RemainingBytes();
-
-  std::ifstream in_;
-  std::string path_;
-  int64_t file_size_ = 0;
-  bool ok_ = false;
-  bool eof_ = false;
-};
-
-// In-memory binary serializer with the BinaryWriter value vocabulary.
-// Cannot fail: the product is bytes(), which callers persist via
-// AtomicWriteFile (checkpoints) or embed in a larger stream.
+// In-memory binary serializer. Cannot fail: the product is bytes(), which
+// callers persist via AtomicWriteFile or embed in a larger stream.
 class BufferWriter {
  public:
   void WriteU32(uint32_t v);

@@ -290,9 +290,4 @@ std::string MetricsSnapshot::ToPrometheusText() const {
   return out;
 }
 
-void AppendMetricsJsonl(const MetricsSnapshot& snapshot, std::ostream* out) {
-  SGCL_CHECK(out != nullptr);
-  *out << snapshot.ToJson() << '\n';
-}
-
 }  // namespace sgcl

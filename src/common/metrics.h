@@ -25,7 +25,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -174,9 +173,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Histogram>> histograms_
       SGCL_GUARDED_BY(mu_);
 };
-
-// Writes `snapshot` as one JSONL record to `out` (JSON object + '\n').
-void AppendMetricsJsonl(const MetricsSnapshot& snapshot, std::ostream* out);
 
 // JSON string escaping for metric names / labels (shared with trace
 // export and the CLI's epoch records).

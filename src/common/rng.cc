@@ -189,8 +189,6 @@ std::vector<int64_t> Rng::WeightedSampleWithoutReplacement(
   return picked;
 }
 
-Rng Rng::Fork() { return Rng(Next()); }
-
 RngState Rng::GetState() const {
   RngState state;
   for (int i = 0; i < 4; ++i) state.s[i] = s_[i];

@@ -75,9 +75,6 @@ class Rng {
   std::vector<int64_t> WeightedSampleWithoutReplacement(
       const std::vector<double>& weights, int64_t k);
 
-  // An independent generator derived from this one's stream.
-  Rng Fork();
-
   // Snapshot / restore of the full stream state (checkpointing).
   RngState GetState() const;
   void SetState(const RngState& state);

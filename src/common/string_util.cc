@@ -21,16 +21,6 @@ std::string StrFormat(const char* fmt, ...) {
   return out;
 }
 
-std::string StrJoin(const std::vector<std::string>& parts,
-                    const std::string& sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
 std::vector<std::string> StrSplit(const std::string& s, char sep) {
   std::vector<std::string> out;
   size_t start = 0;

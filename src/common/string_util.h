@@ -12,10 +12,6 @@ namespace sgcl {
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-// Joins `parts` with `sep`.
-std::string StrJoin(const std::vector<std::string>& parts,
-                    const std::string& sep);
-
 // Splits `s` on `sep`, keeping empty fields.
 std::vector<std::string> StrSplit(const std::string& s, char sep);
 

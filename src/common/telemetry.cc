@@ -192,18 +192,23 @@ void RegisterDiagnosticsHandlers(HttpServer* server,
                     JsonEscape(__VERSION__) + "\"}";
     return response;
   });
-  // Sampled trace ring: list (newest first, ?min_duration_us= &limit=
-  // filters, ?detail=1 inlines flat span lists — the trace_report dump
-  // format) and per-trace span trees at /v1/traces/<hex id>.
+  // Sampled trace ring: every committed trace as chrome JSON (the dump
+  // tools/trace_report reads), a list (newest first, ?min_duration_us=
+  // &limit= filters) and per-trace span trees at /v1/traces/<hex id>.
+  server->Handle("/trace", [](const HttpRequest&) {
+    HttpResponse response;
+    response.content_type = "application/json";
+    response.body = TraceRing::Global().ToChromeTraceJson();
+    return response;
+  });
   server->Handle("/v1/traces", [](const HttpRequest& request) {
     HttpResponse response;
     response.content_type = "application/json";
     const int64_t min_duration_us =
         QueryInt(request.query, "min_duration_us", 0);
     const int64_t limit = QueryInt(request.query, "limit", 0);
-    const bool detail = QueryInt(request.query, "detail", 0) != 0;
-    response.body = TraceRing::Global().ListJson(
-        min_duration_us, static_cast<int>(limit), detail);
+    response.body = TraceRing::Global().ListJson(min_duration_us,
+                                                 static_cast<int>(limit));
     return response;
   });
   server->HandlePrefix("/v1/traces/", [](const HttpRequest& request) {
@@ -239,12 +244,6 @@ Status TelemetryServer::Start(int port, const RunStatusBoard* board) {
     } else {
       response.body = board->ToJson();
     }
-    return response;
-  });
-  server_.Handle("/trace", [](const HttpRequest&) {
-    HttpResponse response;
-    response.content_type = "application/json";
-    response.body = TraceRing::Global().ToChromeTraceJson();
     return response;
   });
   SGCL_RETURN_NOT_OK(server_.Start(port));

@@ -11,7 +11,7 @@
 //   /trace    chrome://tracing JSON of the trace ring's committed traces
 //             (empty traceEvents when nothing is sampled).
 //   /v1/traces       Sampled trace ring summaries, newest first
-//                    (?min_duration_us=, ?limit=, ?detail=1 for spans).
+//                    (?min_duration_us=, ?limit=).
 //   /v1/traces/<id>  Span tree for one sampled trace (16-hex-digit id).
 //
 // Correlation: every export is stamped with the process run id
@@ -97,8 +97,8 @@ class RunStatusBoard {
 
 // Registers the shared diagnostics handlers — GET /metrics (Prometheus
 // text of the global registry), GET /healthz (JSON liveness stamped
-// with run id/version/uptime), and the GET /v1/traces[/<id>] views of
-// the global TraceRing — on any HttpServer. Used by both the
+// with run id/version/uptime), and the GET /trace (chrome JSON) and
+// /v1/traces[/<id>] views of the global TraceRing — on any HttpServer. Used by both the
 // telemetry endpoint and the inference service (serve/service.*) so
 // every HTTP surface in the process is scrapable the same way. `start`
 // anchors the reported uptime.

@@ -26,15 +26,6 @@ uint64_t MixTraceId(uint64_t x) {
   return x == 0 ? 1 : x;
 }
 
-void AppendSpanJson(const TraceRing::Span& s, std::string* out) {
-  *out += StrFormat(
-      "{\"name\":\"%s\",\"span_id\":%llu,\"parent_span_id\":%llu,"
-      "\"tid\":%d,\"start_us\":%lld,\"dur_us\":%lld}",
-      JsonEscape(s.name).c_str(), static_cast<unsigned long long>(s.span_id),
-      static_cast<unsigned long long>(s.parent_span_id), s.tid,
-      static_cast<long long>(s.start_us), static_cast<long long>(s.dur_us));
-}
-
 // Each span's children, ordered by (start_us, span_id).
 using ChildIndex =
     std::unordered_map<uint64_t, std::vector<const TraceRing::Span*>>;
@@ -269,8 +260,7 @@ void TraceRing::Clear() {
   committed_count_ = 0;
 }
 
-std::string TraceRing::ListJson(int64_t min_duration_us, int limit,
-                                bool include_spans) const {
+std::string TraceRing::ListJson(int64_t min_duration_us, int limit) const {
   std::vector<Trace> traces = Traces();
   std::string out = StrFormat(
       "{\"capacity\":%llu,\"committed\":%llu,\"sample_rate\":%s,"
@@ -288,19 +278,10 @@ std::string TraceRing::ListJson(int64_t min_duration_us, int limit,
     ++emitted;
     out += StrFormat(
         "{\"trace_id\":\"%s\",\"root\":\"%s\",\"start_us\":%lld,"
-        "\"dur_us\":%lld,\"span_count\":%llu",
+        "\"dur_us\":%lld,\"span_count\":%llu}",
         FormatTraceId(t.trace_id).c_str(), JsonEscape(t.root_name).c_str(),
         static_cast<long long>(t.start_us), static_cast<long long>(t.dur_us),
         static_cast<unsigned long long>(t.spans.size()));
-    if (include_spans) {
-      out += ",\"spans\":[";
-      for (size_t i = 0; i < t.spans.size(); ++i) {
-        if (i > 0) out += ',';
-        AppendSpanJson(t.spans[i], &out);
-      }
-      out += ']';
-    }
-    out += '}';
   }
   out += "]}";
   return out;

@@ -157,11 +157,8 @@ class TraceRing {
   void Clear();  // drops completed traces and in-flight span buffers
 
   // JSON for /v1/traces: newest-first summaries filtered by
-  // min_duration_us, capped at limit (<=0 means no cap). When
-  // include_spans is set, each trace carries its flat span list —
-  // the dump format tools/trace_report ingests.
-  std::string ListJson(int64_t min_duration_us, int limit,
-                       bool include_spans) const;
+  // min_duration_us, capped at limit (<=0 means no cap).
+  std::string ListJson(int64_t min_duration_us, int limit) const;
   // JSON span tree for /v1/traces/<id>; empty string when unknown.
   std::string TreeJson(uint64_t trace_id) const;
 

@@ -158,11 +158,6 @@ AugmentationPlan BuildAugmentationPlan(const std::vector<float>& lipschitz,
   return plan;
 }
 
-Graph ApplyNodeDrop(const Graph& graph, const std::vector<uint8_t>& keep) {
-  SGCL_CHECK_EQ(static_cast<int64_t>(keep.size()), graph.num_nodes());
-  return graph.InducedSubgraph(keep);
-}
-
 GraphBatch MaskBatch(const GraphBatch& batch,
                      const std::vector<uint8_t>& keep) {
   SGCL_CHECK_EQ(static_cast<int64_t>(keep.size()), batch.num_nodes);

@@ -61,10 +61,6 @@ AugmentationPlan BuildAugmentationPlan(const std::vector<float>& lipschitz,
                                        AugmentationMode mode, double rho,
                                        Rng* rng);
 
-// Materializes a hard node-dropped view of `graph` from a keep mask
-// (used for data-level augmentation, visualization, and baselines).
-Graph ApplyNodeDrop(const Graph& graph, const std::vector<uint8_t>& keep);
-
 // Mean-threshold binarization (Eq. 16-17) as a standalone helper.
 std::vector<uint8_t> BinarizeLipschitz(const std::vector<float>& lipschitz);
 

@@ -39,9 +39,10 @@ float NodeDropTopologyDistance(int64_t degree, bool has_self_loop);
 
 class LipschitzGenerator {
  public:
-  // Default cap on total nodes per block-diagonal masked-view chunk.
-  // ~1K nodes keeps a chunk's activations inside per-core cache; larger
-  // chunks measurably raise per-node encode cost (see EXPERIMENTS.md).
+  // Default cap on total nodes per block-diagonal masked-view chunk, the
+  // one every model uses. Results never depend on it; for GIN it only
+  // sets the parallel grain (timings flat from 256 to 65536 nodes, see
+  // EXPERIMENTS.md).
   static constexpr int64_t kDefaultMaxViewNodes = 1024;
 
   // `encoder` is the generator GNN f_q; not owned, must outlive this.
@@ -65,7 +66,6 @@ class LipschitzGenerator {
   std::vector<float> ExactConstantsReference(const Graph& graph) const;
 
   LipschitzMode mode() const { return mode_; }
-  int64_t max_view_nodes() const { return max_view_nodes_; }
 
  private:
   std::vector<float> ExactConstants(const Graph& graph) const;

@@ -66,11 +66,6 @@ Status SgclConfig::Validate() const {
   if (!(rho >= 0.0 && rho <= 1.0)) {
     return invalid("rho", StrFormat("must be in [0, 1], got %g", rho));
   }
-  if (max_view_nodes <= 0) {
-    return invalid("max_view_nodes",
-                   StrFormat("must be positive, got %lld",
-                             static_cast<long long>(max_view_nodes)));
-  }
   if (!(learning_rate > 0.0f)) {
     return invalid("learning_rate",
                    StrFormat("must be > 0, got %g",

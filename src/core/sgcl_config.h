@@ -28,10 +28,6 @@ struct SgclConfig {
   double rho = 0.9;  // fraction of eligible nodes dropped per view
   AugmentationMode augmentation = AugmentationMode::kLipschitz;
   LipschitzMode lipschitz_mode = LipschitzMode::kAttentionApprox;
-  // Cap on total nodes per block-diagonal masked-view chunk in the exact
-  // Lipschitz generator (§V batching). Smaller = lower peak memory;
-  // larger = fewer encoder calls per graph.
-  int64_t max_view_nodes = LipschitzGenerator::kDefaultMaxViewNodes;
 
   // Eq. 21 semantic-score-weighted anchor pooling; false = "w/o SRL".
   bool semantic_pooling = true;
@@ -53,7 +49,7 @@ struct SgclConfig {
   // SgclConfig (SgclTrainer's constructor, the CLI, harnesses) funnels
   // through this instead of scattering implicit assumptions. Checks:
   // tau > 0, 0 <= rho <= 1, batch_size >= 2 (InfoNCE needs a negative),
-  // positive dims / layers / epochs / learning rate / max_view_nodes,
+  // positive dims / layers / epochs / learning rate,
   // non-negative loss weights. Returns InvalidArgument naming the first
   // offending field.
   Status Validate() const;

@@ -18,8 +18,8 @@ SgclModel::SgclModel(const SgclConfig& config, Rng* rng) : config_(config) {
       rng);
   prob_head_ = std::make_unique<Linear>(config.encoder.hidden_dim, 1, rng,
                                         /*use_bias=*/false);
-  generator_ = std::make_unique<LipschitzGenerator>(
-      f_q_.get(), config.lipschitz_mode, config.max_view_nodes);
+  generator_ = std::make_unique<LipschitzGenerator>(f_q_.get(),
+                                                    config.lipschitz_mode);
 }
 
 Tensor SgclModel::LearnedKeepScores(const GraphBatch& batch) const {

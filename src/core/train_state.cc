@@ -5,6 +5,7 @@
 #include <optional>
 #include <utility>
 
+#include "common/crc32.h"
 #include "common/fault.h"
 #include "common/io.h"
 #include "common/string_util.h"
@@ -17,16 +18,6 @@ namespace fs = std::filesystem;
 
 constexpr char kCheckpointPrefix[] = "ckpt-";
 constexpr char kCheckpointSuffix[] = ".sgcl";
-
-// FNV-1a 64-bit.
-uint64_t Fnv1a(const std::string& bytes) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 std::string SerializeOptimizerSection(const AdamState& state) {
   BufferWriter writer;
@@ -244,7 +235,10 @@ uint64_t ConfigFingerprint(const SgclConfig& config) {
   writer.WriteI64(config.encoder.num_layers);
   writer.WriteU32(static_cast<uint32_t>(config.encoder.pooling));
   writer.WriteI64(config.encoder.gat_heads);
-  writer.WriteU32(config.encoder.use_layer_norm ? 1u : 0u);
+  // Retired slots keep the value every run had, so fingerprints (and
+  // the checkpoints that carry them) stay stable: 0u was use_layer_norm,
+  // the chunk size below was SgclConfig::max_view_nodes.
+  writer.WriteU32(0u);
   writer.WriteI64(config.proj_dim);
   writer.WriteF32(config.tau);
   writer.WriteF32(config.lambda_c);
@@ -252,14 +246,14 @@ uint64_t ConfigFingerprint(const SgclConfig& config) {
   writer.WriteF64(config.rho);
   writer.WriteU32(static_cast<uint32_t>(config.augmentation));
   writer.WriteU32(static_cast<uint32_t>(config.lipschitz_mode));
-  writer.WriteI64(config.max_view_nodes);
+  writer.WriteI64(LipschitzGenerator::kDefaultMaxViewNodes);
   writer.WriteU32(config.semantic_pooling ? 1u : 0u);
   writer.WriteF32(config.generator_loss_weight);
   writer.WriteF32(config.learning_rate);
   writer.WriteI64(config.epochs);
   writer.WriteI64(config.batch_size);
   writer.WriteF32(config.grad_clip);
-  return Fnv1a(writer.bytes());
+  return Fnv1a64(writer.bytes());
 }
 
 std::string SerializeTrainState(const TrainState& state) {

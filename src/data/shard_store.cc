@@ -21,16 +21,6 @@ constexpr uint32_t kManifestMagic = 0x5347534du;  // "SGSM"
 constexpr uint32_t kFormatVersion = 1;
 constexpr int64_t kMaxShards = int64_t{1} << 20;
 
-// FNV-1a 64-bit over a byte string.
-uint64_t Fnv1a(const std::string& bytes) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 // Validates the whole-file trailing CRC and returns the body (all bytes
 // before the 4-byte trailer).
 Result<size_t> CheckTrailingCrc(const std::string& bytes,
@@ -246,7 +236,7 @@ Result<std::unique_ptr<ShardedGraphStore>> ShardedGraphStore::Open(
         static_cast<long long>(first_index)));
   }
   // The manifest bytes (CRC included) are the store's identity.
-  const uint64_t fp = Fnv1a(bytes);
+  const uint64_t fp = Fnv1a64(bytes);
   store->fingerprint_ = fp == 0 ? 1 : fp;
   return store;
 }

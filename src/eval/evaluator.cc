@@ -69,29 +69,4 @@ MeanStd RunKernelProtocol(const std::vector<double>& gram,
   return RunKernelProtocol(gram, source, options);
 }
 
-MeanStd RunTransferProtocol(
-    const std::function<std::unique_ptr<GnnEncoder>(uint64_t seed)>&
-        make_pretrained_encoder,
-    const GraphDataset& downstream, const TransferProtocolOptions& options) {
-  ThreeWaySplit split = ScaffoldSplit(downstream, options.train_fraction,
-                                      options.valid_fraction);
-  std::vector<double> per_seed;
-  per_seed.reserve(options.num_seeds);
-  for (int s = 0; s < options.num_seeds; ++s) {
-    const uint64_t seed = options.base_seed + 777ULL * (s + 1);
-    Rng rng(seed);
-    std::unique_ptr<GnnEncoder> encoder = make_pretrained_encoder(seed);
-    const double auc =
-        downstream.num_tasks() > 1 ||
-                downstream.graph(0).task_labels().size() == 1
-            ? FinetuneAndEvalRocAuc(encoder.get(), downstream, split.train,
-                                    split.test, options.finetune, &rng)
-            : FinetuneAndEvalAccuracy(encoder.get(), downstream, split.train,
-                                      split.test, options.finetune, &rng);
-    per_seed.push_back(auc);
-    SGCL_LOG(DEBUG) << downstream.name() << " seed " << s << ": " << auc;
-  }
-  return ComputeMeanStd(per_seed);
-}
-
 }  // namespace sgcl

@@ -1,4 +1,4 @@
-// End-to-end evaluation protocols matching the paper's §VI-A/§VI-B.
+// End-to-end evaluation protocols matching the paper's §VI-A.
 #ifndef SGCL_EVAL_EVALUATOR_H_
 #define SGCL_EVAL_EVALUATOR_H_
 
@@ -8,7 +8,6 @@
 
 #include "baselines/pretrainer.h"
 #include "eval/cross_validation.h"
-#include "eval/finetune.h"
 #include "graph/graph_source.h"
 
 namespace sgcl {
@@ -45,22 +44,6 @@ MeanStd RunKernelProtocol(const std::vector<double>& gram,
 MeanStd RunKernelProtocol(const std::vector<double>& gram,
                           const GraphDataset& dataset,
                           const UnsupervisedProtocolOptions& options);
-
-struct TransferProtocolOptions {
-  FinetuneConfig finetune;
-  int num_seeds = 3;  // paper: 10; scaled for single-core runs
-  uint64_t base_seed = 0;
-  double train_fraction = 0.8;
-  double valid_fraction = 0.1;
-};
-
-// Transfer protocol (Table IV): given an encoder factory that returns a
-// *pretrained* encoder for a seed, fine-tune on the scaffold-split
-// downstream dataset and aggregate test ROC-AUC over seeds.
-MeanStd RunTransferProtocol(
-    const std::function<std::unique_ptr<GnnEncoder>(uint64_t seed)>&
-        make_pretrained_encoder,
-    const GraphDataset& downstream, const TransferProtocolOptions& options);
 
 }  // namespace sgcl
 

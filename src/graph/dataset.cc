@@ -85,51 +85,4 @@ Status GraphDataset::Validate() const {
   return Status::OK();
 }
 
-namespace {
-
-Status CheckSubsetIndices(const std::vector<int64_t>& indices, int64_t size,
-                          const std::string& name) {
-  for (int64_t i : indices) {
-    if (i < 0 || i >= size) {
-      return Status::OutOfRange(
-          StrFormat("subset index %lld outside dataset %s of size %lld",
-                    static_cast<long long>(i), name.c_str(),
-                    static_cast<long long>(size)));
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Result<GraphDataset> GraphDataset::Subset(
-    const std::vector<int64_t>& indices) const& {
-  SGCL_RETURN_NOT_OK(CheckSubsetIndices(indices, size(), name_));
-  GraphDataset out(name_, num_classes_, num_tasks_);
-  out.Reserve(static_cast<int64_t>(indices.size()));
-  for (int64_t i : indices) out.Add(graphs_[i]);
-  return out;
-}
-
-Result<GraphDataset> GraphDataset::Subset(
-    const std::vector<int64_t>& indices) && {
-  SGCL_RETURN_NOT_OK(CheckSubsetIndices(indices, size(), name_));
-  GraphDataset out(name_, num_classes_, num_tasks_);
-  out.Reserve(static_cast<int64_t>(indices.size()));
-  // Moving the same index twice would hand out a moved-from graph; the
-  // rvalue overload therefore rejects duplicates up front.
-  std::vector<uint8_t> taken(graphs_.size(), 0);
-  for (int64_t i : indices) {
-    if (taken[static_cast<size_t>(i)]) {
-      return Status::InvalidArgument(StrFormat(
-          "duplicate index %lld in move-subset of dataset %s",
-          static_cast<long long>(i), name_.c_str()));
-    }
-    taken[static_cast<size_t>(i)] = 1;
-  }
-  for (int64_t i : indices) out.Add(std::move(graphs_[i]));
-  graphs_.clear();
-  return out;
-}
-
 }  // namespace sgcl

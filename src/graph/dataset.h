@@ -2,8 +2,8 @@
 //
 // Error contract: accessors that have no meaningful value on an empty or
 // malformed dataset are checked — feat_dim()/graph() are fatal on misuse
-// (programming errors in trusted code), while FeatDim()/Labels()/Subset/
-// TryAdd return Status/Result for untrusted inputs (CLI paths, files).
+// (programming errors in trusted code), while FeatDim()/Labels()/TryAdd
+// return Status/Result for untrusted inputs (CLI paths, files).
 // Feature-dim agreement is enforced at Add() time: the first graph pins
 // the dataset's feature width and every later Add must match, so a
 // mixed-width dataset can never be constructed silently.
@@ -70,15 +70,6 @@ class GraphDataset {
 
   // Validates every graph and checks label ranges & feature-dim agreement.
   [[nodiscard]] Status Validate() const;
-
-  // The subset given by `indices`. The lvalue overload copies the selected
-  // graphs; the rvalue overload moves them out of this dataset (which is
-  // left valid but unspecified), so `std::move(ds).Subset(idx)` never
-  // duplicates graph payloads. OutOfRange on any bad index.
-  [[nodiscard]] Result<GraphDataset> Subset(
-      const std::vector<int64_t>& indices) const&;
-  [[nodiscard]] Result<GraphDataset> Subset(
-      const std::vector<int64_t>& indices) &&;
 
  private:
   std::string name_;

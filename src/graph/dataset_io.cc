@@ -27,8 +27,9 @@ Status CheckHeaderCounts(int64_t size, int64_t num_classes,
   return Status::OK();
 }
 
-// The pre-CRC v1 layout (BinaryWriter vocabulary; semantic mask stored as
-// an i32 vector). Kept so corpora frozen by older builds stay loadable.
+// The pre-CRC v1 layout (the BufferWriter value vocabulary written
+// straight to a file; semantic mask stored as an i32 vector). Kept so
+// corpora frozen by older builds stay loadable.
 Result<GraphDataset> ParseLegacyV1(BufferReader* reader,
                                    const std::string& path) {
   const std::string name = reader->ReadString();

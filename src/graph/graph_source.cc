@@ -2,29 +2,10 @@
 
 #include <algorithm>
 
+#include "common/crc32.h"
 #include "common/string_util.h"
 
 namespace sgcl {
-namespace {
-
-// FNV-1a 64-bit over incremental words.
-struct Fnv64 {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  void Mix(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffu;
-      h *= 0x100000001b3ULL;
-    }
-  }
-  void Mix(const std::string& s) {
-    for (unsigned char c : s) {
-      h ^= c;
-      h *= 0x100000001b3ULL;
-    }
-  }
-};
-
-}  // namespace
 
 Result<std::vector<int>> GraphSource::Labels() const {
   if (size() == 0) {
@@ -73,19 +54,20 @@ Status InMemorySource::Fetch(std::span<const int64_t> indices,
 uint64_t InMemorySource::ContentFingerprint() const { return fingerprint_; }
 
 uint64_t InMemorySource::Fingerprint(const GraphDataset& dataset) {
-  Fnv64 fnv;
-  fnv.Mix(dataset.name());
-  fnv.Mix(static_cast<uint64_t>(dataset.num_classes()));
-  fnv.Mix(static_cast<uint64_t>(dataset.num_tasks()));
-  fnv.Mix(static_cast<uint64_t>(dataset.size()));
+  // The name's bytes, then each count as 8 little-endian bytes.
+  uint64_t h = Fnv1a64(dataset.name());
+  const auto mix = [&h](uint64_t v) { h = Fnv1a64(&v, sizeof(v), h); };
+  mix(static_cast<uint64_t>(dataset.num_classes()));
+  mix(static_cast<uint64_t>(dataset.num_tasks()));
+  mix(static_cast<uint64_t>(dataset.size()));
   for (int64_t i = 0; i < dataset.size(); ++i) {
     const Graph& g = dataset.graph(i);
-    fnv.Mix(static_cast<uint64_t>(g.num_nodes()));
-    fnv.Mix(static_cast<uint64_t>(g.num_directed_edges()));
-    fnv.Mix(static_cast<uint64_t>(static_cast<int64_t>(g.label())));
+    mix(static_cast<uint64_t>(g.num_nodes()));
+    mix(static_cast<uint64_t>(g.num_directed_edges()));
+    mix(static_cast<uint64_t>(static_cast<int64_t>(g.label())));
   }
   // Never collide with the "unknown" sentinel.
-  return fnv.h == 0 ? 1 : fnv.h;
+  return h == 0 ? 1 : h;
 }
 
 }  // namespace sgcl

@@ -5,21 +5,10 @@
 
 namespace sgcl {
 
-std::vector<std::vector<int64_t>> KFoldIndices(int64_t n, int k, Rng* rng) {
-  SGCL_CHECK_GT(k, 1);
-  SGCL_CHECK_GE(n, k);
-  SGCL_CHECK(rng != nullptr);
-  std::vector<int64_t> perm(n);
-  for (int64_t i = 0; i < n; ++i) perm[i] = i;
-  rng->Shuffle(&perm);
-  std::vector<std::vector<int64_t>> folds(k);
-  for (int64_t i = 0; i < n; ++i) folds[i % k].push_back(perm[i]);
-  return folds;
-}
-
 std::vector<std::vector<int64_t>> StratifiedKFoldIndices(
     const std::vector<int>& labels, int k, Rng* rng) {
   SGCL_CHECK_GT(k, 1);
+  SGCL_CHECK_GE(static_cast<int64_t>(labels.size()), k);
   SGCL_CHECK(rng != nullptr);
   std::map<int, std::vector<int64_t>> by_class;
   for (size_t i = 0; i < labels.size(); ++i) {

@@ -1,4 +1,4 @@
-// Train/test splitting utilities: k-fold CV, stratification, holdout,
+// Train/test splitting utilities: stratified k-fold CV, holdout,
 // scaffold splits, and label-rate subsetting for semi-supervised runs.
 #ifndef SGCL_GRAPH_SPLITS_H_
 #define SGCL_GRAPH_SPLITS_H_
@@ -11,10 +11,8 @@
 
 namespace sgcl {
 
-// k roughly equal folds of a random permutation of [0, n).
-std::vector<std::vector<int64_t>> KFoldIndices(int64_t n, int k, Rng* rng);
-
-// k folds with per-class proportional allocation. labels[i] >= 0.
+// k folds with per-class proportional allocation. labels[i] >= 0, and
+// 2 <= k <= labels.size() so that no fold is empty.
 std::vector<std::vector<int64_t>> StratifiedKFoldIndices(
     const std::vector<int>& labels, int k, Rng* rng);
 

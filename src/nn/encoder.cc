@@ -51,18 +51,13 @@ GnnEncoder::GnnEncoder(const EncoderConfig& config, Rng* rng)
     const int64_t in = (l == 0) ? config.in_dim : config.hidden_dim;
     layers_.push_back(
         MakeConv(config.arch, in, config.hidden_dim, config.gat_heads, rng));
-    if (config.use_layer_norm) {
-      norms_.push_back(std::make_unique<LayerNorm>(config.hidden_dim));
-    }
   }
 }
 
 Tensor GnnEncoder::EncodeNodes(const Tensor& x, const GraphBatch& batch) const {
   Tensor h = x;
   for (size_t l = 0; l < layers_.size(); ++l) {
-    h = layers_[l]->Forward(h, batch);
-    if (!norms_.empty()) h = norms_[l]->Forward(h);
-    h = Relu(h);
+    h = Relu(layers_[l]->Forward(h, batch));
   }
   return h;
 }
@@ -81,10 +76,6 @@ std::vector<Tensor> GnnEncoder::Parameters() const {
   std::vector<Tensor> params;
   for (const auto& layer : layers_) {
     auto p = layer->Parameters();
-    params.insert(params.end(), p.begin(), p.end());
-  }
-  for (const auto& norm : norms_) {
-    auto p = norm->Parameters();
     params.insert(params.end(), p.begin(), p.end());
   }
   return params;

@@ -9,7 +9,6 @@
 #include "common/rng.h"
 #include "graph/graph_batch.h"
 #include "nn/graph_conv.h"
-#include "nn/layer_norm.h"
 #include "nn/pooling.h"
 
 namespace sgcl {
@@ -25,9 +24,6 @@ struct EncoderConfig {
   int num_layers = 3;       // paper: 3 for TU, 5 for transfer
   PoolingKind pooling = PoolingKind::kSum;
   int gat_heads = 2;        // only for kGat
-  // Optional LayerNorm between convolutions (stabilizes sum aggregation
-  // on dense graphs; off by default to match the paper's architecture).
-  bool use_layer_norm = false;
 };
 
 class GnnEncoder : public Module {
@@ -49,17 +45,12 @@ class GnnEncoder : public Module {
   const EncoderConfig& config() const { return config_; }
 
   // Layer introspection for tape-free inference kernels
-  // (nn/gin_inference.h): conv layer l and its optional LayerNorm
-  // (nullptr when layer norm is disabled).
+  // (nn/gin_inference.h): conv layer l.
   const GraphConv& conv(int64_t l) const { return *layers_[l]; }
-  const LayerNorm* norm(int64_t l) const {
-    return norms_.empty() ? nullptr : norms_[l].get();
-  }
 
  private:
   EncoderConfig config_;
   std::vector<std::unique_ptr<GraphConv>> layers_;
-  std::vector<std::unique_ptr<LayerNorm>> norms_;  // empty unless enabled
 };
 
 }  // namespace sgcl

@@ -20,10 +20,9 @@ float* GradOrNull(const std::shared_ptr<TensorImpl>& t) {
 
 }  // namespace
 
-GinConv::GinConv(int64_t in_dim, int64_t out_dim, Rng* rng, float eps)
+GinConv::GinConv(int64_t in_dim, int64_t out_dim, Rng* rng)
     : mlp_(std::make_unique<Mlp>(std::vector<int64_t>{in_dim, out_dim, out_dim},
-                                 rng)),
-      eps_(eps) {}
+                                 rng)) {}
 
 GinLayerParams GinConv::LayerParams() const {
   const Linear& l1 = mlp_->layer(0);
@@ -36,10 +35,6 @@ GinLayerParams GinConv::LayerParams() const {
   p.in = l1.in_dim();
   p.hid = l1.out_dim();
   p.out = l2.out_dim();
-  p.eps_self = eps_;
-  p.gamma = nullptr;
-  p.beta = nullptr;
-  p.ln_eps = 0.0f;
   return p;
 }
 

@@ -1,5 +1,5 @@
 // Graph Isomorphism Network layer (Xu et al., ICLR'19), GIN-0 variant:
-//   h_i' = MLP((1 + eps) h_i + sum_{j in N(i)} w_ji h_j),   eps = 0,
+//   h_i' = MLP(h_i + sum_{j in N(i)} w_ji h_j),
 // with w_ji = 1 unless the batch carries edge weights.
 //
 // Forward runs as one autograd node: the fused row kernel of
@@ -19,7 +19,7 @@ namespace sgcl {
 
 class GinConv : public GraphConv {
  public:
-  GinConv(int64_t in_dim, int64_t out_dim, Rng* rng, float eps = 0.0f);
+  GinConv(int64_t in_dim, int64_t out_dim, Rng* rng);
 
   // Pre-activation output MLP(agg) [batch.num_nodes, out_dim]; gradients
   // flow to x, the MLP parameters and batch.edge_weights.
@@ -27,14 +27,12 @@ class GinConv : public GraphConv {
   std::vector<Tensor> Parameters() const override;
 
   const Mlp& mlp() const { return *mlp_; }
-  float eps() const { return eps_; }
 
-  // Raw-pointer view of the current weights (no LayerNorm).
+  // Raw-pointer view of the current weights.
   GinLayerParams LayerParams() const;
 
  private:
   std::unique_ptr<Mlp> mlp_;  // {in, out, out}
-  float eps_;
 };
 
 }  // namespace sgcl

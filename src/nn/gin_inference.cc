@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "nn/gin_conv.h"
-#include "nn/layer_norm.h"
 
 namespace sgcl {
 namespace {
@@ -25,12 +24,7 @@ GinInferencePlan GinInferencePlan::Build(const GnnEncoder& encoder) {
   for (int l = 0; l < num_layers; ++l) {
     const GinConv* gin = dynamic_cast<const GinConv*>(&encoder.conv(l));
     if (gin == nullptr) return GinInferencePlan();
-    GinLayerParams layer = gin->LayerParams();
-    const LayerNorm* norm = encoder.norm(l);
-    layer.gamma = norm != nullptr ? norm->gamma().data() : nullptr;
-    layer.beta = norm != nullptr ? norm->beta().data() : nullptr;
-    layer.ln_eps = norm != nullptr ? norm->eps() : 0.0f;
-    plan.layers_.push_back(layer);
+    plan.layers_.push_back(gin->LayerParams());
   }
   return plan;
 }

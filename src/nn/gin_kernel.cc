@@ -1,7 +1,6 @@
 #include "nn/gin_kernel.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/parallel.h"
 #include "common/simd.h"
@@ -43,43 +42,19 @@ inline void DenseRow(const float* a, int64_t in, const float* w,
   }
 }
 
-// LayerNorm with double-precision moments as in nn/layer_norm.cc, then
-// the encoder ReLU, in place on one row. Shared by the full-row and
-// dirty-row kernels so their arithmetic can never diverge.
-inline void LayerNormReluRow(const GinLayerParams& p, float* yrow) {
-  double mean = 0.0;
-  for (int64_t j = 0; j < p.out; ++j) mean += yrow[j];
-  mean /= static_cast<double>(p.out);
-  double var = 0.0;
-  for (int64_t j = 0; j < p.out; ++j) {
-    const double c = yrow[j] - mean;
-    var += c * c;
-  }
-  var /= static_cast<double>(p.out);
-  const float inv = 1.0f / std::sqrt(static_cast<float>(var) + p.ln_eps);
-  for (int64_t j = 0; j < p.out; ++j) {
-    const float h = (yrow[j] - static_cast<float>(mean)) * inv;
-    const float y = p.gamma[j] * h + p.beta[j];
-    yrow[j] = y > 0.0f ? y : 0.0f;
-  }
-}
-
 // The two MLP layers and the layer's output activation for one row whose
-// aggregate is already in `arow`.
+// aggregate is already in `arow`; the trailing ReLU fuses into the
+// second dense layer.
 inline void MlpRow(const GinLayerParams& p, const float* arow, bool relu_out,
                    float* hrow, float* yrow) {
   DenseRow(arow, p.in, p.w1, p.b1, p.hid, /*relu=*/true, hrow);
-  // Without LayerNorm the trailing ReLU lands directly on the conv
-  // output, so it fuses into the second dense layer.
-  DenseRow(hrow, p.hid, p.w2, p.b2, p.out,
-           /*relu=*/relu_out && p.gamma == nullptr, yrow);
-  if (p.gamma != nullptr) LayerNormReluRow(p, yrow);
+  DenseRow(hrow, p.hid, p.w2, p.b2, p.out, relu_out, yrow);
 }
 
-// agg_v = (1 + eps) x_v + sum of (weighted) in-neighbors, neighbor terms
-// first and in edge order — the order of ScatterAddRows followed by
-// Add(MulScalar(x, 1 + eps), sum). Under a masked view (masked >= 0) the
-// in-edges from `masked` are skipped and the masked row keeps none.
+// agg_v = x_v + sum of (weighted) in-neighbors, neighbor terms first and
+// in edge order — the order of ScatterAddRows followed by Add(x, sum).
+// Under a masked view (masked >= 0) the in-edges from `masked` are
+// skipped and the masked row keeps none.
 inline void AggregateRow(const GinLayerParams& p, const float* in,
                          const EdgeCsr& in_edges, int64_t v, int64_t masked,
                          float* arow) {
@@ -96,12 +71,8 @@ inline void AggregateRow(const GinLayerParams& p, const float* in,
       for (int64_t j = 0; j < p.in; ++j) arow[j] += srow[j];
     }
   }
-  const float one_plus_eps = 1.0f + p.eps_self;
   const float* xrow = in + v * p.in;
-  for (int64_t j = 0; j < p.in; ++j) {
-    const float self = one_plus_eps * xrow[j];
-    arow[j] = self + arow[j];
-  }
+  for (int64_t j = 0; j < p.in; ++j) arow[j] = xrow[j] + arow[j];
 }
 
 // Rows [lo, hi) of GinLayerForward. Rowwise given the previous layer's
@@ -176,13 +147,12 @@ void ColumnSums(const float* g, int64_t n, int64_t cols, float* db) {
 
 // Rows [lo, hi) of the input gradient: each row first gathers its
 // out-edges' (weighted) aggregate gradients in edge order (GatherRows'
-// backward), then adds the self term (MulScalar's backward).
+// backward), then adds the self term (Add's backward).
 SGCL_TARGET_CLONES
 void InputGradRows(const GinLayerParams& p, const float* dagg,
                    const EdgeCsr& out_edges, float* dx, int64_t lo,
                    int64_t hi) {
   const bool weighted = !out_edges.weights.empty();
-  const float one_plus_eps = 1.0f + p.eps_self;
   for (int64_t u = lo; u < hi; ++u) {
     float* xrow = dx + u * p.in;
     for (int64_t t = out_edges.offsets[u]; t < out_edges.offsets[u + 1];
@@ -196,7 +166,7 @@ void InputGradRows(const GinLayerParams& p, const float* dagg,
       }
     }
     const float* grow = dagg + u * p.in;
-    for (int64_t j = 0; j < p.in; ++j) xrow[j] += grow[j] * one_plus_eps;
+    for (int64_t j = 0; j < p.in; ++j) xrow[j] += grow[j];
   }
 }
 

@@ -21,18 +21,13 @@
 
 namespace sgcl {
 
-// Raw-pointer view of one GIN layer: conv MLP weights plus the optional
-// LayerNorm parameters (gamma == nullptr when disabled).
+// Raw-pointer view of one GIN layer's MLP weights.
 struct GinLayerParams {
   const float* w1;  // [in, hid]
   const float* b1;  // [1, hid]
   const float* w2;  // [hid, out]
   const float* b2;  // [1, out]
   int64_t in, hid, out;
-  float eps_self;      // GIN self-weight is (1 + eps_self)
-  const float* gamma;  // LayerNorm gain/bias, nullptr when disabled
-  const float* beta;
-  float ln_eps;
 };
 
 // Edges grouped by one endpoint: row v lists the other endpoints of its
@@ -50,10 +45,9 @@ EdgeCsr BuildEdgeCsr(int64_t n, const int32_t* by, const int32_t* other,
                      int64_t num_edges, const float* weights);
 
 // One GIN layer over all n rows:
-//   agg = (1 + eps) x + sum_{e: dst(e) = v} w_e x_src(e)
+//   agg = x + sum_{e: dst(e) = v} w_e x_src(e)
 //   hid = relu(agg W1 + b1)
-//   out = hid W2 + b2, then LayerNorm + ReLU when p.gamma != nullptr,
-//         else ReLU when `relu_out`.
+//   out = hid W2 + b2, ReLU'd when `relu_out`.
 // Writes agg [n, in], hid [n, hid] and out [n, out]; `x` is [n, in].
 void GinLayerForward(const GinLayerParams& p, const float* x, int64_t n,
                      const EdgeCsr& in_edges, bool relu_out, float* agg,
@@ -79,11 +73,11 @@ struct GinLayerGrads {
   float* edge_weights = nullptr;  // [num_edges, 1]
 };
 
-// Backward of a GinLayerForward call made with relu_out = false and no
-// LayerNorm, from the output gradient `dout` [n, out]:
+// Backward of a GinLayerForward call made with relu_out = false, from
+// the output gradient `dout` [n, out]:
 //   dPre = (dout W2^T) masked by hid > 0      dW2 += hid^T dout
 //   dAgg = dPre W1^T                          dW1 += agg^T dPre
-//   dx_u += sum_{e: src(e) = u} w_e dAgg_dst(e) + (1 + eps) dAgg_u
+//   dx_u += sum_{e: src(e) = u} w_e dAgg_dst(e) + dAgg_u
 //   dw_e += dAgg_dst(e) . x_src(e)            db  += column sums
 // `edge_weights` is null for an unweighted layer.
 void GinLayerBackward(const GinLayerParams& p, int64_t n, const float* x,

@@ -117,7 +117,7 @@ Status ServeService::Start() {
   }
   SGCL_LOG(INFO) << "serve listening on http://127.0.0.1:" << server_.port()
                  << " (POST /v1/embed /v1/predict; GET /v1/info /status "
-                    "/metrics /healthz /v1/traces)";
+                    "/metrics /healthz /trace /v1/traces)";
   return Status::OK();
 }
 

@@ -9,6 +9,7 @@
 //                     batch occupancy, queue depth, config
 //   GET  /metrics     Prometheus text (shared diagnostics handler)
 //   GET  /healthz     liveness (shared diagnostics handler)
+//   GET  /trace       sampled requests as chrome JSON (shared handler)
 //   GET  /v1/traces[/<id>]  sampled request span trees (shared handler)
 //
 // Error contract: malformed JSON / wrong shapes -> 400, unknown routes

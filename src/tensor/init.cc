@@ -16,17 +16,6 @@ Tensor XavierUniform(int64_t fan_in, int64_t fan_out, Rng* rng) {
                             /*requires_grad=*/true);
 }
 
-Tensor HeNormal(int64_t fan_in, int64_t fan_out, Rng* rng) {
-  SGCL_CHECK(rng != nullptr);
-  SGCL_CHECK_GT(fan_in, 0);
-  SGCL_CHECK_GT(fan_out, 0);
-  const double stddev = std::sqrt(2.0 / static_cast<double>(fan_in));
-  std::vector<float> values(static_cast<size_t>(fan_in * fan_out));
-  for (float& v : values) v = static_cast<float>(rng->Normal(0.0, stddev));
-  return Tensor::FromVector({fan_in, fan_out}, std::move(values),
-                            /*requires_grad=*/true);
-}
-
 Tensor ZerosParam(int64_t rows, int64_t cols) {
   return Tensor::Zeros({rows, cols}, /*requires_grad=*/true);
 }

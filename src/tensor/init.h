@@ -13,9 +13,6 @@ namespace sgcl {
 // Returns a [fan_in, fan_out] tensor with requires_grad set.
 Tensor XavierUniform(int64_t fan_in, int64_t fan_out, Rng* rng);
 
-// Kaiming/He normal: N(0, sqrt(2 / fan_in)); for ReLU stacks.
-Tensor HeNormal(int64_t fan_in, int64_t fan_out, Rng* rng);
-
 // Zero-initialized trainable tensor (biases).
 Tensor ZerosParam(int64_t rows, int64_t cols);
 

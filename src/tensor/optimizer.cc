@@ -6,19 +6,32 @@
 
 namespace sgcl {
 
-Optimizer::Optimizer(std::vector<Tensor> params)
-    : params_(std::move(params)) {
+namespace {
+
+// Moment decay rates and the denominator guard.
+constexpr float kBeta1 = 0.9f;
+constexpr float kBeta2 = 0.999f;
+constexpr float kEps = 1e-8f;
+
+}  // namespace
+
+Adam::Adam(std::vector<Tensor> params, float lr)
+    : params_(std::move(params)), lr_(lr) {
+  m_.reserve(params_.size());
+  v_.reserve(params_.size());
   for (Tensor& p : params_) {
     SGCL_CHECK(p.requires_grad());
     p.impl()->EnsureGradAllocated();
+    m_.emplace_back(p.impl()->data.size(), 0.0f);
+    v_.emplace_back(p.impl()->data.size(), 0.0f);
   }
 }
 
-void Optimizer::ZeroGrad() {
+void Adam::ZeroGrad() {
   for (Tensor& p : params_) p.ZeroGrad();
 }
 
-float Optimizer::ClipGradNorm(float max_norm) {
+float Adam::ClipGradNorm(float max_norm) {
   SGCL_CHECK_GT(max_norm, 0.0f);
   double total = 0.0;
   for (Tensor& p : params_) {
@@ -32,50 +45,6 @@ float Optimizer::ClipGradNorm(float max_norm) {
     }
   }
   return norm;
-}
-
-Sgd::Sgd(std::vector<Tensor> params, float lr, float momentum,
-         float weight_decay)
-    : Optimizer(std::move(params)),
-      lr_(lr),
-      momentum_(momentum),
-      weight_decay_(weight_decay) {
-  if (momentum_ > 0.0f) {
-    velocity_.reserve(params_.size());
-    for (Tensor& p : params_) {
-      velocity_.emplace_back(p.impl()->data.size(), 0.0f);
-    }
-  }
-}
-
-void Sgd::Step() {
-  for (size_t k = 0; k < params_.size(); ++k) {
-    auto& impl = *params_[k].impl();
-    for (size_t i = 0; i < impl.data.size(); ++i) {
-      float g = impl.grad[i] + weight_decay_ * impl.data[i];
-      if (momentum_ > 0.0f) {
-        velocity_[k][i] = momentum_ * velocity_[k][i] + g;
-        g = velocity_[k][i];
-      }
-      impl.data[i] -= lr_ * g;
-    }
-  }
-}
-
-Adam::Adam(std::vector<Tensor> params, float lr, float beta1, float beta2,
-           float eps, float weight_decay)
-    : Optimizer(std::move(params)),
-      lr_(lr),
-      beta1_(beta1),
-      beta2_(beta2),
-      eps_(eps),
-      weight_decay_(weight_decay) {
-  m_.reserve(params_.size());
-  v_.reserve(params_.size());
-  for (Tensor& p : params_) {
-    m_.emplace_back(p.impl()->data.size(), 0.0f);
-    v_.emplace_back(p.impl()->data.size(), 0.0f);
-  }
 }
 
 AdamState Adam::ExportState() const {
@@ -115,17 +84,17 @@ Status Adam::ImportState(const AdamState& state) {
 
 void Adam::Step() {
   ++t_;
-  const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
-  const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
+  const float bc1 = 1.0f - std::pow(kBeta1, static_cast<float>(t_));
+  const float bc2 = 1.0f - std::pow(kBeta2, static_cast<float>(t_));
   for (size_t k = 0; k < params_.size(); ++k) {
     auto& impl = *params_[k].impl();
     for (size_t i = 0; i < impl.data.size(); ++i) {
-      const float g = impl.grad[i] + weight_decay_ * impl.data[i];
-      m_[k][i] = beta1_ * m_[k][i] + (1.0f - beta1_) * g;
-      v_[k][i] = beta2_ * v_[k][i] + (1.0f - beta2_) * g * g;
+      const float g = impl.grad[i];
+      m_[k][i] = kBeta1 * m_[k][i] + (1.0f - kBeta1) * g;
+      v_[k][i] = kBeta2 * v_[k][i] + (1.0f - kBeta2) * g * g;
       const float mhat = m_[k][i] / bc1;
       const float vhat = v_[k][i] / bc2;
-      impl.data[i] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
+      impl.data[i] -= lr_ * mhat / (std::sqrt(vhat) + kEps);
     }
   }
 }

@@ -1,4 +1,4 @@
-// First-order optimizers over lists of trainable tensors.
+// The Adam optimizer over a list of trainable tensors.
 #ifndef SGCL_TENSOR_OPTIMIZER_H_
 #define SGCL_TENSOR_OPTIMIZER_H_
 
@@ -19,18 +19,19 @@ struct AdamState {
   std::vector<std::vector<float>> v;
 };
 
-// Base class owning the parameter handles. Not copyable: optimizer state
-// (moments) is tied to the exact parameter tensors it was built with.
-class Optimizer {
+// Adam (Kingma & Ba) with bias correction and the usual constants
+// (beta1 0.9, beta2 0.999, eps 1e-8). Owns the parameter handles; not
+// copyable: its moments are tied to the exact parameter tensors it was
+// built with.
+class Adam {
  public:
-  explicit Optimizer(std::vector<Tensor> params);
-  virtual ~Optimizer() = default;
+  Adam(std::vector<Tensor> params, float lr);
 
-  Optimizer(const Optimizer&) = delete;
-  Optimizer& operator=(const Optimizer&) = delete;
+  Adam(const Adam&) = delete;
+  Adam& operator=(const Adam&) = delete;
 
   // Applies one update using the gradients currently stored in the params.
-  virtual void Step() = 0;
+  void Step();
 
   // Clears all parameter gradients.
   void ZeroGrad();
@@ -38,33 +39,6 @@ class Optimizer {
   // Rescales gradients so their global L2 norm is at most max_norm.
   // Returns the pre-clip norm.
   float ClipGradNorm(float max_norm);
-
-  const std::vector<Tensor>& params() const { return params_; }
-
- protected:
-  std::vector<Tensor> params_;
-};
-
-// SGD with optional momentum and decoupled L2 weight decay.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Tensor> params, float lr, float momentum = 0.0f,
-      float weight_decay = 0.0f);
-  void Step() override;
-
- private:
-  float lr_;
-  float momentum_;
-  float weight_decay_;
-  std::vector<std::vector<float>> velocity_;
-};
-
-// Adam (Kingma & Ba) with bias correction and decoupled weight decay.
-class Adam : public Optimizer {
- public:
-  Adam(std::vector<Tensor> params, float lr, float beta1 = 0.9f,
-       float beta2 = 0.999f, float eps = 1e-8f, float weight_decay = 0.0f);
-  void Step() override;
 
   // Copy of the full optimizer state for checkpointing.
   AdamState ExportState() const;
@@ -74,7 +48,8 @@ class Adam : public Optimizer {
   Status ImportState(const AdamState& state);
 
  private:
-  float lr_, beta1_, beta2_, eps_, weight_decay_;
+  std::vector<Tensor> params_;
+  float lr_;
   int64_t t_ = 0;
   std::vector<std::vector<float>> m_;
   std::vector<std::vector<float>> v_;

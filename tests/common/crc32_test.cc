@@ -38,6 +38,23 @@ TEST(Crc32Test, DetectsEverySingleBitFlip) {
   }
 }
 
+TEST(Fnv1a64Test, KnownVectors) {
+  // The published FNV-1a 64-bit test vectors.
+  EXPECT_EQ(Fnv1a64(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(Fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(Fnv1a64("foobar"), 0x85944171f73967e8ULL);
+}
+
+TEST(Fnv1a64Test, SeedChainsIncrementalComputation) {
+  const std::string data = "the quick brown fox jumps over the lazy dog";
+  const uint64_t whole = Fnv1a64(data);
+  for (size_t split = 0; split <= data.size(); ++split) {
+    const uint64_t part1 = Fnv1a64(data.data(), split);
+    EXPECT_EQ(Fnv1a64(data.data() + split, data.size() - split, part1), whole)
+        << "split at " << split;
+  }
+}
+
 TEST(Crc32Test, DistinguishesPermutedContent) {
   EXPECT_NE(Crc32("ab"), Crc32("ba"));
   EXPECT_NE(Crc32(std::string("\0a", 2)), Crc32(std::string("a\0", 2)));

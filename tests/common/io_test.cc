@@ -1,88 +1,72 @@
 #include "common/io.h"
 
-#include <cstdio>
-
 #include "gtest/gtest.h"
 
 namespace sgcl {
 namespace {
 
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
-
 TEST(BinaryIoTest, RoundTripsAllTypes) {
-  const std::string path = TempPath("io_roundtrip.bin");
-  {
-    BinaryWriter w(path);
-    ASSERT_TRUE(w.ok());
-    w.WriteU32(0xdeadbeef);
-    w.WriteI64(-42);
-    w.WriteF32(3.25f);
-    w.WriteString("hello");
-    w.WriteFloatVector({1.0f, -2.0f, 0.5f});
-    w.WriteI32Vector({7, -8});
-    ASSERT_TRUE(w.Close().ok());
-  }
-  BinaryReader r(path);
-  ASSERT_TRUE(r.ok());
+  BufferWriter w;
+  w.WriteU32(0xdeadbeef);
+  w.WriteI64(-42);
+  w.WriteF32(3.25f);
+  w.WriteF64(-0.125);
+  w.WriteU64(0xfeedfacecafebeefULL);
+  w.WriteString("hello");
+  w.WriteFloatVector({1.0f, -2.0f, 0.5f});
+  w.WriteI32Vector({7, -8});
+  w.WriteI64Vector({int64_t{1} << 40, -3});
+  const std::string bytes = w.TakeBytes();
+  BufferReader r(bytes);
   EXPECT_EQ(r.ReadU32(), 0xdeadbeefu);
   EXPECT_EQ(r.ReadI64(), -42);
   EXPECT_FLOAT_EQ(r.ReadF32(), 3.25f);
+  EXPECT_DOUBLE_EQ(r.ReadF64(), -0.125);
+  EXPECT_EQ(r.ReadU64(), 0xfeedfacecafebeefULL);
   EXPECT_EQ(r.ReadString(), "hello");
   EXPECT_EQ(r.ReadFloatVector(), (std::vector<float>{1.0f, -2.0f, 0.5f}));
   EXPECT_EQ(r.ReadI32Vector(), (std::vector<int32_t>{7, -8}));
-  EXPECT_TRUE(r.Finish().ok());
-  std::remove(path.c_str());
+  EXPECT_EQ(r.ReadI64Vector(), (std::vector<int64_t>{int64_t{1} << 40, -3}));
+  EXPECT_TRUE(r.ok());
+  EXPECT_TRUE(r.Finish("round trip").ok());
 }
 
 TEST(BinaryIoTest, MissingFileNotOk) {
-  BinaryReader r("/nonexistent/dir/file.bin");
-  EXPECT_FALSE(r.ok());
-  EXPECT_FALSE(r.Finish().ok());
+  const Result<std::string> bytes =
+      ReadFileToString("/nonexistent/dir/file.bin");
+  EXPECT_EQ(bytes.status().code(), StatusCode::kNotFound);
 }
 
 TEST(BinaryIoTest, TruncationDetected) {
-  const std::string path = TempPath("io_trunc.bin");
-  {
-    BinaryWriter w(path);
-    w.WriteU32(1);
-    ASSERT_TRUE(w.Close().ok());
-  }
-  BinaryReader r(path);
+  BufferWriter w;
+  w.WriteU32(1);
+  const std::string bytes = w.TakeBytes();
+  BufferReader r(bytes);
   EXPECT_EQ(r.ReadU32(), 1u);
-  (void)r.ReadI64();  // past end
+  EXPECT_EQ(r.ReadI64(), 0);  // past end
   EXPECT_FALSE(r.ok());
-  EXPECT_TRUE(r.eof());
-  EXPECT_FALSE(r.Finish().ok());
-  std::remove(path.c_str());
+  EXPECT_FALSE(r.Finish("truncated").ok());
 }
 
 TEST(BinaryIoTest, TrailingBytesDetected) {
-  const std::string path = TempPath("io_trail.bin");
-  {
-    BinaryWriter w(path);
-    w.WriteU32(1);
-    w.WriteU32(2);
-    ASSERT_TRUE(w.Close().ok());
-  }
-  BinaryReader r(path);
+  BufferWriter w;
+  w.WriteU32(1);
+  w.WriteU32(2);
+  const std::string bytes = w.TakeBytes();
+  BufferReader r(bytes);
   EXPECT_EQ(r.ReadU32(), 1u);
-  EXPECT_FALSE(r.Finish().ok());  // one u32 unread
-  std::remove(path.c_str());
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.remaining(), 4u);
+  EXPECT_FALSE(r.Finish("trailing").ok());  // one u32 unread
 }
 
 TEST(BinaryIoTest, CorruptVectorLengthRejected) {
-  const std::string path = TempPath("io_badlen.bin");
-  {
-    BinaryWriter w(path);
-    w.WriteI64(-5);  // negative length where a vector is expected
-    ASSERT_TRUE(w.Close().ok());
-  }
-  BinaryReader r(path);
-  (void)r.ReadFloatVector();
+  BufferWriter w;
+  w.WriteI64(-5);  // negative length where a vector is expected
+  const std::string bytes = w.TakeBytes();
+  BufferReader r(bytes);
+  EXPECT_TRUE(r.ReadFloatVector().empty());
   EXPECT_FALSE(r.ok());
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -137,13 +137,5 @@ TEST(RngTest, WeightedSampleBiasedTowardsHeavyWeights) {
   EXPECT_NEAR(first_count / 2000.0, 10.0 / 13.0, 0.04);
 }
 
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng a(99);
-  Rng b = a.Fork();
-  int same = 0;
-  for (int i = 0; i < 64; ++i) same += (a.Next() == b.Next());
-  EXPECT_LT(same, 4);
-}
-
 }  // namespace
 }  // namespace sgcl

@@ -16,23 +16,11 @@ TEST(StrFormatTest, EmptyAndLongStrings) {
   EXPECT_EQ(StrFormat("%s", big.c_str()), big);
 }
 
-TEST(StrJoinTest, JoinsWithSeparator) {
-  EXPECT_EQ(StrJoin({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(StrJoin({}, ","), "");
-  EXPECT_EQ(StrJoin({"solo"}, ","), "solo");
-}
-
 TEST(StrSplitTest, SplitsKeepingEmptyFields) {
   EXPECT_EQ(StrSplit("a,b,,c", ','),
             (std::vector<std::string>{"a", "b", "", "c"}));
   EXPECT_EQ(StrSplit("", ','), (std::vector<std::string>{""}));
   EXPECT_EQ(StrSplit("x", ','), (std::vector<std::string>{"x"}));
-}
-
-TEST(StrSplitTest, RoundTripsWithJoin) {
-  const std::string s = "alpha|beta|gamma";
-  auto parts = StrSplit(s, '|');
-  EXPECT_EQ(StrJoin(parts, "|"), s);
 }
 
 }  // namespace

@@ -234,15 +234,11 @@ TEST(TelemetryServerTest, TraceEndpointsServeSampledTraces) {
   TelemetryServer server;
   ASSERT_TRUE(server.Start(0, &board).ok());
 
-  // Summary list, newest first, no spans without ?detail=1.
+  // Summary list, newest first, without span lists.
   const std::string list = Get(server.port(), "/v1/traces");
   EXPECT_NE(list.find("\"trace_id\":\"" + id + "\""), std::string::npos);
   EXPECT_NE(list.find("\"root\":\"test/request\""), std::string::npos);
   EXPECT_EQ(list.find("\"spans\":["), std::string::npos);
-
-  const std::string detail = Get(server.port(), "/v1/traces?detail=1&limit=1");
-  EXPECT_NE(detail.find("\"spans\":["), std::string::npos);
-  EXPECT_NE(detail.find("test/forward"), std::string::npos);
 
   // A min-duration filter past any test span excludes everything.
   const std::string filtered =

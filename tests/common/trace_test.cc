@@ -467,17 +467,17 @@ TEST_F(TraceRingTest, ListJsonFiltersAndLimits) {
   CommitSimpleTrace();
   CommitSimpleTrace();
   const std::string all =
-      TraceRing::Global().ListJson(/*min_duration_us=*/0, /*limit=*/0,
-                                   /*include_spans=*/false);
+      TraceRing::Global().ListJson(/*min_duration_us=*/0, /*limit=*/0);
   EXPECT_NE(all.find("\"committed\":2"), std::string::npos);
   EXPECT_NE(all.find("\"trace_id\":\""), std::string::npos);
   EXPECT_EQ(all.find("\"spans\":["), std::string::npos);
-  const std::string limited =
-      TraceRing::Global().ListJson(0, /*limit=*/1, /*include_spans=*/true);
-  EXPECT_NE(limited.find("\"spans\":["), std::string::npos);
+  const std::string limited = TraceRing::Global().ListJson(0, /*limit=*/1);
+  const size_t first_id = limited.find("\"trace_id\":\"");
+  ASSERT_NE(first_id, std::string::npos);
+  EXPECT_EQ(limited.find("\"trace_id\":\"", first_id + 1), std::string::npos);
   // A min-duration filter far past any test span excludes everything.
   const std::string none = TraceRing::Global().ListJson(
-      /*min_duration_us=*/1000000000, 0, false);
+      /*min_duration_us=*/1000000000, 0);
   EXPECT_NE(none.find("\"traces\":[]"), std::string::npos);
 }
 
@@ -550,7 +550,7 @@ TEST_F(TraceRingTest, ConcurrentCommitsStayBoundedAndWellFormed) {
   }
   threads.emplace_back([] {
     for (int i = 0; i < 50; ++i) {
-      (void)TraceRing::Global().ListJson(0, 0, true);
+      (void)TraceRing::Global().ListJson(0, 0);
       (void)TraceRing::Global().Traces();
     }
   });

@@ -96,13 +96,6 @@ TEST(AugmentationPlanTest, LearnableOnlyModeIgnoresLipschitz) {
   for (uint8_t c : plan.binary_semantic) EXPECT_EQ(c, 0);
 }
 
-TEST(ApplyNodeDropTest, ProducesInducedSubgraph) {
-  Graph g = testing::HouseGraph(3);
-  Graph view = ApplyNodeDrop(g, {1, 1, 0, 1, 1});
-  EXPECT_EQ(view.num_nodes(), 4);
-  EXPECT_TRUE(view.Validate().ok());
-}
-
 TEST(MaskBatchTest, ZeroesFeaturesAndFiltersEdges) {
   Graph a = testing::PathGraph3(2);
   GraphBatch batch = GraphBatch::FromGraphPtrs({&a});

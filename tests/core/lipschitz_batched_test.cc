@@ -82,20 +82,6 @@ TEST_F(LipschitzBatchedTest, MatchesNaiveReferenceOnRandomGraphs) {
   }
 }
 
-// The fused GIN masked-view kernel handles LayerNorm between
-// convolutions; the per-row normalization must match the tape encoder.
-TEST_F(LipschitzBatchedTest, MatchesNaiveReferenceWithLayerNorm) {
-  Rng rng(19);
-  EncoderConfig cfg = SmallEncoderConfig(4);
-  cfg.use_layer_norm = true;
-  GnnEncoder enc(cfg, &rng);
-  LipschitzGenerator gen(&enc, LipschitzMode::kExact);
-  for (const int64_t n : {2, 7, 15}) {
-    Graph g = RandomGraph(n, 4, /*self_loops=*/true, &rng);
-    ExpectExact(gen.ComputeConstants(g), gen.ExactConstantsReference(g));
-  }
-}
-
 // Non-GIN encoders take the block-diagonal batched tape fallback rather
 // than the fused kernel; it must agree with the naive loop for every
 // architecture.

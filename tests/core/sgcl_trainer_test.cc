@@ -56,7 +56,6 @@ TEST(SgclConfigValidateTest, RejectsBadFields) {
       {"lambda_w", [](SgclConfig* c) { c->lambda_w = -1.0f; }},
       {"rho", [](SgclConfig* c) { c->rho = -0.01; }},
       {"rho", [](SgclConfig* c) { c->rho = 1.01; }},
-      {"max_view_nodes", [](SgclConfig* c) { c->max_view_nodes = 0; }},
       {"learning_rate", [](SgclConfig* c) { c->learning_rate = 0.0f; }},
       {"epochs", [](SgclConfig* c) { c->epochs = 0; }},
       {"batch_size", [](SgclConfig* c) { c->batch_size = 1; }},
@@ -153,7 +152,7 @@ TEST(SgclTrainerTest, TraceSamplingDoesNotPerturbTraining) {
   }
   // And the run actually produced batch-rooted traces.
   EXPECT_GT(TraceRing::Global().committed_count(), 0u);
-  EXPECT_NE(TraceRing::Global().ListJson(0, 1, true).find("train/batch"),
+  EXPECT_NE(TraceRing::Global().ListJson(0, 1).find("train/batch"),
             std::string::npos);
 
   TraceRing::Global().SetSampleRate(0.0);

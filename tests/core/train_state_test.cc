@@ -78,7 +78,6 @@ TEST(ConfigFingerprintTest, StableAndSensitive) {
       {"arch", [](SgclConfig* c) { c->encoder.arch = GnnArch::kGcn; }},
       {"hidden_dim", [](SgclConfig* c) { c->encoder.hidden_dim = 16; }},
       {"num_layers", [](SgclConfig* c) { c->encoder.num_layers = 3; }},
-      {"layer_norm", [](SgclConfig* c) { c->encoder.use_layer_norm = true; }},
       {"proj_dim", [](SgclConfig* c) { c->proj_dim = 4; }},
       {"tau", [](SgclConfig* c) { c->tau = 0.3f; }},
       {"lambda_c", [](SgclConfig* c) { c->lambda_c = 0.5f; }},

@@ -1,44 +1,14 @@
-// Protocol drivers: transfer, kernel and semi-supervised-style runs
-// through the public evaluator APIs.
-#include <memory>
-
+// Protocol drivers: kernel and semi-supervised-style runs through the
+// public evaluator APIs.
 #include "baselines/graph_kernels.h"
-#include "data/synthetic_molecule.h"
 #include "data/synthetic_tu.h"
 #include "eval/evaluator.h"
+#include "eval/finetune.h"
 #include "graph/splits.h"
 #include "gtest/gtest.h"
 
 namespace sgcl {
 namespace {
-
-TEST(TransferProtocolTest, RunsAndAggregatesSeeds) {
-  MolDatasetOptions opt;
-  opt.graph_fraction = 0.04;
-  opt.max_graphs = 90;
-  opt.seed = 61;
-  GraphDataset bbbp = MakeMolTaskDataset(MolTask::kBbbp, opt);
-  TransferProtocolOptions proto;
-  proto.num_seeds = 2;
-  proto.finetune.epochs = 4;
-  proto.finetune.batch_size = 16;
-  int factory_calls = 0;
-  MeanStd result = RunTransferProtocol(
-      [&](uint64_t seed) {
-        ++factory_calls;
-        Rng rng(seed);
-        EncoderConfig cfg;
-        cfg.arch = GnnArch::kGin;
-        cfg.in_dim = bbbp.feat_dim();
-        cfg.hidden_dim = 8;
-        cfg.num_layers = 2;
-        return std::make_unique<GnnEncoder>(cfg, &rng);
-      },
-      bbbp, proto);
-  EXPECT_EQ(factory_calls, 2);
-  EXPECT_GE(result.mean, 0.0);
-  EXPECT_LE(result.mean, 1.0);
-}
 
 TEST(KernelProtocolTest, AggregatesFoldSeeds) {
   SyntheticTuOptions opt;

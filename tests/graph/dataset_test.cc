@@ -86,38 +86,5 @@ TEST(DatasetTest, MultiTaskValidation) {
   EXPECT_FALSE(ds.Validate().ok());
 }
 
-TEST(DatasetTest, SubsetCopiesSelectedGraphs) {
-  GraphDataset ds = TwoGraphDataset();
-  GraphDataset sub = ds.Subset({1}).value();
-  EXPECT_EQ(sub.size(), 1);
-  EXPECT_EQ(sub.graph(0).num_nodes(), 5);
-  EXPECT_EQ(sub.num_classes(), 2);
-  EXPECT_EQ(sub.name(), "toy");
-  // The lvalue overload copies: the original still owns its graphs.
-  EXPECT_EQ(ds.size(), 2);
-  EXPECT_EQ(ds.graph(1).num_nodes(), 5);
-}
-
-TEST(DatasetTest, SubsetRejectsOutOfRangeIndex) {
-  GraphDataset ds = TwoGraphDataset();
-  EXPECT_EQ(ds.Subset({2}).status().code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(ds.Subset({-1}).status().code(), StatusCode::kOutOfRange);
-}
-
-TEST(DatasetTest, RvalueSubsetMovesWithoutCopying) {
-  GraphDataset ds = TwoGraphDataset();
-  const float* payload_before = ds.graph(1).features().data();
-  GraphDataset sub = std::move(ds).Subset({1}).value();
-  EXPECT_EQ(sub.size(), 1);
-  // Moved, not copied: the feature buffer keeps its address.
-  EXPECT_EQ(sub.graph(0).features().data(), payload_before);
-}
-
-TEST(DatasetTest, RvalueSubsetRejectsDuplicateIndices) {
-  GraphDataset ds = TwoGraphDataset();
-  const Result<GraphDataset> sub = std::move(ds).Subset({1, 1});
-  EXPECT_EQ(sub.status().code(), StatusCode::kInvalidArgument);
-}
-
 }  // namespace
 }  // namespace sgcl

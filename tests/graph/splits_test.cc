@@ -10,19 +10,6 @@
 namespace sgcl {
 namespace {
 
-TEST(KFoldTest, PartitionsAllIndices) {
-  Rng rng(1);
-  auto folds = KFoldIndices(23, 5, &rng);
-  ASSERT_EQ(folds.size(), 5u);
-  std::set<int64_t> all;
-  for (const auto& f : folds) {
-    EXPECT_GE(f.size(), 4u);
-    EXPECT_LE(f.size(), 5u);
-    all.insert(f.begin(), f.end());
-  }
-  EXPECT_EQ(all.size(), 23u);
-}
-
 TEST(StratifiedKFoldTest, PreservesClassBalance) {
   Rng rng(2);
   // 40 of class 0, 20 of class 1.
@@ -41,6 +28,14 @@ TEST(StratifiedKFoldTest, PreservesClassBalance) {
     EXPECT_EQ(c1, 5);
   }
   EXPECT_EQ(all.size(), 60u);
+}
+
+// More folds than labels would leave a fold empty, and an empty test
+// fold scores 0/0.
+TEST(StratifiedKFoldTest, MoreFoldsThanLabelsAborts) {
+  Rng rng(4);
+  const std::vector<int> labels = {0, 1, 0};
+  EXPECT_DEATH(StratifiedKFoldIndices(labels, 4, &rng), "SGCL_CHECK failed");
 }
 
 TEST(TrainTestSplitTest, FractionsAndDisjointness) {

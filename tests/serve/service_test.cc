@@ -345,6 +345,14 @@ TEST_F(ServiceTest, TracedRequestEchoesIdAndServesSpanTree) {
   // loop: /metrics exemplar -> /v1/traces/<id>.
   const std::string list = Body(Get(port_, "/v1/traces"));
   EXPECT_NE(list.find("\"trace_id\":\"" + id + "\""), std::string::npos);
+  // /trace dumps the same spans as chrome JSON (the trace_report input).
+  const std::string chrome = Body(Get(port_, "/trace"));
+  EXPECT_NE(chrome.find("{\"name\":\"serve/forward\",\"cat\":\"sgcl\""),
+            std::string::npos)
+      << chrome;
+  EXPECT_NE(chrome.find("\"args\":{\"trace_id\":\"" + id + "\""),
+            std::string::npos)
+      << chrome;
   const std::string metrics = Body(Get(port_, "/metrics"));
   EXPECT_NE(metrics.find("# {trace_id=\"" + id + "\"}"), std::string::npos)
       << metrics;

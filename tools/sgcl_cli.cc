@@ -297,6 +297,11 @@ struct DistributedFlags {
     if (workers < 0) {
       return Status::InvalidArgument("--workers must be >= 0");
     }
+    if (grad_accum < std::max(1, workers)) {
+      return Status::InvalidArgument(
+          StrFormat("--grad-accum %d must be >= max(1, --workers) = %d",
+                    grad_accum, std::max(1, workers)));
+    }
     if (workers == 0) return Status::OK();
     if (rank < 0 || rank >= workers) {
       return Status::InvalidArgument(StrFormat(
@@ -511,6 +516,14 @@ int CmdGenerate(int argc, char** argv) {
   if (int rc = HandleParse(flags, flags.Parse(argc, argv, 2)); rc >= 0) {
     return rc;
   }
+  if (graphs < 1) {
+    return Fail(Status::InvalidArgument(
+        StrFormat("--graphs must be >= 1, got %d", graphs)));
+  }
+  if (!(node_cap > 0.0)) {
+    return Fail(Status::InvalidArgument(
+        StrFormat("--node-cap must be > 0, got %g", node_cap)));
+  }
   auto which = DatasetByName(dataset);
   if (!which.ok()) return Fail(which.status());
   SyntheticTuOptions opt;
@@ -671,6 +684,11 @@ int CmdEvaluate(int argc, char** argv) {
   }
   auto ds = LoadDataset(data);
   if (!ds.ok()) return Fail(ds.status());
+  if (folds < 2 || folds > ds->size()) {
+    return Fail(Status::InvalidArgument(StrFormat(
+        "--folds %d must be in [2, %lld] (the dataset's graph count)", folds,
+        static_cast<long long>(ds->size()))));
+  }
   auto cfg = model_flags.ToConfig(ds->feat_dim());
   if (!cfg.ok()) return Fail(cfg.status());
   Rng rng(seed);
@@ -680,7 +698,6 @@ int CmdEvaluate(int argc, char** argv) {
   std::vector<const Graph*> all;
   for (int64_t i = 0; i < ds->size(); ++i) all.push_back(&ds->graph(i));
   Tensor emb = model.EmbedGraphs(all);
-  if (folds < 2) return Fail(Status::InvalidArgument("--folds must be >= 2"));
   MeanStd cv = SvmCrossValidate(emb.values(), emb.rows(), emb.cols(),
                                 ds->Labels().value(), ds->num_classes(), folds, &rng);
   std::printf("%d-fold SVM accuracy: %.2f%% ± %.2f%%\n", folds,
@@ -779,8 +796,9 @@ int CmdServe(int argc, char** argv) {
                "SIGINT/SIGTERM");
   flags.Double("trace-sample-rate", &trace_sample_rate,
                "sample this fraction of requests into the in-memory trace "
-               "ring (deterministic every-Nth; 0 disables); span trees at "
-               "GET /v1/traces/<id>, ids echoed in X-Sgcl-Trace");
+               "ring (deterministic every-Nth; 0 disables); chrome JSON at "
+               "GET /trace, span trees at GET /v1/traces/<id>, ids echoed "
+               "in X-Sgcl-Trace");
   flags.Int64("trace-ring-size", &trace_ring_size,
               "capacity of the in-memory trace ring, in traces "
               "(oldest evicted first)");

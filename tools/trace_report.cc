@@ -2,14 +2,11 @@
 //
 //   trace_report <trace.json> [--top=5] [--min-duration-us=0]
 //
-// Accepts either export of the trace ring and prints the same breakdown
-// the live /v1/traces endpoints serve, but offline:
-//
-//  * a ring dump — `curl /v1/traces?detail=1` (the object with a
-//    "traces" array, each trace carrying its flat span list), or
-//  * a chrome://tracing file written by --trace-out or served at /trace,
-//    where every event carries {"args":{"trace_id","span_id",
-//    "parent_span_id"}}; an event without args.trace_id is malformed.
+// Reads the trace ring's one dump format — the chrome://tracing file
+// written by --trace-out or served at GET /trace, where every event
+// carries {"args":{"trace_id","span_id","parent_span_id"}}; an event
+// without args.trace_id is malformed — and prints the same breakdown the
+// live /v1/traces endpoints serve, but offline.
 //
 // Output: a per-stage *self-time* table (span duration minus enclosed
 // child spans, so stages don't double-count their children) with
@@ -59,52 +56,6 @@ void ComputeSelfTimes(std::vector<ReportSpan>* spans) {
     const int64_t children = it == child_us.end() ? 0 : it->second;
     s.self_us = std::max<int64_t>(0, s.dur_us - children);
   }
-}
-
-Result<ReportSpan> ParseRingSpan(const JsonValue& v) {
-  if (!v.is_object()) return Status::InvalidArgument("span is not an object");
-  ReportSpan s;
-  s.name = v.GetString("name");
-  s.span_id = static_cast<uint64_t>(v.GetDouble("span_id", 0));
-  s.parent_span_id = static_cast<uint64_t>(v.GetDouble("parent_span_id", 0));
-  s.start_us = static_cast<int64_t>(v.GetDouble("start_us", 0));
-  s.dur_us = static_cast<int64_t>(v.GetDouble("dur_us", 0));
-  if (s.name.empty() || s.span_id == 0) {
-    return Status::InvalidArgument("span missing name or span_id");
-  }
-  return s;
-}
-
-// TraceRing dump: {"traces":[{"trace_id","root","dur_us","spans":[...]}]}
-Result<std::vector<ReportTrace>> LoadRingDump(const JsonValue& doc) {
-  std::vector<ReportTrace> traces;
-  const JsonValue* arr = doc.Find("traces");
-  if (arr == nullptr || !arr->is_array()) {
-    return Status::InvalidArgument("\"traces\" is not an array");
-  }
-  for (const JsonValue& t : arr->AsArray()) {
-    if (!t.is_object()) {
-      return Status::InvalidArgument("trace entry is not an object");
-    }
-    ReportTrace trace;
-    trace.trace_id = t.GetString("trace_id");
-    trace.root_name = t.GetString("root");
-    trace.dur_us = static_cast<int64_t>(t.GetDouble("dur_us", 0));
-    const JsonValue* spans = t.Find("spans");
-    if (spans == nullptr || !spans->is_array()) {
-      return Status::InvalidArgument(
-          "trace " + trace.trace_id +
-          " has no span list (fetch /v1/traces with detail=1)");
-    }
-    for (const JsonValue& sv : spans->AsArray()) {
-      ReportSpan span;
-      SGCL_ASSIGN_OR_RETURN(span, ParseRingSpan(sv));
-      trace.spans.push_back(std::move(span));
-    }
-    ComputeSelfTimes(&trace.spans);
-    traces.push_back(std::move(trace));
-  }
-  return traces;
 }
 
 // Chrome trace (--trace-out, /trace): {"traceEvents":[{"name","ts","dur",
@@ -311,22 +262,7 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", doc.status().ToString().c_str());
     return 2;
   }
-  Result<std::vector<ReportTrace>> loaded =
-      Status::InvalidArgument("unreachable");
-  const char* format = nullptr;
-  if (doc->Find("traces") != nullptr) {
-    format = "trace-ring dump";
-    loaded = LoadRingDump(*doc);
-  } else if (doc->Find("traceEvents") != nullptr) {
-    format = "chrome trace";
-    loaded = LoadChromeTrace(*doc);
-  } else {
-    std::fprintf(stderr,
-                 "error: %s is neither a /v1/traces dump (\"traces\") nor a "
-                 "chrome trace (\"traceEvents\")\n",
-                 files[0].c_str());
-    return 2;
-  }
+  Result<std::vector<ReportTrace>> loaded = LoadChromeTrace(*doc);
   if (!loaded.ok()) {
     std::fprintf(stderr, "error: %s: %s\n", files[0].c_str(),
                  loaded.status().ToString().c_str());
@@ -344,8 +280,8 @@ int Run(int argc, char** argv) {
   }
   size_t spans = 0;
   for (const ReportTrace& t : traces) spans += t.spans.size();
-  std::printf("%s: %s, %zu trace(s), %zu span(s)", files[0].c_str(), format,
-              traces.size(), spans);
+  std::printf("%s: chrome trace, %zu trace(s), %zu span(s)",
+              files[0].c_str(), traces.size(), spans);
   if (dropped > 0) {
     std::printf(", %zu below --min-duration-us=%lld", dropped,
                 static_cast<long long>(min_duration_us));
