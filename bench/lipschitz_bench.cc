@@ -1,7 +1,11 @@
-// Microbenchmark for the exact Lipschitz constant generator hot path:
-// the seed's naive per-node re-encoding loop vs. the batched
-// block-diagonal masked-view path vs. batched + shared-thread-pool
-// parallel, on synthetic TU-style graphs of N in {16, 64, 256}.
+// Microbenchmark for the exact Lipschitz constant generator hot path on
+// a GIN encoder: the naive per-node re-encoding loop
+// (ExactConstantsReference) vs. ComputeConstants, which runs the fused
+// ball-incremental masked-view kernel (nn/gin_inference.h), on one
+// thread and on the shared thread pool, on synthetic TU-style graphs of
+// N in {16, 64, 256}. The BM_LipschitzBatched* names are kept for
+// BENCH_lipschitz.json and CI's filter; they time the fused kernel, not
+// block-diagonal batching.
 //
 // Unless --benchmark_out is given explicitly, results are written to
 // BENCH_lipschitz.json (google-benchmark JSON) in the working directory:
@@ -47,7 +51,7 @@ EncoderConfig BenchEncoderConfig() {
   return cfg;
 }
 
-// The seed implementation: one encoder pass per node, single-threaded.
+// The reference: one encoder pass per node, single-threaded.
 void BM_LipschitzNaive(benchmark::State& state) {
   SetParallelThreads(1);
   const int64_t n = state.range(0);
@@ -63,7 +67,7 @@ void BM_LipschitzNaive(benchmark::State& state) {
 BENCHMARK(BM_LipschitzNaive)->Arg(16)->Arg(64)->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
-// Block-diagonal masked-view batching, still on one thread.
+// The fused masked-view kernel, on one thread.
 void BM_LipschitzBatched(benchmark::State& state) {
   SetParallelThreads(1);
   const int64_t n = state.range(0);
@@ -79,7 +83,8 @@ void BM_LipschitzBatched(benchmark::State& state) {
 BENCHMARK(BM_LipschitzBatched)->Arg(16)->Arg(64)->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
-// Batching plus the shared thread pool (SGCL_NUM_THREADS / hardware).
+// The fused kernel on the shared thread pool (SGCL_NUM_THREADS /
+// hardware).
 void BM_LipschitzBatchedParallel(benchmark::State& state) {
   SetParallelThreads(0);
   const int64_t n = state.range(0);
@@ -95,7 +100,7 @@ void BM_LipschitzBatchedParallel(benchmark::State& state) {
 BENCHMARK(BM_LipschitzBatchedParallel)->Arg(16)->Arg(64)->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
-// Batched path with every call sampled into the trace ring: quantifies
+// The fused path with every call sampled into the trace ring: quantifies
 // the observability overhead (span records, including the pool chunks'
 // spans, plus metrics counters on every stage). The ring is bounded, so
 // nothing is cleared between iterations. The acceptance budget is < 3%

@@ -4,6 +4,14 @@
 #include <cmath>
 
 namespace sgcl {
+namespace {
+
+constexpr double kBoxC = 1.0;           // box constraint
+constexpr double kTolerance = 1e-3;
+constexpr int kMaxPasses = 5;           // SMO passes without alpha changes
+constexpr int kMaxIterations = 2000;
+
+}  // namespace
 
 void BinarySvm::TrainOnKernel(const std::vector<double>& kernel, int64_t n,
                               const std::vector<int>& labels) {
@@ -12,7 +20,7 @@ void BinarySvm::TrainOnKernel(const std::vector<double>& kernel, int64_t n,
   labels_ = labels;
   alpha_.assign(static_cast<size_t>(n), 0.0);
   bias_ = 0.0;
-  Rng rng(config_.seed + 0x5f3759dfULL);
+  Rng rng(seed_ + 0x5f3759dfULL);
 
   auto decide = [&](int64_t i) {
     double f = bias_;
@@ -22,12 +30,11 @@ void BinarySvm::TrainOnKernel(const std::vector<double>& kernel, int64_t n,
     return f;
   };
 
-  const double c = config_.c;
-  const double tol = config_.tolerance;
+  const double c = kBoxC;
+  const double tol = kTolerance;
   int passes = 0;
   int iterations = 0;
-  while (passes < config_.max_passes &&
-         iterations < config_.max_iterations) {
+  while (passes < kMaxPasses && iterations < kMaxIterations) {
     int changed = 0;
     for (int64_t i = 0; i < n; ++i) {
       const double ei = decide(i) - labels_[i];
@@ -86,17 +93,8 @@ double BinarySvm::Decide(const std::vector<double>& kernel_row) const {
   return f;
 }
 
-SvmClassifier::SvmClassifier(const SvmConfig& config) : config_(config) {}
-
 double SvmClassifier::KernelValue(const float* a, const float* b,
                                   int64_t dim) const {
-  if (config_.kernel == SvmKernel::kLinear) {
-    double dot = 0.0;
-    for (int64_t j = 0; j < dim; ++j) {
-      dot += static_cast<double>(a[j]) * b[j];
-    }
-    return dot;
-  }
   double sq = 0.0;
   for (int64_t j = 0; j < dim; ++j) {
     const double d = static_cast<double>(a[j]) - b[j];
@@ -117,22 +115,17 @@ void SvmClassifier::Train(const std::vector<float>& features, int64_t n,
   train_n_ = n;
   dim_ = dim;
   train_features_ = features;
-  // Default gamma: 1 / (dim * var(features)) — the scikit-learn 'scale'
+  // gamma = 1 / (dim * var(features)) — the scikit-learn 'scale'
   // heuristic.
-  if (config_.gamma > 0.0) {
-    gamma_ = config_.gamma;
-  } else {
-    double mean = 0.0, sq = 0.0;
-    for (float v : features) {
-      mean += v;
-      sq += static_cast<double>(v) * v;
-    }
-    mean /= static_cast<double>(features.size());
-    const double var =
-        std::max(sq / static_cast<double>(features.size()) - mean * mean,
-                 1e-8);
-    gamma_ = 1.0 / (static_cast<double>(dim) * var);
+  double mean = 0.0, sq = 0.0;
+  for (float v : features) {
+    mean += v;
+    sq += static_cast<double>(v) * v;
   }
+  mean /= static_cast<double>(features.size());
+  const double var =
+      std::max(sq / static_cast<double>(features.size()) - mean * mean, 1e-8);
+  gamma_ = 1.0 / (static_cast<double>(dim) * var);
   std::vector<double> kernel(static_cast<size_t>(n * n));
   for (int64_t i = 0; i < n; ++i) {
     for (int64_t j = i; j < n; ++j) {
@@ -155,9 +148,7 @@ void SvmClassifier::TrainOnKernel(const std::vector<double>& train_kernel,
   for (int c = 0; c < num_classes; ++c) {
     std::vector<int> binary(static_cast<size_t>(n));
     for (int64_t i = 0; i < n; ++i) binary[i] = labels[i] == c ? 1 : -1;
-    SvmConfig cfg = config_;
-    cfg.seed = config_.seed + static_cast<uint64_t>(c) * 101;
-    per_class_.emplace_back(cfg);
+    per_class_.emplace_back(static_cast<uint64_t>(c) * 101);
     per_class_.back().TrainOnKernel(train_kernel, n, binary);
   }
 }

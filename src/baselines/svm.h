@@ -1,5 +1,5 @@
-// C-SVM trained with SMO (Platt's simplified variant), supporting RBF,
-// linear, and user-precomputed kernels, with one-vs-rest multiclass.
+// C-SVM trained with SMO (Platt's simplified variant), over an RBF or a
+// user-precomputed kernel, with one-vs-rest multiclass.
 //
 // This is the "non-linear SVM classifier" of the paper's unsupervised
 // evaluation protocol (embeddings -> SVM -> 10-fold CV accuracy) and the
@@ -15,22 +15,11 @@
 
 namespace sgcl {
 
-enum class SvmKernel { kLinear, kRbf };
-
-struct SvmConfig {
-  SvmKernel kernel = SvmKernel::kRbf;
-  double c = 1.0;        // box constraint
-  double gamma = 0.0;    // RBF width; 0 => 1 / (dim * feature variance)
-  double tolerance = 1e-3;
-  int max_passes = 5;    // SMO passes without alpha changes before stop
-  int max_iterations = 2000;
-  uint64_t seed = 0;
-};
-
-// Binary soft-margin SVM over a precomputed kernel matrix.
+// Binary soft-margin SVM over a precomputed kernel matrix. `seed` picks
+// SMO's second working-set index.
 class BinarySvm {
  public:
-  explicit BinarySvm(const SvmConfig& config) : config_(config) {}
+  explicit BinarySvm(uint64_t seed) : seed_(seed) {}
 
   // kernel: n x n Gram matrix (row-major); labels: +1 / -1.
   void TrainOnKernel(const std::vector<double>& kernel, int64_t n,
@@ -41,18 +30,16 @@ class BinarySvm {
   double Decide(const std::vector<double>& kernel_row) const;
 
  private:
-  SvmConfig config_;
+  uint64_t seed_;
   std::vector<double> alpha_;
   std::vector<int> labels_;
   double bias_ = 0.0;
 };
 
-// Multiclass (one-vs-rest) SVM over dense feature vectors or a
-// precomputed kernel.
+// Multiclass (one-vs-rest) SVM over dense feature vectors (RBF kernel,
+// gamma = 1 / (dim * feature variance)) or a precomputed kernel.
 class SvmClassifier {
  public:
-  explicit SvmClassifier(const SvmConfig& config = SvmConfig());
-
   // features: n x dim row-major; labels in [0, num_classes).
   void Train(const std::vector<float>& features, int64_t n, int64_t dim,
              const std::vector<int>& labels, int num_classes);
@@ -75,7 +62,6 @@ class SvmClassifier {
  private:
   double KernelValue(const float* a, const float* b, int64_t dim) const;
 
-  SvmConfig config_;
   int num_classes_ = 0;
   int64_t train_n_ = 0;
   int64_t dim_ = 0;

@@ -4,7 +4,7 @@
 //
 // Usage at an instrumentation site:
 //   void Stage() {
-//     SGCL_TRACE_SPAN("generator/encode_views");
+//     SGCL_TRACE_SPAN("generator/fused_views");
 //     ...
 //   }
 // or, to also accumulate the stage's wall time into a metrics counter

@@ -12,38 +12,13 @@
 namespace sgcl {
 namespace {
 
-// Per-node incidence index over a directed edge list: edge ids touching
-// node v (as source or destination) are edges[offsets[v] .. offsets[v+1]),
-// ascending. A self-loop appears once.
-struct IncidenceIndex {
-  std::vector<int64_t> offsets;  // [num_nodes + 1]
-  std::vector<int64_t> edges;
-};
-
-IncidenceIndex BuildIncidenceIndex(int64_t num_nodes,
-                                   const std::vector<int32_t>& src,
-                                   const std::vector<int32_t>& dst) {
-  IncidenceIndex index;
-  index.offsets.assign(static_cast<size_t>(num_nodes) + 1, 0);
-  const int64_t num_edges = static_cast<int64_t>(src.size());
-  for (int64_t e = 0; e < num_edges; ++e) {
-    ++index.offsets[src[e] + 1];
-    if (dst[e] != src[e]) ++index.offsets[dst[e] + 1];
-  }
-  for (int64_t v = 0; v < num_nodes; ++v) {
-    index.offsets[v + 1] += index.offsets[v];
-  }
-  index.edges.resize(index.offsets[num_nodes]);
-  std::vector<int64_t> cursor(index.offsets.begin(), index.offsets.end() - 1);
-  for (int64_t e = 0; e < num_edges; ++e) {
-    index.edges[cursor[src[e]]++] = e;
-    if (dst[e] != src[e]) index.edges[cursor[dst[e]]++] = e;
-  }
-  return index;
-}
+// Total masked-view nodes one parallel work item of the fused GIN kernel
+// covers. Results never depend on it; timings are flat from 256 to 65536
+// nodes (EXPERIMENTS.md).
+constexpr int64_t kViewNodesPerTask = 1024;
 
 // Squared Frobenius displacement between the base representation `h` and
-// the masked view's block `h_view`, with row r zeroed on the masked side
+// the masked view's representation `h_view`, with row r zeroed on the masked side
 // (Eq. 15: the perturbation mask zeroes row r of Ĥ_r, so that row
 // contributes ||h_r||^2). ISA-cloned: the float->double convert-and-
 // accumulate loop vectorizes 8-wide on AVX-512 hosts.
@@ -81,11 +56,9 @@ float NodeDropTopologyDistance(int64_t degree, bool has_self_loop) {
 }
 
 LipschitzGenerator::LipschitzGenerator(const GnnEncoder* encoder,
-                                       LipschitzMode mode,
-                                       int64_t max_view_nodes)
-    : encoder_(encoder), mode_(mode), max_view_nodes_(max_view_nodes) {
+                                       LipschitzMode mode)
+    : encoder_(encoder), mode_(mode) {
   SGCL_CHECK(encoder != nullptr);
-  SGCL_CHECK_GT(max_view_nodes, 0);
 }
 
 std::vector<float> LipschitzGenerator::ComputeConstants(
@@ -120,131 +93,35 @@ std::vector<float> LipschitzGenerator::ComputeConstants(
 
 std::vector<float> LipschitzGenerator::ExactConstants(
     const Graph& graph) const {
-  const int64_t n = graph.num_nodes();
-  std::vector<float> constants(static_cast<size_t>(n), 0.0f);
-  if (n == 0) return constants;
-  const int64_t f = graph.feat_dim();
-  GraphBatch base = GraphBatch::FromGraphPtrs({&graph});
-  const std::vector<int64_t> deg = graph.Degrees();
-  const int64_t num_edges = static_cast<int64_t>(base.edge_src.size());
   // GIN stacks (the paper's default encoder) take the fused tape-free
   // masked-view kernel: one base encode keeping all layer activations,
   // then per view only the L-hop ball around the masked node is
   // recomputed (rows further away are bit-identical to the base encode).
-  // Other architectures fall back to batched tape encodes below.
+  // Every other encoder runs the per-node reference.
   const GinInferencePlan plan = GinInferencePlan::Build(*encoder_);
-  if (plan.valid()) {
-    SGCL_TRACE_SPAN("generator/fused_views");
-    GinMaskedViewKernel kernel(plan, base.features.data(), n,
-                               base.edge_src.data(), base.edge_dst.data(),
-                               num_edges);
-    // Same knob as the batched fallback: each parallel work item owns at
-    // most max_view_nodes total view nodes.
-    const int64_t grain = std::max<int64_t>(1, max_view_nodes_ / n);
-    ParallelFor(0, n, grain, [&](int64_t lo, int64_t hi) {
-      // Chunk-granularity span: one per work item, recorded on the worker
-      // thread that ran it, so traces show the fan-out without per-node
-      // overhead.
-      SGCL_TRACE_SPAN("generator/view_chunk");
-      std::vector<double> disp(static_cast<size_t>(hi - lo));
-      kernel.ViewDisplacementsSq(lo, hi, disp.data());
-      for (int64_t r = lo; r < hi; ++r) {
-        const float dr = static_cast<float>(std::sqrt(disp[r - lo]));
-        const float dt = NodeDropTopologyDistance(deg[r], graph.HasEdge(r, r));
-        constants[r] = dr / dt;
-      }
-    });
-    return constants;
-  }
-  const Tensor h = encoder_->EncodeNodes(base.features, base).Detach();
-  const int64_t d = h.cols();
-  const float* hb = h.data();
-  const IncidenceIndex incidence =
-      BuildIncidenceIndex(n, base.edge_src, base.edge_dst);
-
-  // §V batching: masked views (node r's features zeroed, node r's edges
-  // dropped) are packed into block-diagonal batches of at most
-  // max_view_nodes total nodes and encoded in one pass per chunk. The
-  // encoder treats disjoint blocks independently, so each block's rows
-  // equal the single-view encode exactly.
-  const int64_t views_per_chunk = std::max<int64_t>(1, max_view_nodes_ / n);
-  // Chunk buffers hoisted out of the loop so their capacity is reused.
-  std::vector<float> feats;
-  feats.reserve(static_cast<size_t>(views_per_chunk * n * f));
-  std::vector<int32_t> edge_src, edge_dst;
-  edge_src.reserve(static_cast<size_t>(views_per_chunk * num_edges));
-  edge_dst.reserve(static_cast<size_t>(views_per_chunk * num_edges));
-  static Counter* const view_chunks_counter =
-      MetricsRegistry::Global().GetCounter("generator/view_chunks");
-  for (int64_t chunk_begin = 0; chunk_begin < n;
-       chunk_begin += views_per_chunk) {
-    view_chunks_counter->Increment();
-    const int64_t num_views = std::min(views_per_chunk, n - chunk_begin);
-    const int64_t chunk_nodes = num_views * n;
-    SGCL_TRACE_SPAN("generator/masked_view_chunk");
-    feats.clear();
-    edge_src.clear();
-    edge_dst.clear();
-    for (int64_t v = 0; v < num_views; ++v) {
-      const int64_t r = chunk_begin + v;
-      // One shared features buffer per chunk: append the base matrix and
-      // zero only row r of this view's block.
-      feats.insert(feats.end(), graph.features().begin(),
-                   graph.features().end());
-      std::fill_n(feats.begin() + (v * n + r) * f, f, 0.0f);
-      // Edge list minus edges incident to r, built by copying the runs
-      // between r's (ascending) incident edge ids — no full-E rescan with
-      // per-edge predicates.
-      const int32_t shift = static_cast<int32_t>(v * n);
-      int64_t next = 0;
-      auto append_run = [&](int64_t lo, int64_t hi) {
-        for (int64_t e = lo; e < hi; ++e) {
-          edge_src.push_back(base.edge_src[e] + shift);
-          edge_dst.push_back(base.edge_dst[e] + shift);
-        }
-      };
-      for (int64_t t = incidence.offsets[r]; t < incidence.offsets[r + 1];
-           ++t) {
-        append_run(next, incidence.edges[t]);
-        next = incidence.edges[t] + 1;
-      }
-      append_run(next, num_edges);
+  const int64_t n = graph.num_nodes();
+  if (!plan.valid() || n == 0) return ExactConstantsReference(graph);
+  std::vector<float> constants(static_cast<size_t>(n), 0.0f);
+  GraphBatch base = GraphBatch::FromGraphPtrs({&graph});
+  const std::vector<int64_t> deg = graph.Degrees();
+  SGCL_TRACE_SPAN("generator/fused_views");
+  GinMaskedViewKernel kernel(plan, base.features.data(), n,
+                             base.edge_src.data(), base.edge_dst.data(),
+                             static_cast<int64_t>(base.edge_src.size()));
+  const int64_t grain = std::max<int64_t>(1, kViewNodesPerTask / n);
+  ParallelFor(0, n, grain, [&](int64_t lo, int64_t hi) {
+    // Chunk-granularity span: one per work item, recorded on the worker
+    // thread that ran it, so traces show the fan-out without per-node
+    // overhead.
+    SGCL_TRACE_SPAN("generator/view_chunk");
+    std::vector<double> disp(static_cast<size_t>(hi - lo));
+    kernel.ViewDisplacementsSq(lo, hi, disp.data());
+    for (int64_t r = lo; r < hi; ++r) {
+      const float dr = static_cast<float>(std::sqrt(disp[r - lo]));
+      const float dt = NodeDropTopologyDistance(deg[r], graph.HasEdge(r, r));
+      constants[r] = dr / dt;
     }
-    GraphBatch views;
-    views.num_graphs = num_views;
-    views.num_nodes = chunk_nodes;
-    views.feat_dim = f;
-    views.node_graph_ids.reserve(static_cast<size_t>(chunk_nodes));
-    views.node_offsets.reserve(static_cast<size_t>(num_views) + 1);
-    views.node_offsets.push_back(0);
-    for (int64_t v = 0; v < num_views; ++v) {
-      for (int64_t node = 0; node < n; ++node) {
-        views.node_graph_ids.push_back(static_cast<int32_t>(v));
-      }
-      views.node_offsets.push_back((v + 1) * n);
-    }
-    views.edge_src = edge_src;
-    views.edge_dst = edge_dst;
-    views.features = Tensor::FromVector({chunk_nodes, f}, feats);
-    const Tensor h_views = [&] {
-      SGCL_TRACE_SPAN("generator/encode_views");
-      return encoder_->EncodeNodes(views.features, views).Detach();
-    }();
-    const float* hv = h_views.data();
-    // Per-view displacement reduction (Eq. 15); each view owns its own
-    // output entry.
-    SGCL_TRACE_SPAN("generator/displacement");
-    ParallelFor(0, num_views, 1, [&](int64_t lo, int64_t hi) {
-      for (int64_t v = lo; v < hi; ++v) {
-        const int64_t r = chunk_begin + v;
-        const double sq = ViewDisplacementSq(hb, hv + v * n * d, n, d, r);
-        const float dr = static_cast<float>(std::sqrt(sq));
-        const float dt =
-            NodeDropTopologyDistance(deg[r], graph.HasEdge(r, r));
-        constants[r] = dr / dt;
-      }
-    });
-  }
+  });
   return constants;
 }
 

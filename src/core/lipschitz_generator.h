@@ -9,10 +9,11 @@
 //
 // Two computation modes are provided:
 //  * kExact — re-encodes the graph once per masked node (the paper's
-//    Eq. 13-14 mask mechanism). Implemented with the paper's §V batching:
-//    all |V| masked views are assembled into block-diagonal GraphBatches
-//    of at most `max_view_nodes` total nodes each, so a graph costs a few
-//    wide encoder passes instead of |V| narrow ones.
+//    Eq. 13-14 mask mechanism). GIN stacks, the paper's encoder, take the
+//    fused tape-free kernel (nn/gin_inference.h): one base encode, then
+//    per view only the L-hop ball around the masked node is recomputed.
+//    Every other encoder runs the per-node reference below, one full
+//    encoder pass per view.
 //  * kAttentionApprox — the paper's other §V optimization: one encoder
 //    pass, plus attention weights that estimate each node's contribution
 //    to its neighbors' representations, removed in closed form.
@@ -39,17 +40,8 @@ float NodeDropTopologyDistance(int64_t degree, bool has_self_loop);
 
 class LipschitzGenerator {
  public:
-  // Default cap on total nodes per block-diagonal masked-view chunk, the
-  // one every model uses. Results never depend on it; for GIN it only
-  // sets the parallel grain (timings flat from 256 to 65536 nodes, see
-  // EXPERIMENTS.md).
-  static constexpr int64_t kDefaultMaxViewNodes = 1024;
-
   // `encoder` is the generator GNN f_q; not owned, must outlive this.
-  // `max_view_nodes` caps the size of each batched masked-view encode
-  // (clamped below by one view per chunk).
-  LipschitzGenerator(const GnnEncoder* encoder, LipschitzMode mode,
-                     int64_t max_view_nodes = kDefaultMaxViewNodes);
+  LipschitzGenerator(const GnnEncoder* encoder, LipschitzMode mode);
 
   // Per-node Lipschitz constants for every node of every graph,
   // concatenated in batch order (same layout as GraphBatch node ids).
@@ -60,9 +52,9 @@ class LipschitzGenerator {
   // Single-graph convenience.
   std::vector<float> ComputeConstants(const Graph& graph) const;
 
-  // The seed's naive exact path — one full encoder pass per node, no
-  // batching, no threading. Kept as the golden oracle for tests and the
-  // lipschitz_bench baseline.
+  // The naive exact path — one full encoder pass per node, no batching,
+  // no threading. It is the exact path for non-GIN encoders, and the
+  // golden oracle for GIN's fused kernel in tests and lipschitz_bench.
   std::vector<float> ExactConstantsReference(const Graph& graph) const;
 
   LipschitzMode mode() const { return mode_; }
@@ -74,7 +66,6 @@ class LipschitzGenerator {
 
   const GnnEncoder* encoder_;
   LipschitzMode mode_;
-  int64_t max_view_nodes_;
 };
 
 }  // namespace sgcl

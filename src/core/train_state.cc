@@ -234,10 +234,11 @@ uint64_t ConfigFingerprint(const SgclConfig& config) {
   writer.WriteI64(config.encoder.hidden_dim);
   writer.WriteI64(config.encoder.num_layers);
   writer.WriteU32(static_cast<uint32_t>(config.encoder.pooling));
-  writer.WriteI64(config.encoder.gat_heads);
   // Retired slots keep the value every run had, so fingerprints (and
-  // the checkpoints that carry them) stay stable: 0u was use_layer_norm,
-  // the chunk size below was SgclConfig::max_view_nodes.
+  // the checkpoints that carry them) stay stable: 2 was
+  // EncoderConfig::gat_heads, 0u was use_layer_norm, and 1024 below was
+  // the masked-view chunk size (SgclConfig::max_view_nodes).
+  writer.WriteI64(2);
   writer.WriteU32(0u);
   writer.WriteI64(config.proj_dim);
   writer.WriteF32(config.tau);
@@ -246,7 +247,7 @@ uint64_t ConfigFingerprint(const SgclConfig& config) {
   writer.WriteF64(config.rho);
   writer.WriteU32(static_cast<uint32_t>(config.augmentation));
   writer.WriteU32(static_cast<uint32_t>(config.lipschitz_mode));
-  writer.WriteI64(LipschitzGenerator::kDefaultMaxViewNodes);
+  writer.WriteI64(1024);
   writer.WriteU32(config.semantic_pooling ? 1u : 0u);
   writer.WriteF32(config.generator_loss_weight);
   writer.WriteF32(config.learning_rate);

@@ -6,8 +6,7 @@ namespace sgcl {
 
 MeanStd SvmCrossValidate(const std::vector<float>& embeddings, int64_t n,
                          int64_t dim, const std::vector<int>& labels,
-                         int num_classes, int folds, Rng* rng,
-                         const SvmConfig& svm_config) {
+                         int num_classes, int folds, Rng* rng) {
   SGCL_CHECK_EQ(static_cast<int64_t>(embeddings.size()), n * dim);
   SGCL_CHECK_EQ(static_cast<int64_t>(labels.size()), n);
   auto fold_indices = StratifiedKFoldIndices(labels, folds, rng);
@@ -28,7 +27,7 @@ MeanStd SvmCrossValidate(const std::vector<float>& embeddings, int64_t n,
         train_y.push_back(labels[i]);
       }
     }
-    SvmClassifier svm(svm_config);
+    SvmClassifier svm;
     svm.Train(train_x, static_cast<int64_t>(train_y.size()), dim, train_y,
               num_classes);
     fold_accuracies.push_back(
@@ -39,8 +38,7 @@ MeanStd SvmCrossValidate(const std::vector<float>& embeddings, int64_t n,
 
 MeanStd KernelSvmCrossValidate(const std::vector<double>& gram, int64_t n,
                                const std::vector<int>& labels,
-                               int num_classes, int folds, Rng* rng,
-                               const SvmConfig& svm_config) {
+                               int num_classes, int folds, Rng* rng) {
   SGCL_CHECK_EQ(static_cast<int64_t>(gram.size()), n * n);
   auto fold_indices = StratifiedKFoldIndices(labels, folds, rng);
   std::vector<double> fold_accuracies;
@@ -69,7 +67,7 @@ MeanStd KernelSvmCrossValidate(const std::vector<double>& gram, int64_t n,
         test_rows[a * tn + b] = gram[test_idx[a] * n + train_idx[b]];
       }
     }
-    SvmClassifier svm(svm_config);
+    SvmClassifier svm;
     svm.TrainOnKernel(train_gram, tn, train_y, num_classes);
     std::vector<int> preds = svm.PredictFromKernelRows(test_rows, mn);
     fold_accuracies.push_back(Accuracy(preds, test_y));

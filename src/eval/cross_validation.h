@@ -15,14 +15,12 @@ namespace sgcl {
 // [n, dim]; returns mean/std of fold accuracies.
 MeanStd SvmCrossValidate(const std::vector<float>& embeddings, int64_t n,
                          int64_t dim, const std::vector<int>& labels,
-                         int num_classes, int folds, Rng* rng,
-                         const SvmConfig& svm_config = SvmConfig());
+                         int num_classes, int folds, Rng* rng);
 
 // Same protocol over a precomputed n x n Gram matrix (graph kernels).
 MeanStd KernelSvmCrossValidate(const std::vector<double>& gram, int64_t n,
                                const std::vector<int>& labels,
-                               int num_classes, int folds, Rng* rng,
-                               const SvmConfig& svm_config = SvmConfig());
+                               int num_classes, int folds, Rng* rng);
 
 }  // namespace sgcl
 

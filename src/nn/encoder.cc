@@ -25,14 +25,14 @@ const char* GnnArchToString(GnnArch arch) {
 namespace {
 
 std::unique_ptr<GraphConv> MakeConv(GnnArch arch, int64_t in_dim,
-                                    int64_t out_dim, int gat_heads, Rng* rng) {
+                                    int64_t out_dim, Rng* rng) {
   switch (arch) {
     case GnnArch::kGin:
       return std::make_unique<GinConv>(in_dim, out_dim, rng);
     case GnnArch::kGcn:
       return std::make_unique<GcnConv>(in_dim, out_dim, rng);
     case GnnArch::kGat:
-      return std::make_unique<GatConv>(in_dim, out_dim, rng, gat_heads);
+      return std::make_unique<GatConv>(in_dim, out_dim, rng);
     case GnnArch::kSage:
       return std::make_unique<SageConv>(in_dim, out_dim, rng);
   }
@@ -49,8 +49,7 @@ GnnEncoder::GnnEncoder(const EncoderConfig& config, Rng* rng)
   SGCL_CHECK_GT(config.num_layers, 0);
   for (int l = 0; l < config.num_layers; ++l) {
     const int64_t in = (l == 0) ? config.in_dim : config.hidden_dim;
-    layers_.push_back(
-        MakeConv(config.arch, in, config.hidden_dim, config.gat_heads, rng));
+    layers_.push_back(MakeConv(config.arch, in, config.hidden_dim, rng));
   }
 }
 

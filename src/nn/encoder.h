@@ -23,7 +23,6 @@ struct EncoderConfig {
   int64_t hidden_dim = 32;
   int num_layers = 3;       // paper: 3 for TU, 5 for transfer
   PoolingKind pooling = PoolingKind::kSum;
-  int gat_heads = 2;        // only for kGat
 };
 
 class GnnEncoder : public Module {

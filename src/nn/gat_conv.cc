@@ -5,13 +5,17 @@
 #include "tensor/ops.h"
 
 namespace sgcl {
+namespace {
 
-GatConv::GatConv(int64_t in_dim, int64_t out_dim, Rng* rng, int num_heads,
-                 float negative_slope)
-    : bias_(ZerosParam(1, out_dim)), negative_slope_(negative_slope) {
-  SGCL_CHECK_GT(num_heads, 0);
-  heads_.reserve(num_heads);
-  for (int h = 0; h < num_heads; ++h) {
+constexpr int kNumHeads = 2;
+constexpr float kNegativeSlope = 0.2f;
+
+}  // namespace
+
+GatConv::GatConv(int64_t in_dim, int64_t out_dim, Rng* rng)
+    : bias_(ZerosParam(1, out_dim)) {
+  heads_.reserve(kNumHeads);
+  for (int h = 0; h < kNumHeads; ++h) {
     Head head;
     head.w = std::make_unique<Linear>(in_dim, out_dim, rng, /*use_bias=*/false);
     head.attn_src = XavierUniform(out_dim, 1, rng);
@@ -39,15 +43,13 @@ Tensor GatConv::Forward(const Tensor& x, const GraphBatch& batch) const {
     Tensor score_dst = MatMul(xw, head.attn_dst);          // [N, 1]
     Tensor edge_score = LeakyRelu(
         Add(GatherRows(score_src, src), GatherRows(score_dst, dst)),
-        negative_slope_);                                  // [E+N, 1]
+        kNegativeSlope);                                   // [E+N, 1]
     Tensor alpha = SegmentSoftmax(edge_score, dst, batch.num_nodes);
     Tensor messages = MulBroadcastCol(GatherRows(xw, src), alpha);
     Tensor head_out = ScatterAddRows(messages, dst, batch.num_nodes);
     out = (h == 0) ? head_out : Add(out, head_out);
   }
-  if (heads_.size() > 1) {
-    out = MulScalar(out, 1.0f / static_cast<float>(heads_.size()));
-  }
+  out = MulScalar(out, 1.0f / static_cast<float>(heads_.size()));
   return Add(out, bias_);
 }
 

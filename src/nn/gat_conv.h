@@ -1,8 +1,8 @@
 // Graph Attention Network layer (Veličković et al., ICLR'18).
 //
-// For each head: e_ij = LeakyReLU(a_src · Wh_i + a_dst · Wh_j) over the
-// self-loop-augmented edge set, alpha = softmax_j(e_ij), and
-// h_i' = sum_j alpha_ij Wh_j. Multi-head outputs are averaged (the "final
+// For each of two heads: e_ij = LeakyReLU_0.2(a_src · Wh_i + a_dst · Wh_j)
+// over the self-loop-augmented edge set, alpha = softmax_j(e_ij), and
+// h_i' = sum_j alpha_ij Wh_j. The head outputs are averaged (the "final
 // layer" convention), keeping the output dimension equal to out_dim.
 #ifndef SGCL_NN_GAT_CONV_H_
 #define SGCL_NN_GAT_CONV_H_
@@ -18,8 +18,7 @@ namespace sgcl {
 
 class GatConv : public GraphConv {
  public:
-  GatConv(int64_t in_dim, int64_t out_dim, Rng* rng, int num_heads = 1,
-          float negative_slope = 0.2f);
+  GatConv(int64_t in_dim, int64_t out_dim, Rng* rng);
 
   Tensor Forward(const Tensor& x, const GraphBatch& batch) const override;
   std::vector<Tensor> Parameters() const override;
@@ -32,7 +31,6 @@ class GatConv : public GraphConv {
   };
   std::vector<Head> heads_;
   Tensor bias_;  // [1, out]
-  float negative_slope_;
 };
 
 }  // namespace sgcl

@@ -26,7 +26,9 @@ Status GraphError(size_t index, const std::string& message) {
 // skipped without materializing values, and only the final Graph
 // storage is allocated. Key order is free and unknown keys are
 // tolerated, matching the DOM parser it replaces; so are the error
-// messages, which tests pin.
+// messages, which tests pin. A repeated known key is an error: merging
+// or overwriting either copy would hide a client bug, and a repeated
+// "graphs" would escape the per-request graph limit.
 class GraphsRequestScanner {
  public:
   GraphsRequestScanner(const std::string& body, int64_t feat_dim,
@@ -54,6 +56,9 @@ class GraphsRequestScanner {
         }
         ++pos_;
         if (key == "graphs") {
+          if (saw_graphs) {
+            return Status::InvalidArgument("repeated field \"graphs\"");
+          }
           saw_graphs = true;
           SGCL_RETURN_NOT_OK(ParseGraphsArray());
         } else {
@@ -282,6 +287,7 @@ class GraphsRequestScanner {
     ++pos_;
     bool saw_num_nodes = false;
     bool saw_features = false;
+    bool saw_edges = false;
     double num_nodes_raw = 0.0;
     features_.clear();
     edges_.clear();
@@ -300,15 +306,19 @@ class GraphsRequestScanner {
         ++pos_;
         SkipWs();
         if (key == "num_nodes") {
+          if (saw_num_nodes) return RepeatedField(index, key);
           if (pos_ >= text_.size() || !LooksNumeric(text_[pos_])) {
             return GraphError(index, "missing numeric field \"num_nodes\"");
           }
           SGCL_RETURN_NOT_OK(ParseNumber(&num_nodes_raw));
           saw_num_nodes = true;
         } else if (key == "features") {
+          if (saw_features) return RepeatedField(index, key);
           saw_features = true;
           SGCL_RETURN_NOT_OK(ParseFeatures(index, &feature_count));
         } else if (key == "edges") {
+          if (saw_edges) return RepeatedField(index, key);
+          saw_edges = true;
           SGCL_RETURN_NOT_OK(ParseEdges(index));
         } else {
           SGCL_RETURN_NOT_OK(SkipValue(/*depth=*/2));
@@ -372,6 +382,10 @@ class GraphsRequestScanner {
     SGCL_RETURN_NOT_OK(graph.Validate());
     graphs_.push_back(std::move(graph));
     return Status::OK();
+  }
+
+  static Status RepeatedField(size_t index, const std::string& key) {
+    return GraphError(index, "repeated field \"" + key + "\"");
   }
 
   static bool LooksNumeric(char c) {

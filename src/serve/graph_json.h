@@ -9,9 +9,10 @@
 //   /v1/embed   -> {"dim": D, "embeddings": [[e_0 ... e_D-1], ...]}
 //   /v1/predict -> {"keep_probs": [[p_0 ... p_N-1], ...]}
 //
-// Parsing is strict: unknown shapes, out-of-range edge endpoints, and
-// non-finite features are InvalidArgument with a message that names the
-// offending graph, never a crash. Formatting uses %.9g — enough digits
+// Parsing is strict: unknown shapes, repeated "graphs", "num_nodes",
+// "features" or "edges" keys, out-of-range edge endpoints, and non-finite
+// features are InvalidArgument with a message that names the offending
+// field or graph, never a crash. Formatting uses %.9g — enough digits
 // to round-trip float32 exactly, so a client can compare batched and
 // unbatched responses bitwise.
 #ifndef SGCL_SERVE_GRAPH_JSON_H_

@@ -1,14 +1,18 @@
-// Golden tests for the batched/parallel exact Lipschitz generator: the
-// block-diagonal masked-view path must reproduce the naive per-node
-// re-encoding loop (ExactConstantsReference) on graphs with self-loops,
-// isolated nodes, and degenerate sizes, for every chunking and thread
-// count.
+// Golden tests for the parallel exact Lipschitz generator. GIN's fused
+// masked-view kernel must reproduce the naive per-node re-encoding loop
+// (ExactConstantsReference) on graphs with self-loops, isolated nodes,
+// and degenerate sizes, for every partition of the views and every
+// thread count. Other encoders run that loop itself on pool threads, one
+// graph per task, and must match it called graph by graph.
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "common/parallel.h"
 #include "core/lipschitz_generator.h"
+#include "graph/graph_batch.h"
 #include "gtest/gtest.h"
+#include "nn/gin_inference.h"
 #include "test_util.h"
 
 namespace sgcl {
@@ -47,14 +51,6 @@ Graph RandomGraph(int64_t n, int64_t feat_dim, bool self_loops, Rng* rng) {
   return g;
 }
 
-void ExpectNear(const std::vector<float>& a, const std::vector<float>& b,
-                float tol) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_NEAR(a[i], b[i], tol) << "node " << i;
-  }
-}
-
 // GIN encoders take the fused kernel, whose arithmetic matches the tape
 // encoder of the naive reference exactly (the library builds without
 // floating-point contraction), so their constants compare exactly.
@@ -82,33 +78,61 @@ TEST_F(LipschitzBatchedTest, MatchesNaiveReferenceOnRandomGraphs) {
   }
 }
 
-// Non-GIN encoders take the block-diagonal batched tape fallback rather
-// than the fused kernel; it must agree with the naive loop for every
-// architecture.
+// Non-GIN encoders run the per-node reference on pool threads, one graph
+// per task; the batch must equal the graph-by-graph calls at every
+// thread count.
 TEST_F(LipschitzBatchedTest, MatchesNaiveReferenceOnOtherArchitectures) {
   Rng rng(20);
   for (const GnnArch arch : {GnnArch::kGcn, GnnArch::kGat, GnnArch::kSage}) {
     EncoderConfig cfg = SmallEncoderConfig(3);
     cfg.arch = arch;
     GnnEncoder enc(cfg, &rng);
-    LipschitzGenerator gen(&enc, LipschitzMode::kExact, /*max_view_nodes=*/24);
-    Graph g = RandomGraph(9, 3, /*self_loops=*/true, &rng);
-    ExpectNear(gen.ComputeConstants(g), gen.ExactConstantsReference(g),
-               1e-5f);
+    LipschitzGenerator gen(&enc, LipschitzMode::kExact);
+    Graph a = RandomGraph(9, 3, /*self_loops=*/true, &rng);
+    Graph b = RandomGraph(6, 3, /*self_loops=*/false, &rng);
+    Graph c = testing::HouseGraph(3);
+    std::vector<float> want;
+    for (const Graph* g : {&a, &b, &c}) {
+      std::vector<float> k = gen.ExactConstantsReference(*g);
+      want.insert(want.end(), k.begin(), k.end());
+    }
+    for (const int threads : {1, 4}) {
+      SetParallelThreads(threads);
+      ExpectExact(gen.ComputeConstants(std::vector<const Graph*>{&a, &b, &c}),
+                  want);
+    }
   }
 }
 
+// The fused kernel's results must not depend on how [0, n) is split
+// across ViewDisplacementsSq calls (the generator's parallel grain).
 TEST_F(LipschitzBatchedTest, MatchesReferenceForEveryChunking) {
   Rng rng(8);
   GnnEncoder enc(SmallEncoderConfig(3), &rng);
   Graph g = RandomGraph(11, 3, /*self_loops=*/true, &rng);
   LipschitzGenerator oracle(&enc, LipschitzMode::kExact);
   const std::vector<float> want = oracle.ExactConstantsReference(g);
-  // max_view_nodes below n forces one view per chunk; larger values cover
-  // partial and single-chunk batching.
-  for (const int64_t cap : {1, 11, 22, 23, 40, 121, 4096}) {
-    LipschitzGenerator gen(&enc, LipschitzMode::kExact, cap);
-    ExpectExact(gen.ComputeConstants(g), want);
+  const int64_t n = g.num_nodes();
+  const GinInferencePlan plan = GinInferencePlan::Build(enc);
+  ASSERT_TRUE(plan.valid());
+  const GraphBatch base = GraphBatch::FromGraphPtrs({&g});
+  const GinMaskedViewKernel kernel(
+      plan, base.features.data(), n, base.edge_src.data(),
+      base.edge_dst.data(), static_cast<int64_t>(base.edge_src.size()));
+  const std::vector<int64_t> deg = g.Degrees();
+  for (const int64_t step : {int64_t{1}, int64_t{2}, int64_t{3}, int64_t{5},
+                             n}) {
+    std::vector<double> disp(static_cast<size_t>(n));
+    for (int64_t lo = 0; lo < n; lo += step) {
+      kernel.ViewDisplacementsSq(lo, std::min(n, lo + step), disp.data() + lo);
+    }
+    std::vector<float> got(static_cast<size_t>(n));
+    for (int64_t r = 0; r < n; ++r) {
+      got[r] = static_cast<float>(std::sqrt(disp[r])) /
+               NodeDropTopologyDistance(deg[r], g.HasEdge(r, r));
+    }
+    SCOPED_TRACE(step);
+    ExpectExact(got, want);
   }
 }
 
@@ -152,7 +176,7 @@ TEST_F(LipschitzBatchedTest, BitwiseIdenticalAcrossThreadCounts) {
   Graph a = RandomGraph(13, 4, /*self_loops=*/true, &rng);
   Graph b = RandomGraph(6, 4, /*self_loops=*/false, &rng);
   const std::vector<const Graph*> graphs = {&a, &b};
-  LipschitzGenerator gen(&enc, LipschitzMode::kExact, /*max_view_nodes=*/32);
+  LipschitzGenerator gen(&enc, LipschitzMode::kExact);
   SetParallelThreads(1);
   const std::vector<float> serial = gen.ComputeConstants(graphs);
   for (const int threads : {2, 4, 8}) {

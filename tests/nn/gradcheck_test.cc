@@ -117,7 +117,7 @@ TEST(GradCheckConvTest, GcnConvInput) {
 TEST(GradCheckConvTest, GatConvInput) {
   Rng rng(34);
   GraphBatch batch = TestBatch();
-  GatConv conv(3, 4, &rng, /*num_heads=*/2);
+  GatConv conv(3, 4, &rng);
   GradCheck(NodeFeatures(batch.num_nodes, 3), [&](const Tensor& x) {
     return SumSquares(conv.Forward(x, batch));
   });

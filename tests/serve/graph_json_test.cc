@@ -76,6 +76,18 @@ TEST(GraphJsonTest, RejectsMalformedShapes) {
       {"{\"graphs\":[{\"num_nodes\":2,\"features\":[1,2,3,4],"
        "\"edges\":7}]}",
        "edges"},
+      {"{\"graphs\":[{\"num_nodes\":1,\"features\":[1,2]}],"
+       "\"graphs\":[{\"num_nodes\":1,\"features\":[1,2]}]}",
+       "repeated field \"graphs\""},
+      {"{\"graphs\":[{\"num_nodes\":1,\"num_nodes\":1,"
+       "\"features\":[1,2]}]}",
+       "repeated field \"num_nodes\""},
+      {"{\"graphs\":[{\"num_nodes\":1,\"features\":[1,2],"
+       "\"features\":[1,2]}]}",
+       "repeated field \"features\""},
+      {"{\"graphs\":[{\"num_nodes\":2,\"features\":[1,2,3,4],"
+       "\"edges\":[0,1],\"edges\":[1,0]}]}",
+       "repeated field \"edges\""},
   };
   for (const auto& test_case : kCases) {
     auto graphs = ParseGraphsRequest(test_case.body, /*feat_dim=*/2, limits);
@@ -108,6 +120,15 @@ TEST(GraphJsonTest, EnforcesGraphAndNodeLimits) {
       2, limits);
   ASSERT_FALSE(too_many.ok());
   EXPECT_NE(too_many.status().message().find("limit"), std::string::npos);
+  // Splitting the graphs over repeated "graphs" keys must not reset the
+  // per-request limit.
+  auto split = ParseGraphsRequest(
+      "{\"graphs\":[{\"num_nodes\":1,\"features\":[1,2]}],"
+      "\"graphs\":[{\"num_nodes\":1,\"features\":[3,4]}]}",
+      2, limits);
+  ASSERT_FALSE(split.ok());
+  EXPECT_EQ(split.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(split.status().message().find("\"graphs\""), std::string::npos);
 
   limits = DefaultLimits();
   limits.max_total_nodes = 2;

@@ -20,8 +20,8 @@
 // graphs/sec, speedup vs world=1, and the comms counters (allreduce wait
 // micros, bytes moved) that explain scaling gaps. tools/bench_record.py
 // records the committed BENCH_distributed.json from it.
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -163,8 +163,13 @@ int Run(int argc, char** argv) {
     std::stringstream ss(worlds_csv);
     std::string token;
     while (std::getline(ss, token, ',')) {
-      const int world = std::atoi(token.c_str());
-      if (world < 1 || world > accum) {
+      // The whole token must be the number: "2x" is an error, not 2.
+      int world = 0;
+      const char* const end = token.data() + token.size();
+      const std::from_chars_result parsed =
+          std::from_chars(token.data(), end, world);
+      if (parsed.ec != std::errc() || parsed.ptr != end || world < 1 ||
+          world > accum) {
         std::fprintf(stderr,
                      "error: --worlds entry '%s' must be in [1, accum=%d]\n",
                      token.c_str(), accum);
@@ -190,6 +195,10 @@ int Run(int argc, char** argv) {
   cfg.proj_dim = static_cast<int>(hidden);
   cfg.batch_size = batch;
   cfg.epochs = epochs;
+  if (const Status valid = cfg.Validate(); !valid.ok()) {
+    std::fprintf(stderr, "error: %s\n", valid.ToString().c_str());
+    return 2;
+  }
 
   GraphDataset dataset =
       MakeZincLikeDataset(static_cast<int>(graphs), seed);
