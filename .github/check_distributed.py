@@ -73,10 +73,10 @@ def main() -> int:
     cli = sys.argv[1]
 
     run([cli, "generate", "--dataset=MUTAG", "--graphs=48", "--node-cap=14",
-         "--seed=3", "--out=dist_ds.bin"])
+         "--seed=3", "--out=dist_ds"])
 
     # 1. One-worker distributed reference (same rounds, one process).
-    run([cli, "pretrain", "--data=dist_ds.bin", *MODEL_ARGS,
+    run([cli, "pretrain", "--data=dist_ds", *MODEL_ARGS,
          "--workers=1", "--rank=0", "--coordinator-port=0",
          "--metrics-out=dist_ref.jsonl", "--out=dist_ref.ckpt"])
     ref = epoch_losses("dist_ref.jsonl")
@@ -84,7 +84,7 @@ def main() -> int:
 
     # 2. Rank 0: coordinator on an ephemeral port + worker 0 of 2.
     rank0 = subprocess.Popen(
-        [cli, "pretrain", "--data=dist_ds.bin", *MODEL_ARGS,
+        [cli, "pretrain", "--data=dist_ds", *MODEL_ARGS,
          "--workers=2", "--rank=0", "--coordinator-port=0",
          "--checkpoint-dir=dist_ckpt", "--checkpoint-every-batches=4",
          "--checkpoint-keep=0",
@@ -107,7 +107,7 @@ def main() -> int:
     drainer.start()
 
     # 3. Rank 1 joins, then dies for real after its first epoch line.
-    rank1_cmd = [cli, "pretrain", "--data=dist_ds.bin", *MODEL_ARGS,
+    rank1_cmd = [cli, "pretrain", "--data=dist_ds", *MODEL_ARGS,
                  "--workers=2", "--rank=1", f"--coordinator-port={port}",
                  "--checkpoint-dir=dist_ckpt",
                  "--checkpoint-every-batches=4", "--checkpoint-keep=0",

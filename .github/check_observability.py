@@ -12,7 +12,7 @@ parent span, every parent is in its event's trace, and there are at
 most --trace-ring-size (64) train/batch roots.
 
 Live mode (telemetry endpoint):
-    check_observability.py --live <sgcl_cli> <dataset.bin>
+    check_observability.py --live <sgcl_cli> <dataset>
 
 Launches `sgcl_cli pretrain --http-port=0 --trace-sample-rate=1`,
 parses the announced port, and curls /healthz, /status, /metrics
@@ -25,7 +25,7 @@ behind for offline checks.
 
 Serve-trace mode (request tracing end to end):
     check_observability.py --serve <sgcl_cli> <serve_load> \
-                           <trace_report> <dataset.bin> <model.ckpt>
+                           <trace_report> <dataset> <model.ckpt>
 
 Starts `sgcl_cli serve --trace-sample-rate=1`, drives it with
 serve_load --slowest-traces, then asserts: the /metrics latency

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI smoke for `sgcl_cli serve` driven by serve_load.
 
-    check_serve.py <sgcl_cli> <serve_load> <dataset.bin> <gin.ckpt> \
+    check_serve.py <sgcl_cli> <serve_load> <dataset> <gin.ckpt> \
                    <gcn.ckpt>
 
 Runs two scenario pairs:

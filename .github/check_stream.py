@@ -6,7 +6,7 @@
 End-to-end over the real binaries:
 
   1. shard_writer materializes a tiny synthetic store (multiple shards).
-  2. Reference: `sgcl_cli pretrain --data-dir` streams an uninterrupted
+  2. Reference: `sgcl_cli pretrain --data` streams an uninterrupted
      run from disk, exporting per-epoch losses via --metrics-out.
   3. Kill: the same run restarts with mid-epoch batch checkpointing
      (--checkpoint-every-batches) and is SIGKILLed after the first epoch
@@ -61,7 +61,7 @@ def main() -> int:
          "--shard-graphs=32", "--seed=9"])
 
     # 2. Uninterrupted streaming reference.
-    run([cli, "pretrain", "--data-dir=stream_store", f"--epochs={EPOCHS}",
+    run([cli, "pretrain", "--data=stream_store", f"--epochs={EPOCHS}",
          *MODEL_ARGS, "--seed=3", "--prefetch-depth=2",
          "--metrics-out=stream_ref.jsonl", "--out=stream_ref.ckpt"])
     ref = epoch_losses("stream_ref.jsonl")
@@ -69,7 +69,7 @@ def main() -> int:
 
     # 3. Same run with mid-epoch checkpoints, SIGKILLed mid-flight.
     proc = subprocess.Popen(
-        [cli, "pretrain", "--data-dir=stream_store", f"--epochs={EPOCHS}",
+        [cli, "pretrain", "--data=stream_store", f"--epochs={EPOCHS}",
          *MODEL_ARGS, "--seed=3", "--prefetch-depth=2",
          "--checkpoint-dir=stream_ckpt", "--checkpoint-every-batches=2",
          "--checkpoint-keep=0", "--out=stream_kill.ckpt"],
@@ -92,7 +92,7 @@ def main() -> int:
 
     # 4. Resume under a different seed; losses must match the reference
     # bitwise for every epoch the resumed run reports.
-    run([cli, "pretrain", "--data-dir=stream_store", f"--epochs={EPOCHS}",
+    run([cli, "pretrain", "--data=stream_store", f"--epochs={EPOCHS}",
          *MODEL_ARGS, "--seed=31337", "--prefetch-depth=2",
          "--checkpoint-dir=stream_ckpt", "--checkpoint-every-batches=2",
          "--checkpoint-keep=0", "--resume",

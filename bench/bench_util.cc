@@ -2,46 +2,59 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 
 #include "baselines/registry.h"
+#include "common/flags.h"
+#include "common/string_util.h"
 
 namespace sgcl::bench {
 
 BenchScale ParseArgs(int argc, char** argv, std::string* only_filter) {
   BenchScale scale;
+  std::string mode = "ci";
+  int seeds = scale.seeds;
   only_filter->clear();
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--mode=paper") {
-      scale.paper = true;
-      scale.tu_target_graphs = 1 << 30;
-      scale.tu_node_cap = 1e9;
-      scale.zinc_graphs = 20000;
-      scale.mol_graph_fraction = 1.0;
-      scale.mol_max_graphs = 100000;
-      scale.hidden_dim = 32;
-      scale.num_layers = 3;
-      scale.pretrain_epochs = 40;
-      scale.finetune_epochs = 30;
-      scale.batch_size = 128;
-      scale.seeds = 5;
-      scale.cv_folds = 10;
-    } else if (arg == "--mode=ci") {
-      // defaults
-    } else if (arg.rfind("--seeds=", 0) == 0) {
-      scale.seeds = std::atoi(arg.c_str() + 8);
-    } else if (arg.rfind("--only=", 0) == 0) {
-      *only_filter = arg.substr(7);
-    } else if (arg.rfind("--benchmark", 0) == 0) {
-      // google-benchmark flags pass through
-    } else {
-      std::fprintf(stderr,
-                   "unknown arg %s (use --mode=ci|paper --seeds=N "
-                   "--only=SUBSTR)\n",
-                   arg.c_str());
-    }
+  FlagSet flags(argv[0]);
+  flags.String("mode", &mode,
+               "ci (scaled-down sizes that finish on a single core) or "
+               "paper (the paper's full protocol sizes)");
+  flags.Int("seeds", &seeds, "seed count (paper mode's default is 5)");
+  flags.String("only", only_filter,
+               "run only datasets/methods whose name contains this");
+  Status st = flags.Parse(argc, argv, 1);
+  if (flags.help_requested()) {
+    std::printf("%s", flags.Help().c_str());
+    std::exit(0);
   }
+  if (st.ok() && mode != "ci" && mode != "paper") {
+    st = Status::InvalidArgument("--mode must be ci or paper, got " + mode);
+  }
+  if (st.ok() && flags.IsSet("seeds") && seeds < 1) {
+    st = Status::InvalidArgument(
+        StrFormat("--seeds must be >= 1, got %d", seeds));
+  }
+  if (!st.ok()) {
+    std::fprintf(stderr, "error: %s\n%s", st.ToString().c_str(),
+                 flags.Help().c_str());
+    std::exit(2);
+  }
+  if (mode == "paper") {
+    scale.paper = true;
+    scale.tu_target_graphs = 1 << 30;
+    scale.tu_node_cap = 1e9;
+    scale.zinc_graphs = 20000;
+    scale.mol_graph_fraction = 1.0;
+    scale.mol_max_graphs = 100000;
+    scale.hidden_dim = 32;
+    scale.num_layers = 3;
+    scale.pretrain_epochs = 40;
+    scale.finetune_epochs = 30;
+    scale.batch_size = 128;
+    scale.seeds = 5;
+    scale.cv_folds = 10;
+  }
+  if (flags.IsSet("seeds")) scale.seeds = seeds;
   return scale;
 }
 

@@ -42,6 +42,8 @@ struct BenchScale {
 };
 
 // Parses --mode/--seeds/--only; returns the scale and sets `only_filter`.
+// Exits 0 after --help, and 2 on an unknown flag, an unknown mode, or a
+// malformed or < 1 seed count, before any dataset is built.
 BenchScale ParseArgs(int argc, char** argv, std::string* only_filter);
 
 // True when `name` passes the --only filter (case-sensitive substring).

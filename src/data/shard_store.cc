@@ -441,4 +441,37 @@ Status ShardedGraphStore::Fetch(std::span<const int64_t> indices,
   return Status::OK();
 }
 
+// ---------------------------------------------------------------------------
+// GraphDataset <-> store
+
+Status SaveDataset(const GraphDataset& dataset, const std::string& dir) {
+  ShardWriterOptions options;
+  options.graphs_per_shard = std::max<int64_t>(1, dataset.size());
+  options.name = dataset.name();
+  options.num_classes = dataset.num_classes();
+  options.num_tasks = dataset.num_tasks();
+  SGCL_ASSIGN_OR_RETURN(std::unique_ptr<ShardedGraphStoreWriter> writer,
+                        ShardedGraphStoreWriter::Create(dir, options));
+  for (const Graph& g : dataset.graphs()) {
+    SGCL_RETURN_NOT_OK(writer->Append(g));
+  }
+  return writer->Finalize();
+}
+
+Result<GraphDataset> LoadDataset(const std::string& dir) {
+  SGCL_ASSIGN_OR_RETURN(std::unique_ptr<ShardedGraphStore> store,
+                        ShardedGraphStore::Open(dir));
+  SGCL_ASSIGN_OR_RETURN(const FetchedGraphs all, store->FetchAll());
+  GraphDataset dataset(store->name(), store->num_classes(),
+                       store->num_tasks());
+  dataset.Reserve(store->size());
+  for (const Graph* g : all.graphs()) {
+    SGCL_RETURN_NOT_OK(dataset.TryAdd(*g));
+  }
+  // The store's decode checks the wire format only; labels and task
+  // counts are checked here against the manifest's metadata.
+  SGCL_RETURN_NOT_OK(dataset.Validate());
+  return dataset;
+}
+
 }  // namespace sgcl

@@ -29,6 +29,10 @@
 // capacity — independent of the total graph count. Fetch is thread-safe;
 // decoded shards are handed out as shared_ptr pins, so FetchedGraphs
 // batches stay valid after eviction.
+//
+// The store is the only on-disk graph format: a GraphDataset is saved as
+// a one-shard store (SaveDataset) and any store loads back into memory
+// (LoadDataset).
 #ifndef SGCL_DATA_SHARD_STORE_H_
 #define SGCL_DATA_SHARD_STORE_H_
 
@@ -166,6 +170,18 @@ class ShardedGraphStore : public GraphSource {
       cache_ SGCL_GUARDED_BY(mu_);
   mutable int64_t decode_count_ SGCL_GUARDED_BY(mu_) = 0;
 };
+
+// Writes `dataset` as a one-shard store at `dir` (created if missing).
+// One shard is one fetch block, so training on the store shuffles
+// exactly as training on the dataset in memory.
+[[nodiscard]] Status SaveDataset(const GraphDataset& dataset,
+                                 const std::string& dir);
+
+// Reads the store at `dir` into memory and checks it as a dataset:
+// feature widths, per-graph structure, and labels against the manifest's
+// class and task counts (OutOfRange for a label outside [0, classes)).
+// A missing store is NotFound.
+[[nodiscard]] Result<GraphDataset> LoadDataset(const std::string& dir);
 
 }  // namespace sgcl
 

@@ -1,5 +1,5 @@
-// Wire format for one Graph record, shared by the v2 dataset container
-// (graph/dataset_io.h) and the sharded on-disk store (data/shard_store.h).
+// Wire format for one Graph record inside a shard of the on-disk store
+// (data/shard_store.h), the one file format for graphs.
 //
 // Layout (all little-endian, length-prefixed vectors as in common/io.h):
 //   i64 num_nodes, i64 feat_dim, f32vec features, i32vec edge_src,

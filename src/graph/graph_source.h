@@ -2,9 +2,9 @@
 // reads graphs through. A source is a sequential, cursor-addressable
 // stream of Graph records — indices 0..size()-1 — with batched random
 // access via Fetch. Two implementations ship today:
-//   * InMemorySource — zero-copy view over a GraphDataset (borrowed or
-//     owned), preserving the exact semantics of the historical
-//     `dataset.graph(i)` access path;
+//   * InMemorySource — zero-copy view over a borrowed GraphDataset,
+//     preserving the exact semantics of the historical `dataset.graph(i)`
+//     access path;
 //   * ShardedGraphStore (data/shard_store.h) — out-of-core shards on
 //     disk, decoded on demand with a bounded cache.
 // Consumers hold batches as FetchedGraphs, which either borrows graph
@@ -126,18 +126,14 @@ class GraphSource {
 };
 
 // GraphSource view over a GraphDataset. Fetch borrows pointers straight
-// out of the dataset (no copies, no pins): with a borrowed dataset the
-// caller guarantees the dataset outlives every batch, exactly as the old
-// `dataset.graph(i)` contract did.
+// out of the dataset (no copies, no pins): the caller guarantees the
+// dataset outlives every batch, exactly as the old `dataset.graph(i)`
+// contract did.
 class InMemorySource : public GraphSource {
  public:
-  // Borrowing view; `dataset` must outlive the source and its batches.
+  // `dataset` must outlive the source and its batches.
   explicit InMemorySource(const GraphDataset* dataset)
       : borrowed_(dataset), fingerprint_(Fingerprint(*dataset)) {}
-  // Owning view (moves the dataset in).
-  explicit InMemorySource(GraphDataset dataset)
-      : owned_(std::move(dataset)), borrowed_(&owned_),
-        fingerprint_(Fingerprint(owned_)) {}
 
   const std::string& name() const override { return borrowed_->name(); }
   int num_classes() const override { return borrowed_->num_classes(); }
@@ -157,7 +153,6 @@ class InMemorySource : public GraphSource {
   static uint64_t Fingerprint(const GraphDataset& dataset);
 
  private:
-  GraphDataset owned_;  // empty in the borrowing case
   const GraphDataset* borrowed_ = nullptr;
   uint64_t fingerprint_ = 0;
 };

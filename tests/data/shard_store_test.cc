@@ -8,7 +8,9 @@
 
 #include "common/crc32.h"
 #include "common/metrics.h"
+#include "common/rng.h"
 #include "data/synthetic_molecule.h"
+#include "data/synthetic_tu.h"
 #include "gtest/gtest.h"
 
 namespace sgcl {
@@ -410,6 +412,144 @@ TEST_F(ShardCorruptionTest, TrailingGarbageRejected) {
   bad.push_back('\0');
   WriteAll(shard_path_, bad);
   EXPECT_TRUE(StoreRejected());
+}
+
+// -- SaveDataset / LoadDataset: a dataset on disk is a one-shard store --
+
+void ExpectDatasetsEqual(const GraphDataset& a, const GraphDataset& b) {
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(a.name(), b.name());
+  EXPECT_EQ(a.num_classes(), b.num_classes());
+  EXPECT_EQ(a.num_tasks(), b.num_tasks());
+  for (int64_t i = 0; i < a.size(); ++i) {
+    ExpectGraphsBitIdentical(a.graph(i), b.graph(i));
+  }
+}
+
+// Saves a small MUTAG-like dataset at a fresh `name` directory.
+std::string SavedMutag(const char* name, uint64_t seed) {
+  SyntheticTuOptions opt;
+  opt.graph_fraction = 0.03;
+  opt.node_cap = 10;
+  opt.seed = seed;
+  const std::string dir = TempDir(name);
+  EXPECT_TRUE(SaveDataset(MakeTuDataset(TuDataset::kMutag, opt), dir).ok());
+  return dir;
+}
+
+TEST(DatasetIoTest, TuRoundTrip) {
+  SyntheticTuOptions opt;
+  opt.graph_fraction = 0.05;
+  opt.node_cap = 15;
+  opt.seed = 10;
+  GraphDataset original = MakeTuDataset(TuDataset::kProteins, opt);
+  ASSERT_FALSE(original.graph(0).semantic_mask().empty());
+  const std::string dir = TempDir("dataset_proteins");
+  ASSERT_TRUE(SaveDataset(original, dir).ok());
+  auto store = ShardedGraphStore::Open(dir);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ((*store)->num_shards(), 1);
+  auto loaded = LoadDataset(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectDatasetsEqual(original, *loaded);
+  fs::remove_all(dir);
+}
+
+TEST(DatasetIoTest, MultiTaskRoundTrip) {
+  MolDatasetOptions opt;
+  opt.graph_fraction = 0.02;
+  opt.max_graphs = 70;
+  opt.seed = 11;
+  GraphDataset original = MakeMolTaskDataset(MolTask::kTox21, opt);
+  ASSERT_GT(original.num_tasks(), 1);
+  const std::string dir = TempDir("dataset_tox21");
+  ASSERT_TRUE(SaveDataset(original, dir).ok());
+  auto loaded = LoadDataset(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectDatasetsEqual(original, *loaded);
+  fs::remove_all(dir);
+}
+
+TEST(DatasetIoTest, MissingFileIsNotFound) {
+  auto result = LoadDataset(TempDir("dataset_missing"));
+  EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
+}
+
+// The store decodes any well-formed record; LoadDataset is what checks
+// a label against the manifest's class count.
+TEST(DatasetIoTest, LabelOutsideManifestClassesIsOutOfRange) {
+  const std::string dir = TempDir("dataset_bad_label");
+  ShardWriterOptions opt;
+  opt.num_classes = 2;
+  auto writer = ShardedGraphStoreWriter::Create(dir, opt);
+  ASSERT_TRUE(writer.ok());
+  Graph g(3, 2);
+  g.AddUndirectedEdge(0, 1);
+  g.set_label(5);
+  ASSERT_TRUE((*writer)->Append(g).ok());
+  ASSERT_TRUE((*writer)->Finalize().ok());
+  auto store = ShardedGraphStore::Open(dir);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->FetchAll().ok());
+  EXPECT_EQ(LoadDataset(dir).status().code(), StatusCode::kOutOfRange);
+  fs::remove_all(dir);
+}
+
+TEST(DatasetIoTest, GarbageFileRejected) {
+  const std::string dir = TempDir("dataset_garbage");
+  fs::create_directories(dir);
+  WriteAll(ShardedGraphStore::ManifestPath(dir), {'n', 'o', 'p', 'e'});
+  EXPECT_FALSE(LoadDataset(dir).ok());
+  fs::remove_all(dir);
+}
+
+TEST(DatasetIoTest, TruncatedFileRejected) {
+  const std::string dir = SavedMutag("dataset_trunc", 12);
+  const std::string shard = ShardedGraphStore::ShardPath(dir, 0);
+  fs::resize_file(shard, fs::file_size(shard) / 2);
+  EXPECT_FALSE(LoadDataset(dir).ok());
+  fs::remove_all(dir);
+}
+
+// Every cut of either file is an error status, never a crash or a
+// smaller dataset.
+TEST(DatasetIoTest, FuzzTruncationNeverCrashes) {
+  const std::string dir = SavedMutag("dataset_fuzz_cut", 99);
+  Rng rng(7);
+  for (int trial = 0; trial < 25; ++trial) {
+    const std::string path = trial % 2 == 0
+                                 ? ShardedGraphStore::ShardPath(dir, 0)
+                                 : ShardedGraphStore::ManifestPath(dir);
+    const std::vector<char> full = ReadAll(path);
+    const size_t cut = 1 + static_cast<size_t>(rng.UniformInt(
+                               static_cast<int64_t>(full.size()) - 1));
+    WriteAll(path, std::vector<char>(full.begin(), full.begin() + cut));
+    EXPECT_FALSE(LoadDataset(dir).ok()) << path << " cut at " << cut;
+    WriteAll(path, full);
+  }
+  EXPECT_TRUE(LoadDataset(dir).ok());
+  fs::remove_all(dir);
+}
+
+// Every file carries a CRC, so any flipped byte is an error status.
+TEST(DatasetIoTest, FuzzByteFlipsNeverCrash) {
+  const std::string dir = SavedMutag("dataset_fuzz_flip", 100);
+  Rng rng(8);
+  for (int trial = 0; trial < 25; ++trial) {
+    const std::string path = trial % 2 == 0
+                                 ? ShardedGraphStore::ShardPath(dir, 0)
+                                 : ShardedGraphStore::ManifestPath(dir);
+    const std::vector<char> full = ReadAll(path);
+    std::vector<char> bad = full;
+    const size_t pos = static_cast<size_t>(
+        rng.UniformInt(static_cast<int64_t>(full.size())));
+    bad[pos] = static_cast<char>(bad[pos] ^ (1 + rng.UniformInt(255)));
+    WriteAll(path, bad);
+    EXPECT_FALSE(LoadDataset(dir).ok()) << path << " flipped at " << pos;
+    WriteAll(path, full);
+  }
+  EXPECT_TRUE(LoadDataset(dir).ok());
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -74,13 +74,6 @@ TEST(InMemorySourceTest, EmptySourceFailsChecked) {
             StatusCode::kFailedPrecondition);
 }
 
-TEST(InMemorySourceTest, OwningCtorKeepsDatasetAlive) {
-  InMemorySource source(SmallDataset());
-  EXPECT_EQ(source.size(), 6);
-  const FetchedGraphs all = source.FetchAll().value();
-  EXPECT_EQ(all.size(), 6u);
-}
-
 TEST(InMemorySourceTest, DefaultFetchBlocksIsOneRange) {
   GraphDataset ds = SmallDataset();
   InMemorySource source(&ds);

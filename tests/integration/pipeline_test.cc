@@ -2,14 +2,15 @@
 // generate data -> pretrain -> checkpoint -> reload -> embed -> evaluate,
 // and the transfer pipeline zinc-pretrain -> scaffold split -> fine-tune.
 #include <cstdio>
+#include <filesystem>
 
 #include "baselines/registry.h"
 #include "core/sgcl_trainer.h"
+#include "data/shard_store.h"
 #include "data/synthetic_molecule.h"
 #include "data/synthetic_tu.h"
 #include "eval/cross_validation.h"
 #include "eval/finetune.h"
-#include "graph/dataset_io.h"
 #include "graph/splits.h"
 #include "gtest/gtest.h"
 #include "nn/checkpoint.h"
@@ -28,7 +29,7 @@ TEST(PipelineTest, UnsupervisedEndToEndThroughDisk) {
   opt.node_cap = 15;
   opt.seed = 71;
   GraphDataset generated = MakeTuDataset(TuDataset::kMutag, opt);
-  const std::string data_path = TempPath("pipeline_data.bin");
+  const std::string data_path = TempPath("pipeline_data");
   ASSERT_TRUE(SaveDataset(generated, data_path).ok());
   auto dataset = LoadDataset(data_path);
   ASSERT_TRUE(dataset.ok());
@@ -66,7 +67,7 @@ TEST(PipelineTest, UnsupervisedEndToEndThroughDisk) {
   for (int64_t i = 0; i < emb.numel(); ++i) {
     EXPECT_FLOAT_EQ(emb.data()[i], emb_orig.data()[i]);
   }
-  std::remove(data_path.c_str());
+  std::filesystem::remove_all(data_path);
   std::remove(ckpt_path.c_str());
 }
 

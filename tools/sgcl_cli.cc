@@ -1,21 +1,20 @@
 // Command-line workflow tool:
-//   sgcl_cli generate  --dataset=MUTAG --out=ds.bin [--graphs=N]
+//   sgcl_cli generate  --dataset=MUTAG --out=ds [--graphs=N]
 //                      [--node-cap=C] [--seed=S]
-//   sgcl_cli info      --data=ds.bin
-//   sgcl_cli pretrain  --data=ds.bin --out=model.ckpt [--epochs=N]
+//   sgcl_cli info      --data=ds
+//   sgcl_cli pretrain  --data=ds --out=model.ckpt [--epochs=N]
 //                      [--arch=gin|gcn|gat|sage] [--hidden=H] [--layers=L]
 //                      [--batch=B] [--seed=S] [--metrics-out=metrics.jsonl]
 //                      [--trace-out=trace.json] [--checkpoint-dir=DIR]
 //                      [--checkpoint-every=K] [--checkpoint-keep=N]
 //                      [--checkpoint-every-batches=B] [--resume]
-//                      [--data-dir=STORE] [--prefetch-depth=D]
-//                      --data-dir streams training from a sharded on-disk
-//                      store (shard_writer output) instead of loading a
-//                      dataset file; peak memory stays bounded by the
+//                      [--prefetch-depth=D]
+//                      pretrain streams the store (generate or shard_writer
+//                      output) from disk; peak memory stays bounded by the
 //                      shard cache + prefetch depth, not the corpus size
-//   sgcl_cli evaluate  --data=ds.bin --model=model.ckpt [--folds=K]
-//   sgcl_cli scores    --data=ds.bin --model=model.ckpt [--graph=I]
-//   sgcl_cli serve     --model=model.ckpt (--feat-dim=D | --data=ds.bin)
+//   sgcl_cli evaluate  --data=ds --model=model.ckpt [--folds=K]
+//   sgcl_cli scores    --data=ds --model=model.ckpt [--graph=I]
+//   sgcl_cli serve     --model=model.ckpt (--feat-dim=D | --data=ds)
 //                      [--http-port=P] [--http-threads=N]
 //                      [--max-batch-graphs=G] [--max-batch-nodes=V]
 //                      [--batch-timeout-us=T] [--max-queue=Q]
@@ -24,9 +23,12 @@
 //                      serves POST /v1/embed and /v1/predict through the
 //                      dynamic micro-batcher (serve/service.h); runs until
 //                      SIGINT/SIGTERM unless --duration-s > 0. The model
-//                      checkpoint and (optional) dataset are loaded here,
-//                      before serving starts — request handlers never
+//                      checkpoint and (optional) store manifest are read
+//                      here, before serving starts — request handlers never
 //                      touch the filesystem (lint rule sgcl-R7)
+//
+// Datasets are graph stores (data/shard_store.h): a directory holding a
+// manifest and its shards. `generate` writes a one-shard store.
 //
 // Every command supports --help. Flags are typed (common/flags.h):
 // malformed values ("--epochs=abc"), unknown flags, and positional
@@ -72,7 +74,6 @@
 #include "data/shard_store.h"
 #include "data/synthetic_tu.h"
 #include "eval/cross_validation.h"
-#include "graph/dataset_io.h"
 #include "graph/graph_source.h"
 #include "nn/checkpoint.h"
 #include "serve/service.h"
@@ -109,23 +110,33 @@ Result<TuDataset> DatasetByName(const std::string& name) {
                           "RDT-M-5K, IMDB-B)");
 }
 
-// Encoder/training flags shared by pretrain, evaluate, scores, and serve.
+// Training-only flags (pretrain).
+struct TrainFlags {
+  int epochs = 20;
+  int batch = 16;
+
+  void Register(FlagSet* flags) {
+    flags->Int("epochs", &epochs, "pretraining epochs");
+    flags->Int("batch", &batch, "minibatch size (graphs)");
+  }
+};
+
+// Encoder flags shared by pretrain, evaluate, scores, and serve.
 struct ModelFlags {
   std::string arch = "gin";
   int hidden = 32;
   int layers = 3;
-  int epochs = 20;
-  int batch = 16;
 
   void Register(FlagSet* flags) {
     flags->String("arch", &arch, "encoder architecture: gin|gcn|gat|sage");
     flags->Int("hidden", &hidden, "encoder hidden dimension");
     flags->Int("layers", &layers, "encoder message-passing layers");
-    flags->Int("epochs", &epochs, "pretraining epochs");
-    flags->Int("batch", &batch, "minibatch size (graphs)");
   }
 
-  Result<SgclConfig> ToConfig(int64_t feat_dim) const {
+  // `train` is pretrain's; the inference commands pass none and keep
+  // SgclConfig's epoch count and batch size, which no weight depends on.
+  Result<SgclConfig> ToConfig(int64_t feat_dim,
+                              const TrainFlags* train = nullptr) const {
     SgclConfig cfg = MakeUnsupervisedConfig(feat_dim);
     if (arch == "gin") {
       cfg.encoder.arch = GnnArch::kGin;
@@ -142,8 +153,10 @@ struct ModelFlags {
     cfg.encoder.hidden_dim = hidden;
     cfg.proj_dim = hidden;
     cfg.encoder.num_layers = layers;
-    cfg.epochs = epochs;
-    cfg.batch_size = batch;
+    if (train != nullptr) {
+      cfg.epochs = train->epochs;
+      cfg.batch_size = train->batch;
+    }
     SGCL_RETURN_NOT_OK(cfg.Validate());
     return cfg;
   }
@@ -293,16 +306,27 @@ struct DistributedFlags {
                "waits for a straggler or a restarting worker");
   }
 
-  Status Validate() const {
+  // `flags` is the parsed command line: without --workers, a set
+  // distributed flag would be silently ignored, so it is an error.
+  Status Validate(const FlagSet& flags) const {
     if (workers < 0) {
       return Status::InvalidArgument("--workers must be >= 0");
     }
-    if (grad_accum < std::max(1, workers)) {
-      return Status::InvalidArgument(
-          StrFormat("--grad-accum %d must be >= max(1, --workers) = %d",
-                    grad_accum, std::max(1, workers)));
+    if (workers == 0) {
+      for (const char* name : {"rank", "coordinator-port", "grad-accum",
+                               "allreduce-timeout-ms"}) {
+        if (flags.IsSet(name)) {
+          return Status::InvalidArgument(
+              StrFormat("--%s requires --workers >= 1", name));
+        }
+      }
+      return Status::OK();
     }
-    if (workers == 0) return Status::OK();
+    if (grad_accum < workers) {
+      return Status::InvalidArgument(
+          StrFormat("--grad-accum %d must be >= --workers = %d", grad_accum,
+                    workers));
+    }
     if (rank < 0 || rank >= workers) {
       return Status::InvalidArgument(StrFormat(
           "--rank %d outside [0, %d)", rank, workers));
@@ -503,13 +527,13 @@ Result<PretrainStats> ObservedPretrain(SgclTrainer* trainer,
 }
 
 int CmdGenerate(int argc, char** argv) {
-  std::string dataset = "MUTAG", out = "dataset.bin";
+  std::string dataset = "MUTAG", out = "dataset";
   int graphs = 200;
   double node_cap = 40.0;
   uint64_t seed = 1;
   FlagSet flags("sgcl_cli generate");
   flags.String("dataset", &dataset, "TU dataset name (e.g. MUTAG)");
-  flags.String("out", &out, "output dataset path");
+  flags.String("out", &out, "output dataset store directory");
   flags.Int("graphs", &graphs, "number of graphs to generate");
   flags.Double("node-cap", &node_cap, "cap on average node count");
   flags.Uint64("seed", &seed, "generation seed");
@@ -542,9 +566,9 @@ int CmdGenerate(int argc, char** argv) {
 }
 
 int CmdInfo(int argc, char** argv) {
-  std::string data = "dataset.bin";
+  std::string data = "dataset";
   FlagSet flags("sgcl_cli info");
-  flags.String("data", &data, "dataset path");
+  flags.String("data", &data, "dataset store directory");
   if (int rc = HandleParse(flags, flags.Parse(argc, argv, 2)); rc >= 0) {
     return rc;
   }
@@ -561,54 +585,43 @@ int CmdInfo(int argc, char** argv) {
 }
 
 int CmdPretrain(int argc, char** argv) {
-  std::string data = "dataset.bin", data_dir, out = "model.ckpt";
+  std::string data = "dataset", out = "model.ckpt";
   uint64_t seed = 1;
   int prefetch_depth = 2;
   ModelFlags model_flags;
+  TrainFlags train_flags;
   ObservabilityFlags obs;
   CheckpointFlags ckpt;
   DistributedFlags dist_flags;
   FlagSet flags("sgcl_cli pretrain");
-  flags.String("data", &data, "dataset path");
-  flags.String("data-dir", &data_dir,
-               "sharded graph store directory (shard_writer output); when "
-               "set, streams training from disk instead of --data");
+  flags.String("data", &data,
+               "dataset store directory (generate or shard_writer output), "
+               "streamed from disk");
   flags.String("out", &out, "output checkpoint path");
   flags.Uint64("seed", &seed, "training seed");
   flags.Int("prefetch-depth", &prefetch_depth,
-            "batches decoded ahead of the training step when streaming "
-            "(<= 0 fetches synchronously)");
+            "batches decoded ahead of the training step (<= 0 fetches "
+            "synchronously)");
   model_flags.Register(&flags);
+  train_flags.Register(&flags);
   obs.Register(&flags);
   ckpt.Register(&flags);
   dist_flags.Register(&flags);
   if (int rc = HandleParse(flags, flags.Parse(argc, argv, 2)); rc >= 0) {
     return rc;
   }
-  if (Status st = dist_flags.Validate(); !st.ok()) return Fail(st);
+  if (Status st = dist_flags.Validate(flags); !st.ok()) return Fail(st);
   // Workers checkpoint independently: give each rank its own subtree so
   // FindLatestCheckpoint never picks up a sibling's file.
   if (dist_flags.workers > 0 && !ckpt.dir.empty()) {
     ckpt.dir += "/rank-" + std::to_string(dist_flags.rank);
   }
-  // Resolve the training source: on-disk shard store or loaded dataset.
-  std::unique_ptr<ShardedGraphStore> store;
-  std::unique_ptr<InMemorySource> mem;
-  const GraphSource* source = nullptr;
-  if (!data_dir.empty()) {
-    auto opened = ShardedGraphStore::Open(data_dir);
-    if (!opened.ok()) return Fail(opened.status());
-    store = std::move(*opened);
-    source = store.get();
-  } else {
-    auto ds = LoadDataset(data);
-    if (!ds.ok()) return Fail(ds.status());
-    mem = std::make_unique<InMemorySource>(std::move(*ds));
-    source = mem.get();
-  }
-  auto feat_dim = source->FeatDim();
+  auto store = ShardedGraphStore::Open(data);
+  if (!store.ok()) return Fail(store.status());
+  const GraphSource& source = **store;
+  auto feat_dim = source.FeatDim();
   if (!feat_dim.ok()) return Fail(feat_dim.status());
-  auto cfg = model_flags.ToConfig(*feat_dim);
+  auto cfg = model_flags.ToConfig(*feat_dim, &train_flags);
   if (!cfg.ok()) return Fail(cfg.status());
   SgclTrainer trainer(*cfg, seed);
   DistributedRun dist_run;
@@ -634,7 +647,7 @@ int CmdPretrain(int argc, char** argv) {
       }
     }
     AllReduceSchedule& schedule = dist_run.schedule;
-    schedule = MakePretrainSchedule(*cfg, *source, source->size(),
+    schedule = MakePretrainSchedule(*cfg, source, source.size(),
                                     dist_flags.workers, dist_flags.grad_accum,
                                     run_seed);
     // The round cache must cover every round a killed worker could have
@@ -655,7 +668,7 @@ int CmdPretrain(int argc, char** argv) {
         std::min<uint64_t>(std::max<uint64_t>(64, 2 * cadence_rounds),
                            1u << 20));
   }
-  auto stats = ObservedPretrain(&trainer, *source, obs, "pretrain",
+  auto stats = ObservedPretrain(&trainer, source, obs, "pretrain",
                                 cfg->epochs, &ckpt, prefetch_depth,
                                 dist_flags.workers > 0 ? &dist_run : nullptr);
   if (!stats.ok()) return Fail(stats.status());
@@ -669,15 +682,15 @@ int CmdPretrain(int argc, char** argv) {
 }
 
 int CmdEvaluate(int argc, char** argv) {
-  std::string data = "dataset.bin", model_path = "model.ckpt";
+  std::string data = "dataset", model_path = "model.ckpt";
   int folds = 10;
   uint64_t seed = 1;
   ModelFlags model_flags;
   FlagSet flags("sgcl_cli evaluate");
-  flags.String("data", &data, "dataset path");
+  flags.String("data", &data, "dataset store directory");
   flags.String("model", &model_path, "checkpoint path");
   flags.Int("folds", &folds, "SVM cross-validation folds");
-  flags.Uint64("seed", &seed, "evaluation seed");
+  flags.Uint64("seed", &seed, "evaluation seed (cross-validation folds)");
   model_flags.Register(&flags);
   if (int rc = HandleParse(flags, flags.Parse(argc, argv, 2)); rc >= 0) {
     return rc;
@@ -706,11 +719,11 @@ int CmdEvaluate(int argc, char** argv) {
 }
 
 int CmdScores(int argc, char** argv) {
-  std::string data = "dataset.bin", model_path = "model.ckpt";
+  std::string data = "dataset", model_path = "model.ckpt";
   int64_t index = 0;
   ModelFlags model_flags;
   FlagSet flags("sgcl_cli scores");
-  flags.String("data", &data, "dataset path");
+  flags.String("data", &data, "dataset store directory");
   flags.String("model", &model_path, "checkpoint path");
   flags.Int64("graph", &index, "graph index to score");
   model_flags.Register(&flags);
@@ -753,7 +766,6 @@ int CmdServe(int argc, char** argv) {
   std::string model_path = "model.ckpt";
   std::string data;
   int64_t feat_dim = 0;
-  uint64_t seed = 1;
   int http_port = 0;
   int http_threads = 4;
   int64_t max_batch_graphs = 16;
@@ -769,13 +781,11 @@ int CmdServe(int argc, char** argv) {
   FlagSet flags("sgcl_cli serve");
   flags.String("model", &model_path, "checkpoint to serve");
   flags.String("data", &data,
-               "dataset path used only to derive the feature dimension "
+               "dataset store whose manifest gives the feature dimension "
                "(alternative to --feat-dim)");
   flags.Int64("feat-dim", &feat_dim,
               "node feature dimension the model was trained with "
               "(see `sgcl_cli info`)");
-  flags.Uint64("seed", &seed, "model init seed (weights are overwritten by "
-               "the checkpoint)");
   flags.Int("http-port", &http_port,
             "listen on 127.0.0.1:<port>; 0 picks an ephemeral port");
   flags.Int("http-threads", &http_threads, "HTTP worker threads");
@@ -837,13 +847,17 @@ int CmdServe(int argc, char** argv) {
       return Fail(Status::InvalidArgument(
           "serve needs --feat-dim (or --data to derive it)"));
     }
-    auto ds = LoadDataset(data);
-    if (!ds.ok()) return Fail(ds.status());
-    feat_dim = ds->feat_dim();
+    auto store = ShardedGraphStore::Open(data);
+    if (!store.ok()) return Fail(store.status());
+    auto store_feat_dim = (*store)->FeatDim();
+    if (!store_feat_dim.ok()) return Fail(store_feat_dim.status());
+    feat_dim = *store_feat_dim;
   }
   auto cfg = model_flags.ToConfig(feat_dim);
   if (!cfg.ok()) return Fail(cfg.status());
-  Rng rng(seed);
+  // LoadCheckpoint overwrites every weight (all or nothing), so the init
+  // seed is fixed.
+  Rng rng(1);
   SgclModel model(*cfg, &rng);
   Status st = LoadCheckpoint(model_path, &model);
   if (!st.ok()) return Fail(st);

@@ -3,13 +3,11 @@
 //
 //   shard_writer --out-dir=zinc_store --graphs=100000 [--seed=0]
 //                [--shard-graphs=4096] [--name=ZINC-like]
-//   shard_writer --out-dir=store --from-data=dataset.bin
 //
-// The default mode streams the synthetic ZINC-2M molecule sampler: graph
-// i of a given seed is bitwise identical to MakeZincLikeDataset(n, seed)
-// .graph(i), so small in-memory datasets and huge stores are directly
-// comparable in tests and benches. --from-data instead re-shards an
-// existing dataset_io file (which does load that file into memory).
+// It streams the synthetic ZINC-2M molecule sampler: graph i of a given
+// seed is bitwise identical to MakeZincLikeDataset(n, seed).graph(i), so
+// small in-memory datasets and huge stores are directly comparable in
+// tests and benches.
 #include <cstdio>
 #include <string>
 
@@ -17,7 +15,6 @@
 #include "common/stopwatch.h"
 #include "data/shard_store.h"
 #include "data/synthetic_molecule.h"
-#include "graph/dataset_io.h"
 
 namespace sgcl {
 namespace {
@@ -29,15 +26,12 @@ int Fail(const Status& status) {
 
 int Run(int argc, char** argv) {
   std::string out_dir;
-  std::string from_data;
   std::string name = "ZINC-like";
   int64_t graphs = 10000;
   int64_t shard_graphs = 4096;
   uint64_t seed = 0;
   FlagSet flags("shard_writer");
   flags.String("out-dir", &out_dir, "store directory to create (required)");
-  flags.String("from-data", &from_data,
-               "re-shard an existing dataset_io .bin instead of sampling");
   flags.String("name", &name, "dataset name recorded in the manifest");
   flags.Int64("graphs", &graphs, "number of molecules to sample");
   flags.Int64("shard-graphs", &shard_graphs, "graphs per shard file");
@@ -57,7 +51,7 @@ int Run(int argc, char** argv) {
                  flags.Help().c_str());
     return 2;
   }
-  if (shard_graphs < 1 || (from_data.empty() && graphs < 1)) {
+  if (shard_graphs < 1 || graphs < 1) {
     std::fprintf(stderr, "error: --graphs and --shard-graphs must be >= 1\n");
     return 2;
   }
@@ -66,28 +60,6 @@ int Run(int argc, char** argv) {
   ShardWriterOptions options;
   options.graphs_per_shard = shard_graphs;
   options.name = name;
-
-  if (!from_data.empty()) {
-    auto dataset = LoadDataset(from_data);
-    if (!dataset.ok()) return Fail(dataset.status());
-    options.name = dataset->name();
-    options.num_classes = dataset->num_classes();
-    options.num_tasks = dataset->num_tasks();
-    auto writer = ShardedGraphStoreWriter::Create(out_dir, options);
-    if (!writer.ok()) return Fail(writer.status());
-    for (int64_t i = 0; i < dataset->size(); ++i) {
-      const Status append = (*writer)->Append(dataset->graph(i));
-      if (!append.ok()) return Fail(append);
-    }
-    const Status fin = (*writer)->Finalize();
-    if (!fin.ok()) return Fail(fin);
-    std::printf("sharded %lld graphs from %s into %s (%lld shards, %.2fs)\n",
-                static_cast<long long>((*writer)->graphs_appended()),
-                from_data.c_str(), out_dir.c_str(),
-                static_cast<long long>((*writer)->shards_written()),
-                watch.ElapsedSeconds());
-    return 0;
-  }
 
   auto writer = ShardedGraphStoreWriter::Create(out_dir, options);
   if (!writer.ok()) return Fail(writer.status());
