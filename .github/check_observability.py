@@ -25,7 +25,7 @@ behind for offline checks.
 
 Serve-trace mode (request tracing end to end):
     check_observability.py --serve <sgcl_cli> <serve_load> \
-                           <trace_report> <dataset> <model.ckpt>
+                           <trace_report> <model.ckpt>
 
 Starts `sgcl_cli serve --trace-sample-rate=1`, drives it with
 serve_load --slowest-traces, then asserts: the /metrics latency
@@ -234,10 +234,9 @@ def span_index(tree: dict):
 
 
 def check_serve_traces(cli: str, serve_load: str, trace_report: str,
-                       dataset: str, model: str) -> None:
+                       model: str) -> None:
     proc = subprocess.Popen(
-        [cli, "serve", f"--model={model}", f"--data={dataset}",
-         "--arch=gcn", "--hidden=8", "--layers=3", "--http-port=0",
+        [cli, "serve", f"--model={model}", "--http-port=0",
          "--http-threads=8", "--max-batch-graphs=16",
          "--batch-timeout-us=500", "--trace-sample-rate=1",
          "--trace-ring-size=256"],
@@ -322,7 +321,7 @@ def main() -> int:
     if sys.argv[1] == "--live":
         check_live(sys.argv[2], sys.argv[3])
     elif sys.argv[1] == "--serve":
-        check_serve_traces(*sys.argv[2:7])
+        check_serve_traces(*sys.argv[2:6])
     else:
         check_files(sys.argv[1], sys.argv[2])
     return 0

@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """CI smoke for `sgcl_cli serve` driven by serve_load.
 
-    check_serve.py <sgcl_cli> <serve_load> <dataset> <gin.ckpt> \
-                   <gcn.ckpt>
+    check_serve.py <sgcl_cli> <serve_load> <gin.ckpt> <gcn.ckpt>
 
 Runs two scenario pairs:
 
@@ -12,7 +11,8 @@ Runs two scenario pairs:
 Each pair starts the inference service on an ephemeral port, drives it
 with serve_load for a few seconds, and asserts the 2xx rate — first
 with micro-batching on (--max-batch-graphs=16), then with batch-size-1
-serving (--max-batch-graphs=1). The tape path has a real per-forward
+serving (--max-batch-graphs=1). Each model file carries its config, so
+serve takes the checkpoint alone. The tape path has a real per-forward
 fixed cost (op dispatch + tensor allocation), so its pair is where
 micro-batching shows a >= 2x QPS win; the fused GIN plan's per-forward
 cost is near zero, so its pair is expected ~1x. Each pair's QPS ratio is
@@ -28,10 +28,6 @@ import time
 
 SERVE_LINE = re.compile(r"serve: http://127\.0\.0\.1:(\d+) run_id (\S+)")
 
-# Must match how ci.yml pretrains the two checkpoints.
-GIN_ARGS = ["--arch=gin", "--hidden=8", "--layers=2"]
-GCN_ARGS = ["--arch=gcn", "--hidden=8", "--layers=3"]
-
 BATCHED = ["--max-batch-graphs=16", "--batch-timeout-us=500"]
 BATCH1 = ["--max-batch-graphs=1", "--batch-timeout-us=0"]
 
@@ -39,10 +35,10 @@ BATCH1 = ["--max-batch-graphs=1", "--batch-timeout-us=0"]
 class Server:
     """sgcl_cli serve on an ephemeral port; context-managed shutdown."""
 
-    def __init__(self, cli, dataset, model, model_args, extra_args):
+    def __init__(self, cli, model, extra_args):
         self.proc = subprocess.Popen(
-            [cli, "serve", f"--model={model}", f"--data={dataset}",
-             "--http-port=0", "--http-threads=16", *model_args, *extra_args],
+            [cli, "serve", f"--model={model}", "--http-port=0",
+             "--http-threads=16", *extra_args],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
         self.port = 0
         deadline = time.time() + 60
@@ -78,15 +74,15 @@ def run_load(serve_load, port, prefix, out_json):
     return doc
 
 
-def run_pair(cli, serve_load, dataset, model, model_args, prefix):
-    server = Server(cli, dataset, model, model_args, BATCHED)
+def run_pair(cli, serve_load, model, prefix):
+    server = Server(cli, model, BATCHED)
     try:
         batched = run_load(serve_load, server.port, f"{prefix}batched",
                            f"serve_{prefix.replace('/', '_')}batched.json")
     finally:
         server.stop()
 
-    server = Server(cli, dataset, model, model_args, BATCH1)
+    server = Server(cli, model, BATCH1)
     try:
         batch1 = run_load(serve_load, server.port, f"{prefix}batch1",
                           f"serve_{prefix.replace('/', '_')}batch1.json")
@@ -102,9 +98,9 @@ def run_pair(cli, serve_load, dataset, model, model_args, prefix):
 
 
 def main() -> int:
-    cli, serve_load, dataset, gin, gcn = sys.argv[1:6]
-    run_pair(cli, serve_load, dataset, gcn, GCN_ARGS, "serve/")
-    run_pair(cli, serve_load, dataset, gin, GIN_ARGS, "serve/fused_")
+    cli, serve_load, gin, gcn = sys.argv[1:5]
+    run_pair(cli, serve_load, gcn, "serve/")
+    run_pair(cli, serve_load, gin, "serve/fused_")
     return 0
 
 

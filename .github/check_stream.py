@@ -13,7 +13,9 @@ End-to-end over the real binaries:
      line — a real process kill, landing at an arbitrary batch/shard
      boundary, not a cooperative shutdown.
   4. Resume: `--resume` picks up the newest (typically mid-epoch)
-     checkpoint under a different trainer seed; every epoch loss the
+     checkpoint under a different trainer seed (the runs train at seed 0,
+     a seed like any other: the checkpoint's seed keys the resumed
+     batches, not the resuming process's); every epoch loss the
      resumed run reports must equal the reference run's value for the
      same epoch BITWISE (losses travel as %.17g JSON doubles, so float
      equality here is exact-bits equality).
@@ -62,7 +64,7 @@ def main() -> int:
 
     # 2. Uninterrupted streaming reference.
     run([cli, "pretrain", "--data=stream_store", f"--epochs={EPOCHS}",
-         *MODEL_ARGS, "--seed=3", "--prefetch-depth=2",
+         *MODEL_ARGS, "--seed=0", "--prefetch-depth=2",
          "--metrics-out=stream_ref.jsonl", "--out=stream_ref.ckpt"])
     ref = epoch_losses("stream_ref.jsonl")
     assert len(ref) == EPOCHS, ref
@@ -70,7 +72,7 @@ def main() -> int:
     # 3. Same run with mid-epoch checkpoints, SIGKILLed mid-flight.
     proc = subprocess.Popen(
         [cli, "pretrain", "--data=stream_store", f"--epochs={EPOCHS}",
-         *MODEL_ARGS, "--seed=3", "--prefetch-depth=2",
+         *MODEL_ARGS, "--seed=0", "--prefetch-depth=2",
          "--checkpoint-dir=stream_ckpt", "--checkpoint-every-batches=2",
          "--checkpoint-keep=0", "--out=stream_kill.ckpt"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)

@@ -442,8 +442,9 @@ void LineRuleFindings(const std::string& path,
     if (serve_path) {
       for (const char* prim :
            {"ofstream", "ifstream", "fstream", "fopen", "fread", "fwrite",
-            "LoadCheckpoint", "LoadTrainCheckpoint", "LoadDataset",
-            "ParseJsonFile", "AtomicWriteFile", "ReadFileToString"}) {
+            "LoadCheckpoint", "LoadTrainCheckpoint", "LoadModel",
+            "LoadDataset", "ParseJsonFile", "AtomicWriteFile",
+            "ReadFileToString"}) {
         for (size_t i = 0; i < line.size(); ++i) {
           if (TokenAt(line, i, prim)) {
             emit(li, "sgcl-R7", Severity::kError,

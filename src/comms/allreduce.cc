@@ -14,6 +14,10 @@
 namespace sgcl {
 namespace {
 
+// recv deadline on coordinator-side connections. A timeout is no error (an
+// idle worker sends nothing): the handler just re-checks for shutdown.
+constexpr int kCoordinatorIoTimeoutMs = 1000;
+
 void WriteSchedule(BufferWriter* w, const AllReduceSchedule& s) {
   w->WriteU32(s.world_size);
   w->WriteU32(s.accum);
@@ -182,7 +186,7 @@ void AllReduceCoordinator::AcceptLoop() {
     }
     auto channel = std::make_unique<FramedChannel>("comms_srv");
     channel->Adopt(*fd);
-    channel->SetIoTimeout(options_.io_timeout_ms);
+    channel->SetIoTimeout(kCoordinatorIoTimeoutMs);
     FramedChannel* raw = channel.get();
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_.load(std::memory_order_relaxed)) return;

@@ -136,10 +136,6 @@ struct AllReduceCoordinatorOptions {
   // then fails FailedPrecondition). Size this from the checkpoint
   // cadence: every round since a worker's latest checkpoint must fit.
   int cache_rounds = 64;
-  // recv deadline on coordinator-side connections. Timeouts are not
-  // errors (an idle worker blocked elsewhere sends nothing); the
-  // handler just re-checks for shutdown.
-  int io_timeout_ms = 1000;
   // Optional live per-worker rows for /status; must outlive Stop().
   RunStatusBoard* status_board = nullptr;
 };

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <filesystem>
 
+#include "common/crc32.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/stopwatch.h"
@@ -234,19 +235,17 @@ Result<PretrainStats> RunRoundLoop(const RoundLoopMethod& method,
     const std::string& path = options.resume_from;
     Stopwatch load_watch;
     SGCL_ASSIGN_OR_RETURN(const TrainState state, LoadTrainCheckpoint(path));
-    if (state.config_fingerprint != method.config_fingerprint) {
+    if (state.config_bytes != method.config_bytes) {
       return Status::InvalidArgument(StrFormat(
           "%s was written by a run with config fingerprint %016llx, this "
           "trainer has %016llx",
           path.c_str(),
-          static_cast<unsigned long long>(state.config_fingerprint),
-          static_cast<unsigned long long>(method.config_fingerprint)));
+          static_cast<unsigned long long>(Fnv1a64(state.config_bytes)),
+          static_cast<unsigned long long>(Fnv1a64(method.config_bytes))));
     }
     // A checkpoint is bound to its training data: refuse resume against
-    // a source with different content (legacy checkpoints carry 0 and
-    // skip the check).
-    if (state.source_fingerprint != 0 &&
-        state.source_fingerprint != source_fingerprint) {
+    // a source with different content.
+    if (state.source_fingerprint != source_fingerprint) {
       return Status::InvalidArgument(StrFormat(
           "%s was written against a source with fingerprint %016llx, this "
           "call trains on %016llx",
@@ -266,24 +265,16 @@ Result<PretrainStats> RunRoundLoop(const RoundLoopMethod& method,
           path.c_str()));
     }
     // Another round size is another schedule, even at an epoch boundary.
-    // Checkpoints from before grad_accum was recorded (0) can only be
-    // checked for a cursor on a round boundary.
-    if (state.grad_accum != 0 && state.grad_accum != accum) {
+    if (state.grad_accum != accum) {
       return Status::InvalidArgument(StrFormat(
           "%s was written at grad_accum %u, this run uses grad_accum %u",
           path.c_str(), state.grad_accum, accum));
-    }
-    if (state.batch_cursor % accum != 0) {
-      return Status::InvalidArgument(StrFormat(
-          "%s has batch cursor %lld, not a multiple of grad_accum %u — it "
-          "was not written by a run with this round size",
-          path.c_str(), static_cast<long long>(state.batch_cursor), accum));
     }
     SGCL_RETURN_NOT_OK(
         ApplyModuleParams(state.model_params, method.params, path));
     SGCL_RETURN_NOT_OK(method.optimizer->ImportState(state.optimizer));
     method.shuffle_rng->SetState(state.rng);
-    if (state.train_seed != 0) run_seed = state.train_seed;
+    run_seed = state.train_seed;
     order = state.order;
     start_epoch = state.next_epoch;
     resume_cursor = state.batch_cursor;
@@ -331,7 +322,7 @@ Result<PretrainStats> RunRoundLoop(const RoundLoopMethod& method,
                                    const std::string& path) -> Status {
     Stopwatch save_watch;
     TrainState state;
-    state.config_fingerprint = method.config_fingerprint;
+    state.config_bytes = method.config_bytes;
     state.model_params = SerializeModuleParams(method.params);
     state.optimizer = method.optimizer->ExportState();
     state.rng = method.shuffle_rng->GetState();

@@ -83,12 +83,11 @@ struct PretrainOptions {
   int checkpoint_keep_last = 3;
   // Path of a checkpoint to resume from (typically
   // FindLatestCheckpoint(checkpoint_dir)). The trainer must have been
-  // constructed with a config whose ConfigFingerprint matches the
-  // checkpoint's, run at the checkpoint's grad_accum, and the call's
-  // `indices` must select the same graph set the checkpointed run used.
-  // The resumed run replays the exact remaining epochs: its
-  // PretrainStats (including the restored-epoch prefix) is bitwise
-  // identical to an uninterrupted run's.
+  // constructed with the checkpoint's config, run at the checkpoint's
+  // grad_accum, and the call's `indices` must select the same graph set
+  // the checkpointed run used. The resumed run replays the exact
+  // remaining epochs: its PretrainStats (including the restored-epoch
+  // prefix) is bitwise identical to an uninterrupted run's.
   std::string resume_from;
   // Called after each successful checkpoint save.
   std::function<void(const CheckpointReport&)> on_checkpoint;
@@ -149,9 +148,9 @@ struct RoundLoopMethod {
   // Keys every batch's stream (DeriveBatchSeed); a resumed run keeps its
   // checkpoint's run seed instead.
   uint64_t run_seed = 0;
-  // Must match a resumed checkpoint's; methods that never checkpoint
-  // leave it 0.
-  uint64_t config_fingerprint = 0;
+  // SerializeConfig bytes: written into checkpoints and compared with a
+  // resumed checkpoint's; methods that never checkpoint leave it empty.
+  std::string config_bytes;
   int epochs = 0;
   int batch_size = 0;
   float grad_clip = 0.0f;

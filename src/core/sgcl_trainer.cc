@@ -7,6 +7,9 @@
 
 namespace sgcl {
 
+// How long Join retries while the coordinator may still be binding.
+constexpr int kConnectDeadlineMs = 15000;
+
 SgclTrainer::SgclTrainer(const SgclConfig& config, uint64_t seed)
     : config_(config), seed_(seed), rng_(seed) {
   const Status valid = config.Validate();
@@ -25,7 +28,7 @@ RoundLoopMethod SgclTrainer::LoopMethod() {
   method.optimizer = optimizer_.get();
   method.shuffle_rng = &rng_;
   method.run_seed = seed_;
-  method.config_fingerprint = ConfigFingerprint(config_);
+  method.config_bytes = SerializeConfig(config_);
   method.epochs = config_.epochs;
   method.batch_size = config_.batch_size;
   method.grad_clip = config_.grad_clip;
@@ -96,7 +99,7 @@ Result<PretrainStats> SgclTrainer::PretrainDistributed(
     hello.next_round = next_round;
     SGCL_ASSIGN_OR_RETURN(
         const JoinReply reply,
-        client.Join(dist.coordinator_port, hello, dist.connect_deadline_ms,
+        client.Join(dist.coordinator_port, hello, kConnectDeadlineMs,
                     dist.allreduce_timeout_ms));
     if (reply.completed_rounds > next_round) {
       SGCL_LOG(INFO) << "rank " << dist.rank << " catching up: rounds ["

@@ -33,9 +33,6 @@ struct DistributedPretrainOptions {
   // stragglers, so it must cover a killed worker's restart-and-rejoin
   // time, not just network latency.
   int allreduce_timeout_ms = 60000;
-  // How long Join retries connecting before giving up (the coordinator
-  // may still be binding when workers launch).
-  int connect_deadline_ms = 15000;
 };
 
 class SgclTrainer {

@@ -39,10 +39,10 @@ Status ParseOptimizerSection(const std::string& bytes,
     return Status::InvalidArgument(
         StrFormat("%s optimizer section has a corrupt header", what.c_str()));
   }
+  // No reserve: a corrupt count must fail on the missing bytes, not
+  // allocate first.
   out->m.clear();
   out->v.clear();
-  out->m.reserve(static_cast<size_t>(count));
-  out->v.reserve(static_cast<size_t>(count));
   for (int64_t k = 0; k < count; ++k) {
     out->m.push_back(reader.ReadFloatVector());
     out->v.push_back(reader.ReadFloatVector());
@@ -57,7 +57,6 @@ Status ParseOptimizerSection(const std::string& bytes,
 
 std::string SerializeRngSection(const RngState& state) {
   BufferWriter writer;
-  writer.WriteI64(1);  // stream count (forward compat with forked streams)
   for (uint64_t word : state.s) writer.WriteU64(word);
   writer.WriteU32(state.has_cached_normal ? 1u : 0u);
   writer.WriteF64(state.cached_normal);
@@ -67,12 +66,6 @@ std::string SerializeRngSection(const RngState& state) {
 Status ParseRngSection(const std::string& bytes, const std::string& what,
                        RngState* out) {
   BufferReader reader(bytes);
-  const int64_t streams = reader.ReadI64();
-  if (!reader.ok() || streams != 1) {
-    return Status::InvalidArgument(StrFormat(
-        "%s rng section declares %lld streams, expected 1", what.c_str(),
-        static_cast<long long>(streams)));
-  }
   for (uint64_t& word : out->s) word = reader.ReadU64();
   const uint32_t has_cached = reader.ReadU32();
   out->cached_normal = reader.ReadF64();
@@ -93,9 +86,6 @@ std::string SerializeCursorSection(const TrainState& state) {
   writer.WriteFloatVector(state.epoch_losses);
   writer.WriteI64(static_cast<int64_t>(state.epoch_seconds.size()));
   for (double s : state.epoch_seconds) writer.WriteF64(s);
-  // Streaming cursor extension — appended so pre-extension parsers were
-  // never promised these bytes and post-extension parsers accept their
-  // absence (legacy checkpoints resume with a zero cursor).
   writer.WriteI64(state.batch_cursor);
   writer.WriteF64(state.partial_loss_sum);
   writer.WriteU64(state.source_fingerprint);
@@ -118,26 +108,6 @@ Status ParseCursorSection(const std::string& bytes, const std::string& what,
     return Status::InvalidArgument(
         StrFormat("%s cursor section is corrupt", what.c_str()));
   }
-  out->next_epoch = static_cast<int>(next_epoch);
-  out->total_epochs = static_cast<int>(total_epochs);
-  out->epoch_seconds.resize(static_cast<size_t>(seconds_count));
-  for (double& s : out->epoch_seconds) s = reader.ReadF64();
-  if (reader.remaining() > 0) {
-    out->batch_cursor = reader.ReadI64();
-    out->partial_loss_sum = reader.ReadF64();
-    out->source_fingerprint = reader.ReadU64();
-    if (!reader.ok() || out->batch_cursor < 0 ||
-        (out->batch_cursor > 0 && next_epoch >= total_epochs)) {
-      return Status::InvalidArgument(
-          StrFormat("%s cursor section has a corrupt batch cursor",
-                    what.c_str()));
-    }
-    // Later cursor extensions (same appended-field discipline): the
-    // run's original trainer seed, for batch-seed replay, then the round
-    // size the run was written under.
-    if (reader.remaining() > 0) out->train_seed = reader.ReadU64();
-    if (reader.remaining() > 0) out->grad_accum = reader.ReadU32();
-  }
   if (static_cast<int64_t>(out->epoch_losses.size()) != next_epoch ||
       seconds_count != next_epoch) {
     return Status::InvalidArgument(StrFormat(
@@ -146,6 +116,22 @@ Status ParseCursorSection(const std::string& bytes, const std::string& what,
         what.c_str(), out->epoch_losses.size(),
         static_cast<long long>(seconds_count),
         static_cast<long long>(next_epoch)));
+  }
+  out->next_epoch = static_cast<int>(next_epoch);
+  out->total_epochs = static_cast<int>(total_epochs);
+  out->epoch_seconds.resize(static_cast<size_t>(seconds_count));
+  for (double& s : out->epoch_seconds) s = reader.ReadF64();
+  out->batch_cursor = reader.ReadI64();
+  out->partial_loss_sum = reader.ReadF64();
+  out->source_fingerprint = reader.ReadU64();
+  out->train_seed = reader.ReadU64();
+  out->grad_accum = reader.ReadU32();
+  if (!reader.ok() || out->batch_cursor < 0 ||
+      (out->batch_cursor > 0 && next_epoch >= total_epochs) ||
+      out->grad_accum < 1 || out->batch_cursor % out->grad_accum > 0) {
+    return Status::InvalidArgument(StrFormat(
+        "%s cursor section has a corrupt batch cursor or round size",
+        what.c_str()));
   }
   return reader.Finish(what + " cursor section");
 }
@@ -224,10 +210,9 @@ std::vector<std::pair<CheckpointKey, std::string>> ListCheckpoints(
 
 }  // namespace
 
-uint64_t ConfigFingerprint(const SgclConfig& config) {
-  // Canonical little-endian field dump. Append-only: new fields go at
-  // the end so old fingerprints stay stable under code that never reads
-  // the new field.
+std::string SerializeConfig(const SgclConfig& config) {
+  // Append-only: new fields go at the end, so the bytes (and the
+  // fingerprint over them) of every existing config stay stable.
   BufferWriter writer;
   writer.WriteU32(static_cast<uint32_t>(config.encoder.arch));
   writer.WriteI64(config.encoder.in_dim);
@@ -254,16 +239,93 @@ uint64_t ConfigFingerprint(const SgclConfig& config) {
   writer.WriteI64(config.epochs);
   writer.WriteI64(config.batch_size);
   writer.WriteF32(config.grad_clip);
-  return Fnv1a64(writer.bytes());
+  return writer.TakeBytes();
+}
+
+Result<SgclConfig> ParseConfig(const std::string& bytes,
+                               const std::string& what) {
+  BufferReader reader(bytes);
+  SgclConfig config;
+  config.encoder.arch = static_cast<GnnArch>(reader.ReadU32());
+  config.encoder.in_dim = reader.ReadI64();
+  config.encoder.hidden_dim = reader.ReadI64();
+  config.encoder.num_layers = static_cast<int>(reader.ReadI64());
+  config.encoder.pooling = static_cast<PoolingKind>(reader.ReadU32());
+  reader.ReadI64();  // retired slots: the round trip below checks them
+  reader.ReadU32();
+  config.proj_dim = reader.ReadI64();
+  config.tau = reader.ReadF32();
+  config.lambda_c = reader.ReadF32();
+  config.lambda_w = reader.ReadF32();
+  config.rho = reader.ReadF64();
+  config.augmentation = static_cast<AugmentationMode>(reader.ReadU32());
+  config.lipschitz_mode = static_cast<LipschitzMode>(reader.ReadU32());
+  reader.ReadI64();
+  config.semantic_pooling = reader.ReadU32() != 0;
+  config.generator_loss_weight = reader.ReadF32();
+  config.learning_rate = reader.ReadF32();
+  config.epochs = static_cast<int>(reader.ReadI64());
+  config.batch_size = static_cast<int>(reader.ReadI64());
+  config.grad_clip = reader.ReadF32();
+  const std::string section = what + " config section";
+  SGCL_RETURN_NOT_OK(reader.Finish(section));
+  // Canonical bytes only: every enum in range, and a dump that
+  // re-serializes unchanged (retired slots at their values, a 0/1 flag,
+  // ints that fit an int).
+  const auto past = [](auto value, auto last) {
+    return static_cast<uint32_t>(value) > static_cast<uint32_t>(last);
+  };
+  if (past(config.encoder.arch, GnnArch::kSage) ||
+      past(config.encoder.pooling, PoolingKind::kMax) ||
+      past(config.augmentation, AugmentationMode::kRandom) ||
+      past(config.lipschitz_mode, LipschitzMode::kAttentionApprox) ||
+      SerializeConfig(config) != bytes) {
+    return Status::InvalidArgument(
+        StrFormat("%s holds a value out of range", section.c_str()));
+  }
+  if (Status valid = config.Validate(); !valid.ok()) {
+    return Status::InvalidArgument(
+        StrFormat("%s: %s", section.c_str(), valid.message().c_str()));
+  }
+  return config;
+}
+
+uint64_t ConfigFingerprint(const SgclConfig& config) {
+  return Fnv1a64(SerializeConfig(config));
+}
+
+Status SaveModel(const SgclModel& model, const std::string& path) {
+  std::vector<CheckpointSection> sections;
+  sections.push_back({static_cast<uint32_t>(CheckpointSectionId::kConfig),
+                      SerializeConfig(model.config())});
+  sections.push_back({static_cast<uint32_t>(CheckpointSectionId::kModel),
+                      SerializeModuleParams(model.Parameters())});
+  return AtomicWriteFile(path, SerializeCheckpointV2(sections));
+}
+
+Result<std::unique_ptr<SgclModel>> LoadModel(const std::string& path) {
+  SGCL_ASSIGN_OR_RETURN(const std::string bytes, ReadFileToString(path));
+  SGCL_ASSIGN_OR_RETURN(const std::vector<CheckpointSection> sections,
+                        ParseCheckpointV2(bytes, path));
+  SGCL_ASSIGN_OR_RETURN(
+      const std::string config_bytes,
+      FindCheckpointSection(sections, CheckpointSectionId::kConfig, path));
+  SGCL_ASSIGN_OR_RETURN(const SgclConfig config,
+                        ParseConfig(config_bytes, path));
+  SGCL_ASSIGN_OR_RETURN(
+      const std::string model_bytes,
+      FindCheckpointSection(sections, CheckpointSectionId::kModel, path));
+  Rng rng(1);
+  auto model = std::make_unique<SgclModel>(config, &rng);
+  SGCL_RETURN_NOT_OK(
+      ApplyModuleParams(model_bytes, model->Parameters(), path));
+  return model;
 }
 
 std::string SerializeTrainState(const TrainState& state) {
-  BufferWriter config_writer;
-  config_writer.WriteU64(state.config_fingerprint);
-
   std::vector<CheckpointSection> sections;
   sections.push_back({static_cast<uint32_t>(CheckpointSectionId::kConfig),
-                      config_writer.TakeBytes()});
+                      state.config_bytes});
   sections.push_back({static_cast<uint32_t>(CheckpointSectionId::kModel),
                       state.model_params});
   sections.push_back({static_cast<uint32_t>(CheckpointSectionId::kOptimizer),
@@ -282,11 +344,9 @@ Result<TrainState> ParseTrainState(const std::string& bytes,
   TrainState state;
 
   SGCL_ASSIGN_OR_RETURN(
-      const std::string config_bytes,
+      state.config_bytes,
       FindCheckpointSection(sections, CheckpointSectionId::kConfig, what));
-  BufferReader config_reader(config_bytes);
-  state.config_fingerprint = config_reader.ReadU64();
-  SGCL_RETURN_NOT_OK(config_reader.Finish(what + " config section"));
+  SGCL_RETURN_NOT_OK(ParseConfig(state.config_bytes, what).status());
 
   SGCL_ASSIGN_OR_RETURN(
       state.model_params,

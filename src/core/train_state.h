@@ -15,27 +15,30 @@
 //   - the epoch cursor plus the *current* order permutation — the loop
 //     shuffles `order` in place, so epoch k+1's shuffle depends on the
 //     post-epoch-k vector, not on the original indices (kCursor),
-//   - a fingerprint of the SgclConfig, checked on resume so state is
-//     never applied to a differently-configured trainer (kConfig).
+//   - the SgclConfig's canonical bytes (kConfig), compared on resume so
+//     state is never applied to a differently-configured trainer, and
+//     read back by LoadModel to build the model the file describes.
 // Completed-epoch losses/timings ride along in the cursor section so a
 // resumed PretrainStats reports the whole run, not just its tail.
 #ifndef SGCL_CORE_TRAIN_STATE_H_
 #define SGCL_CORE_TRAIN_STATE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/sgcl_config.h"
+#include "core/sgcl_model.h"
 #include "tensor/optimizer.h"
 
 namespace sgcl {
 
 // In-memory image of one training checkpoint.
 struct TrainState {
-  uint64_t config_fingerprint = 0;
+  std::string config_bytes;  // SerializeConfig of the run's config
   std::string model_params;  // SerializeModuleParams blob (both towers
                              // plus projection and probability heads, in
                              // SgclModel::Parameters() order)
@@ -54,35 +57,45 @@ struct TrainState {
   // (the stored `order` is already post-shuffle), fast-forwards to the
   // batch at batch_cursor, and seeds the epoch's running loss from
   // partial_loss_sum, so losses stay bitwise-identical across a kill at
-  // any shard/batch boundary. Absent in old checkpoints (defaults 0).
+  // any shard/batch boundary.
   int64_t batch_cursor = 0;
   double partial_loss_sum = 0.0;
   // GraphSource::ContentFingerprint of the training data; checked on
-  // resume when nonzero so a checkpoint never silently resumes against
-  // different data (0 = unknown/legacy).
+  // resume so a checkpoint never silently resumes against different
+  // data.
   uint64_t source_fingerprint = 0;
   // The seed the run's trainer was originally constructed with. Every
   // batch's RNG derives from this (core DeriveBatchSeed), so a process
   // restarted with a *different* ctor seed still replays bit-identical
   // batches; the distributed handshake requires all workers to agree on
-  // it (0 = pre-extension checkpoint).
+  // it.
   uint64_t train_seed = 0;
   // Batches per optimizer step (the round size, grad_accum) the run was
   // written under: 1 for plain pretraining. Resume refuses any other
-  // round size, since it would continue a different schedule (0 =
-  // written before the field existed; only the cursor is checked).
-  uint32_t grad_accum = 0;
+  // round size, since it would continue a different schedule.
+  uint32_t grad_accum = 1;
 };
 
-// FNV-1a over a canonical serialization of every SgclConfig field that
-// influences training dynamics (architecture, objective weights,
-// augmentation, optimizer hyperparameters, epoch/batch schedule). Two
-// configs with equal fingerprints drive bit-identical training given
-// equal state; resume refuses mismatched fingerprints.
+// The kConfig payload: a canonical little-endian dump of every SgclConfig
+// field (architecture, objective, augmentation, optimizer, schedule).
+// ParseConfig inverts it and treats the bytes as outside input: a
+// malformed or invalid dump is InvalidArgument naming the config section.
+std::string SerializeConfig(const SgclConfig& config);
+Result<SgclConfig> ParseConfig(const std::string& bytes,
+                               const std::string& what);
+
+// FNV-1a of SerializeConfig, compared by the all-reduce handshake.
 uint64_t ConfigFingerprint(const SgclConfig& config);
 
-// TrainState <-> v2 container bytes. Parsing validates per-section CRCs,
-// requires all five sections, and never partially succeeds.
+// A model file holds kConfig and kModel, written atomically. LoadModel
+// builds the model any checkpoint's kConfig describes (fixed init seed)
+// and applies its kModel.
+Status SaveModel(const SgclModel& model, const std::string& path);
+Result<std::unique_ptr<SgclModel>> LoadModel(const std::string& path);
+
+// TrainState <-> v2 container bytes. Parsing validates per-section CRCs
+// and the config bytes, requires all five sections, and never partially
+// succeeds.
 std::string SerializeTrainState(const TrainState& state);
 Result<TrainState> ParseTrainState(const std::string& bytes,
                                    const std::string& what);

@@ -163,6 +163,14 @@ Status ShardedGraphStoreWriter::Finalize() {
   SGCL_RETURN_NOT_OK(
       AtomicWriteFile(ShardedGraphStore::ManifestPath(dir_), writer.bytes()));
   finalized_ = true;
+  // The manifest is the commit point: shard files past it are left over
+  // from a larger store this one replaced.
+  int64_t stale = static_cast<int64_t>(shards_.size());
+  std::error_code ec;
+  while (std::filesystem::remove(ShardedGraphStore::ShardPath(dir_, stale),
+                                 ec)) {
+    ++stale;
+  }
   return Status::OK();
 }
 

@@ -10,7 +10,6 @@ namespace sgcl {
 namespace {
 
 constexpr uint32_t kMagic = 0x5347434cu;  // "SGCL"
-constexpr uint32_t kVersionV1 = 1;
 constexpr uint32_t kVersionV2 = 2;
 
 // Hard cap on section payloads (1 GiB) so a corrupt size field fails
@@ -31,45 +30,6 @@ const char* SectionName(uint32_t id) {
       return "cursor";
   }
   return "unknown";
-}
-
-// Parses a SerializeModuleParams blob against the expected parameter
-// shapes without touching the module. On success `out` holds one value
-// vector per parameter, in order.
-Status ParseModuleParams(const std::string& bytes,
-                         const std::vector<Tensor>& params,
-                         const std::string& what,
-                         std::vector<std::vector<float>>* out) {
-  BufferReader reader(bytes);
-  const int64_t count = reader.ReadI64();
-  if (!reader.ok() || count != static_cast<int64_t>(params.size())) {
-    return Status::InvalidArgument(
-        StrFormat("%s has %lld tensors, model expects %zu", what.c_str(),
-                  static_cast<long long>(count), params.size()));
-  }
-  out->clear();
-  out->reserve(params.size());
-  for (size_t k = 0; k < params.size(); ++k) {
-    const int64_t rank = reader.ReadI64();
-    if (!reader.ok() || rank < 0 || rank > 8) {
-      return Status::InvalidArgument(
-          StrFormat("%s tensor %zu has a corrupt header", what.c_str(), k));
-    }
-    std::vector<int64_t> shape(static_cast<size_t>(rank));
-    for (int64_t& d : shape) d = reader.ReadI64();
-    if (!reader.ok() || shape != params[k].shape()) {
-      return Status::InvalidArgument(StrFormat(
-          "%s tensor %zu shape does not match model architecture",
-          what.c_str(), k));
-    }
-    std::vector<float> values = reader.ReadFloatVector();
-    if (!reader.ok() || values.size() != params[k].impl()->data.size()) {
-      return Status::InvalidArgument(
-          StrFormat("%s tensor %zu has a corrupt payload", what.c_str(), k));
-    }
-    out->push_back(std::move(values));
-  }
-  return reader.Finish(what);
 }
 
 }  // namespace
@@ -162,8 +122,37 @@ std::string SerializeModuleParams(const std::vector<Tensor>& params) {
 Status ApplyModuleParams(const std::string& bytes,
                          const std::vector<Tensor>& params,
                          const std::string& what) {
+  // Every tensor is parsed and shape-checked before any is written.
+  BufferReader reader(bytes);
+  const int64_t count = reader.ReadI64();
+  if (!reader.ok() || count != static_cast<int64_t>(params.size())) {
+    return Status::InvalidArgument(
+        StrFormat("%s has %lld tensors, model expects %zu", what.c_str(),
+                  static_cast<long long>(count), params.size()));
+  }
   std::vector<std::vector<float>> values;
-  SGCL_RETURN_NOT_OK(ParseModuleParams(bytes, params, what, &values));
+  values.reserve(params.size());
+  for (size_t k = 0; k < params.size(); ++k) {
+    const int64_t rank = reader.ReadI64();
+    if (!reader.ok() || rank < 0 || rank > 8) {
+      return Status::InvalidArgument(
+          StrFormat("%s tensor %zu has a corrupt header", what.c_str(), k));
+    }
+    std::vector<int64_t> shape(static_cast<size_t>(rank));
+    for (int64_t& d : shape) d = reader.ReadI64();
+    if (!reader.ok() || shape != params[k].shape()) {
+      return Status::InvalidArgument(StrFormat(
+          "%s tensor %zu shape does not match model architecture",
+          what.c_str(), k));
+    }
+    values.push_back(reader.ReadFloatVector());
+    if (!reader.ok() ||
+        values.back().size() != params[k].impl()->data.size()) {
+      return Status::InvalidArgument(
+          StrFormat("%s tensor %zu has a corrupt payload", what.c_str(), k));
+    }
+  }
+  SGCL_RETURN_NOT_OK(reader.Finish(what));
   for (size_t k = 0; k < params.size(); ++k) {
     params[k].impl()->data = std::move(values[k]);
   }
@@ -178,40 +167,9 @@ Status SaveCheckpoint(const Module& module, const std::string& path) {
   return AtomicWriteFile(path, SerializeCheckpointV2(sections));
 }
 
-namespace {
-
-// v1 files: magic, version, then the tensor blob in the same layout
-// SerializeModuleParams uses today. Reuse the staged parser so v1 loads
-// are also all-or-nothing.
-Status LoadCheckpointV1(const std::string& bytes, const std::string& path,
-                        Module* module) {
-  // Strip the 8-byte header (already validated by the caller).
-  return ApplyModuleParams(bytes.substr(2 * sizeof(uint32_t)),
-                           module->Parameters(), path);
-}
-
-}  // namespace
-
 Status LoadCheckpoint(const std::string& path, Module* module) {
   SGCL_CHECK(module != nullptr);
   SGCL_ASSIGN_OR_RETURN(const std::string bytes, ReadFileToString(path));
-  BufferReader header(bytes);
-  if (header.ReadU32() != kMagic || !header.ok()) {
-    return Status::InvalidArgument(
-        StrFormat("%s is not an SGCL checkpoint", path.c_str()));
-  }
-  const uint32_t version = header.ReadU32();
-  if (!header.ok()) {
-    return Status::InvalidArgument(
-        StrFormat("%s is truncated after the magic", path.c_str()));
-  }
-  if (version == kVersionV1) {
-    return LoadCheckpointV1(bytes, path, module);
-  }
-  if (version != kVersionV2) {
-    return Status::InvalidArgument(StrFormat(
-        "%s has unsupported checkpoint version %u", path.c_str(), version));
-  }
   SGCL_ASSIGN_OR_RETURN(const std::vector<CheckpointSection> sections,
                         ParseCheckpointV2(bytes, path));
   SGCL_ASSIGN_OR_RETURN(

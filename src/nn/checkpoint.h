@@ -1,18 +1,14 @@
 // Model checkpointing: saves/loads the trainable tensors of any Module
 // (encoders, heads, or whole SGCL models via their Parameters() list).
 //
-// Two on-disk formats share the magic 0x5347434c ("SGCL"):
-//
-//   v1 (legacy, read-only): magic, version, tensor count, then per tensor
-//   its shape and float32 payload. Still loadable for backward compat.
-//
-//   v2 (current): magic, version, section count, then per section
-//   {u32 id, i64 payload size, payload, u32 CRC32 of payload}. Sections
-//   are independently integrity-checked, so corruption is reported with
-//   the section that broke instead of a generic parse failure. Model-only
-//   checkpoints written by SaveCheckpoint carry a single kModel section;
-//   full training checkpoints (core/train_state.h) add config, optimizer,
-//   RNG, and cursor sections to the same container.
+// The on-disk format (version 2, magic 0x5347434c "SGCL"): magic,
+// version, section count, then per section {u32 id, i64 payload size,
+// payload, u32 CRC32 of payload}. Sections are independently
+// integrity-checked, so corruption is reported with the section that
+// broke instead of a generic parse failure. SaveCheckpoint writes a
+// single kModel section; model files (core/train_state.h SaveModel) add
+// the config section, and training checkpoints the optimizer, RNG, and
+// cursor sections too.
 //
 // All loads are all-or-nothing: the target module is only mutated after
 // the entire file has been parsed and every shape validated.
@@ -31,7 +27,7 @@ namespace sgcl {
 // Section ids used inside the v2 container. Values are part of the
 // on-disk format; never renumber.
 enum class CheckpointSectionId : uint32_t {
-  kConfig = 1,     // SgclConfig fingerprint + training hyperparameters
+  kConfig = 1,     // SgclConfig canonical bytes (SerializeConfig)
   kModel = 2,      // module parameter tensors
   kOptimizer = 3,  // Adam step counter and moments
   kRng = 4,        // RNG stream states
@@ -74,10 +70,10 @@ Status ApplyModuleParams(const std::string& bytes,
 // checkpoint, atomically (temp file + fsync + rename).
 Status SaveCheckpoint(const Module& module, const std::string& path);
 
-// Restores parameters saved by SaveCheckpoint into `module`. Reads both
-// the v1 and v2 formats. Fails with NotFound when the file is missing
-// and InvalidArgument on magic/version/count/shape mismatch or
-// corruption; the module is never partially updated.
+// Restores the kModel section of any checkpoint into `module`. Fails
+// with NotFound when the file is missing and InvalidArgument on
+// magic/version/count/shape mismatch or corruption; the module is never
+// partially updated.
 Status LoadCheckpoint(const std::string& path, Module* module);
 
 }  // namespace sgcl

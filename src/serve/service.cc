@@ -13,6 +13,10 @@ namespace sgcl {
 namespace serve {
 namespace {
 
+constexpr int kIdleTimeoutMs = 10000;
+constexpr size_t kMaxBodyBytes = 4u << 20;
+constexpr int kRetryAfterS = 1;  // Retry-After on 503 overload responses
+
 const std::vector<double>& LatencyBoundsUs() {
   static const std::vector<double> bounds = {100,   250,   500,    1000,
                                              2500,  5000,  10000,  25000,
@@ -106,8 +110,8 @@ Status ServeService::Start() {
   HttpServerOptions http;
   http.num_threads = options_.http_threads;
   http.keep_alive = true;
-  http.idle_timeout_ms = options_.idle_timeout_ms;
-  http.max_body_bytes = options_.max_body_bytes;
+  http.idle_timeout_ms = kIdleTimeoutMs;
+  http.max_body_bytes = kMaxBodyBytes;
   http.json_errors = true;
   const Status st = server_.Start(options_.http_port, http);
   if (!st.ok()) {
@@ -171,7 +175,7 @@ HttpResponse ServeService::HandleGraphsRequest(const HttpRequest& request,
         if (rows.status().code() == StatusCode::kUnavailable) {
           response = JsonError(503, rows.status());
           response.extra_headers.push_back(
-              {"Retry-After", std::to_string(options_.retry_after_s)});
+              {"Retry-After", std::to_string(kRetryAfterS)});
         } else if (rows.status().code() == StatusCode::kInvalidArgument) {
           response = JsonError(400, rows.status());
         } else {

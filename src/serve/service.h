@@ -37,12 +37,8 @@ namespace serve {
 struct ServeOptions {
   int http_port = 0;      // 0 = ephemeral (see ServeService::port())
   int http_threads = 4;   // keep-alive worker threads
-  int idle_timeout_ms = 10000;
-  size_t max_body_bytes = 4u << 20;
   MicroBatcherOptions batcher;  // shared by the embed and predict lanes
   RequestLimits limits;         // per-request graph/node caps
-  // Retry-After value (seconds) attached to 503 overload responses.
-  int retry_after_s = 1;
   // Request tracing: fraction of requests sampled into the global
   // TraceRing (deterministic every-Nth; 0 = off) and the ring's
   // capacity in traces. A sampled request's span tree is queryable at

@@ -270,6 +270,10 @@ TEST(LintR7Test, FiresOnCheckpointLoadInServeSources) {
   EXPECT_EQ(findings[0].rule, "sgcl-R7");
   EXPECT_EQ(findings[0].severity, Severity::kError);
   EXPECT_NE(findings[0].message.find("serving layer"), std::string::npos);
+  const auto model_file = LintSnippet(
+      "src/serve/service.cc", "auto model = LoadModel(path);\n");
+  ASSERT_EQ(model_file.size(), 1u);
+  EXPECT_EQ(model_file[0].rule, "sgcl-R7");
 }
 
 TEST(LintR7Test, FiresOnRawStreamsInServeSources) {

@@ -67,7 +67,6 @@ inline Result<PretrainStats> RunWorkerOnce(const ClusterConfig& cc,
   dist.grad_accum = cc.accum;
   dist.coordinator_port = port;
   dist.allreduce_timeout_ms = cc.timeout_ms;
-  dist.connect_deadline_ms = cc.timeout_ms;
   return trainer.PretrainDistributed(source, {}, options, dist);
 }
 

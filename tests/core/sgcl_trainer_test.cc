@@ -241,7 +241,6 @@ TEST(SgclTrainerTest, PretrainDistributedRejectsBadOptionsBeforeConnecting) {
     dist.world_size = 2;
     dist.grad_accum = 2;
     dist.coordinator_port = 1;
-    dist.connect_deadline_ms = 100;
     c.mutate(&dist);
     SgclTrainer trainer(cfg, /*seed=*/1);
     auto stats = trainer.PretrainDistributed(source, {}, {}, dist);

@@ -1,13 +1,14 @@
-// Crash-safe checkpoint tests: TrainState round-trips, config
+// Crash-safe checkpoint tests: TrainState round-trips, config bytes and
 // fingerprinting, adversarial corruption (truncation at every byte,
-// per-section bit flips, wrong magic/version/shape), checkpoint-file
-// retention, and the bitwise-identical resume contract.
+// per-section bit flips, wrong magic/version/shape), model files,
+// checkpoint-file retention, and the bitwise-identical resume contract.
 #include "core/train_state.h"
 
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/io.h"
@@ -50,7 +51,7 @@ SgclConfig SmallConfig(int64_t feat_dim, int epochs = 4) {
 // A fully-populated synthetic TrainState with every field non-default.
 TrainState MakeState() {
   TrainState state;
-  state.config_fingerprint = 0x0123456789abcdefULL;
+  state.config_bytes = SerializeConfig(SmallConfig(7));
   state.model_params = std::string("model-bytes\x00\x01\x02", 14);
   state.optimizer.t = 42;
   state.optimizer.m = {{0.1f, 0.2f}, {0.3f}};
@@ -64,35 +65,122 @@ TrainState MakeState() {
   state.order = {4, 0, 2, 1, 3};
   state.epoch_losses = {1.5f, 1.25f, 1.0f};
   state.epoch_seconds = {0.5, 0.25, 0.125};
+  state.batch_cursor = 4;
+  state.partial_loss_sum = 2.5;
+  state.source_fingerprint = 0xfeedfacecafebeefULL;
+  state.train_seed = 77;
+  state.grad_accum = 2;
   return state;
 }
+
+// One change to each SgclConfig field SerializeConfig writes.
+struct ConfigMutation {
+  const char* name;
+  void (*mutate)(SgclConfig*);
+};
+const ConfigMutation kConfigMutations[] = {
+    {"arch", [](SgclConfig* c) { c->encoder.arch = GnnArch::kGcn; }},
+    {"in_dim", [](SgclConfig* c) { c->encoder.in_dim = 9; }},
+    {"hidden_dim", [](SgclConfig* c) { c->encoder.hidden_dim = 16; }},
+    {"num_layers", [](SgclConfig* c) { c->encoder.num_layers = 3; }},
+    {"pooling", [](SgclConfig* c) { c->encoder.pooling = PoolingKind::kMax; }},
+    {"proj_dim", [](SgclConfig* c) { c->proj_dim = 4; }},
+    {"tau", [](SgclConfig* c) { c->tau = 0.3f; }},
+    {"lambda_c", [](SgclConfig* c) { c->lambda_c = 0.5f; }},
+    {"lambda_w", [](SgclConfig* c) { c->lambda_w = 0.25f; }},
+    {"rho", [](SgclConfig* c) { c->rho = 0.5; }},
+    {"augmentation",
+     [](SgclConfig* c) { c->augmentation = AugmentationMode::kRandom; }},
+    {"lipschitz_mode",
+     [](SgclConfig* c) { c->lipschitz_mode = LipschitzMode::kExact; }},
+    {"semantic_pooling", [](SgclConfig* c) { c->semantic_pooling = false; }},
+    {"generator_loss_weight",
+     [](SgclConfig* c) { c->generator_loss_weight = 0.125f; }},
+    {"learning_rate", [](SgclConfig* c) { c->learning_rate = 2e-3f; }},
+    {"epochs", [](SgclConfig* c) { c->epochs = 5; }},
+    {"batch_size", [](SgclConfig* c) { c->batch_size = 4; }},
+    {"grad_clip", [](SgclConfig* c) { c->grad_clip = 1.0f; }},
+};
 
 TEST(ConfigFingerprintTest, StableAndSensitive) {
   const SgclConfig base = SmallConfig(7);
   EXPECT_EQ(ConfigFingerprint(base), ConfigFingerprint(base));
-  struct Case {
-    const char* name;
-    void (*mutate)(SgclConfig*);
-  };
-  const Case cases[] = {
-      {"arch", [](SgclConfig* c) { c->encoder.arch = GnnArch::kGcn; }},
-      {"hidden_dim", [](SgclConfig* c) { c->encoder.hidden_dim = 16; }},
-      {"num_layers", [](SgclConfig* c) { c->encoder.num_layers = 3; }},
-      {"proj_dim", [](SgclConfig* c) { c->proj_dim = 4; }},
-      {"tau", [](SgclConfig* c) { c->tau = 0.3f; }},
-      {"lambda_c", [](SgclConfig* c) { c->lambda_c = 0.5f; }},
-      {"rho", [](SgclConfig* c) { c->rho = 0.5; }},
-      {"semantic_pooling", [](SgclConfig* c) { c->semantic_pooling = false; }},
-      {"learning_rate", [](SgclConfig* c) { c->learning_rate = 2e-3f; }},
-      {"epochs", [](SgclConfig* c) { c->epochs = 5; }},
-      {"batch_size", [](SgclConfig* c) { c->batch_size = 4; }},
-      {"grad_clip", [](SgclConfig* c) { c->grad_clip = 1.0f; }},
-  };
-  for (const Case& c : cases) {
+  for (const ConfigMutation& c : kConfigMutations) {
     SgclConfig mutated = base;
     c.mutate(&mutated);
     EXPECT_NE(ConfigFingerprint(mutated), ConfigFingerprint(base)) << c.name;
   }
+}
+
+TEST(ConfigBytesTest, ParseReproducesEveryField) {
+  std::vector<SgclConfig> configs = {SmallConfig(7)};
+  for (const ConfigMutation& c : kConfigMutations) {
+    configs.push_back(SmallConfig(7));
+    c.mutate(&configs.back());
+  }
+  for (const SgclConfig& want : configs) {
+    auto got = ParseConfig(SerializeConfig(want), "test");
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->encoder.arch, want.encoder.arch);
+    EXPECT_EQ(got->encoder.in_dim, want.encoder.in_dim);
+    EXPECT_EQ(got->encoder.hidden_dim, want.encoder.hidden_dim);
+    EXPECT_EQ(got->encoder.num_layers, want.encoder.num_layers);
+    EXPECT_EQ(got->encoder.pooling, want.encoder.pooling);
+    EXPECT_EQ(got->proj_dim, want.proj_dim);
+    EXPECT_EQ(got->tau, want.tau);
+    EXPECT_EQ(got->lambda_c, want.lambda_c);
+    EXPECT_EQ(got->lambda_w, want.lambda_w);
+    EXPECT_EQ(got->rho, want.rho);
+    EXPECT_EQ(got->augmentation, want.augmentation);
+    EXPECT_EQ(got->lipschitz_mode, want.lipschitz_mode);
+    EXPECT_EQ(got->semantic_pooling, want.semantic_pooling);
+    EXPECT_EQ(got->generator_loss_weight, want.generator_loss_weight);
+    EXPECT_EQ(got->learning_rate, want.learning_rate);
+    EXPECT_EQ(got->epochs, want.epochs);
+    EXPECT_EQ(got->batch_size, want.batch_size);
+    EXPECT_EQ(got->grad_clip, want.grad_clip);
+    EXPECT_EQ(ConfigFingerprint(*got), ConfigFingerprint(want));
+  }
+}
+
+// `bytes` with the little-endian value `v` written over offset `at`.
+template <typename T>
+std::string Patched(std::string bytes, size_t at, T v) {
+  std::memcpy(&bytes[at], &v, sizeof(v));
+  return bytes;
+}
+
+TEST(ConfigBytesTest, MalformedBytesAreInvalidArgument) {
+  const std::string bytes = SerializeConfig(SmallConfig(7));
+  ASSERT_EQ(bytes.size(), 120u);
+  std::vector<std::string> bad;
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    bad.push_back(bytes.substr(0, len));
+  }
+  bad.push_back(bytes + "x");
+  // Field offsets of the canonical dump: each enum (and the bool) one
+  // past its range, then each retired slot holding another value.
+  bad.push_back(Patched<uint32_t>(bytes, 0, 4));    // arch
+  bad.push_back(Patched<uint32_t>(bytes, 28, 3));   // pooling
+  bad.push_back(Patched<uint32_t>(bytes, 72, 3));   // augmentation
+  bad.push_back(Patched<uint32_t>(bytes, 76, 2));   // lipschitz_mode
+  bad.push_back(Patched<uint32_t>(bytes, 88, 2));   // semantic_pooling
+  bad.push_back(Patched<int64_t>(bytes, 32, 3));    // retired gat_heads
+  bad.push_back(Patched<uint32_t>(bytes, 40, 1));   // retired layer norm
+  bad.push_back(Patched<int64_t>(bytes, 80, 512));  // retired chunk size
+  bad.push_back(Patched<int64_t>(bytes, 12, 0));    // hidden_dim: Validate
+  for (size_t i = 0; i < bad.size(); ++i) {
+    auto parsed = ParseConfig(bad[i], "bad");
+    ASSERT_FALSE(parsed.ok()) << "case " << i;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+        << "case " << i << ": " << parsed.status().ToString();
+    EXPECT_NE(parsed.status().message().find("bad config section"),
+              std::string::npos)
+        << parsed.status().ToString();
+  }
+  // The valid field values at those offsets parse.
+  EXPECT_TRUE(ParseConfig(Patched<uint32_t>(bytes, 0, 3), "ok").ok());
+  EXPECT_TRUE(ParseConfig(Patched<uint32_t>(bytes, 72, 2), "ok").ok());
 }
 
 TEST(TrainStateTest, SerializeParseRoundTrip) {
@@ -100,7 +188,7 @@ TEST(TrainStateTest, SerializeParseRoundTrip) {
   const std::string bytes = SerializeTrainState(state);
   auto parsed = ParseTrainState(bytes, "test");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->config_fingerprint, state.config_fingerprint);
+  EXPECT_EQ(parsed->config_bytes, state.config_bytes);
   EXPECT_EQ(parsed->model_params, state.model_params);
   EXPECT_EQ(parsed->optimizer.t, state.optimizer.t);
   EXPECT_EQ(parsed->optimizer.m, state.optimizer.m);
@@ -112,6 +200,11 @@ TEST(TrainStateTest, SerializeParseRoundTrip) {
   EXPECT_EQ(parsed->order, state.order);
   EXPECT_EQ(parsed->epoch_losses, state.epoch_losses);
   EXPECT_EQ(parsed->epoch_seconds, state.epoch_seconds);
+  EXPECT_EQ(parsed->batch_cursor, state.batch_cursor);
+  EXPECT_EQ(parsed->partial_loss_sum, state.partial_loss_sum);
+  EXPECT_EQ(parsed->source_fingerprint, state.source_fingerprint);
+  EXPECT_EQ(parsed->train_seed, state.train_seed);
+  EXPECT_EQ(parsed->grad_accum, state.grad_accum);
 }
 
 TEST(TrainStateTest, RestoredRngContinuesTheStream) {
@@ -129,34 +222,54 @@ TEST(TrainStateTest, RestoredRngContinuesTheStream) {
   }
 }
 
-// Drops the trailing grad_accum field from a checkpoint's cursor
-// section: the bytes a checkpoint written before the field existed has.
-std::string WithoutGradAccum(const std::string& bytes) {
-  auto sections = ParseCheckpointV2(bytes, "strip");
-  EXPECT_TRUE(sections.ok()) << sections.status().ToString();
-  if (!sections.ok()) return bytes;
-  for (CheckpointSection& section : *sections) {
-    if (section.id == static_cast<uint32_t>(CheckpointSectionId::kCursor)) {
-      section.payload.resize(section.payload.size() - sizeof(uint32_t));
-    }
-  }
-  return SerializeCheckpointV2(*sections);
-}
-
-TEST(TrainStateTest, GradAccumRoundTripsAndMayBeAbsent) {
+// Every cursor field is required: a cursor section one field short
+// (CRC recomputed, so only the parser can object) is rejected, as is a
+// round size of 0.
+TEST(TrainStateTest, GradAccumRoundTripsAndIsRequired) {
   TrainState state = MakeState();
-  state.train_seed = 77;
   state.grad_accum = 4;
   const std::string bytes = SerializeTrainState(state);
   auto parsed = ParseTrainState(bytes, "test");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->grad_accum, 4u);
 
-  auto legacy = ParseTrainState(WithoutGradAccum(bytes), "legacy");
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  EXPECT_EQ(legacy->grad_accum, 0u);
-  EXPECT_EQ(legacy->train_seed, 77u);
-  EXPECT_EQ(legacy->order, state.order);
+  auto sections = ParseCheckpointV2(bytes, "strip");
+  ASSERT_TRUE(sections.ok()) << sections.status().ToString();
+  ASSERT_EQ((*sections)[4].id,
+            static_cast<uint32_t>(CheckpointSectionId::kCursor));
+  std::string& cursor = (*sections)[4].payload;
+  cursor.resize(cursor.size() - sizeof(uint32_t));
+  auto short_cursor =
+      ParseTrainState(SerializeCheckpointV2(*sections), "short");
+  ASSERT_FALSE(short_cursor.ok());
+  EXPECT_NE(short_cursor.status().message().find("cursor section"),
+            std::string::npos)
+      << short_cursor.status().ToString();
+
+  state.grad_accum = 0;
+  EXPECT_EQ(ParseTrainState(SerializeTrainState(state), "zero")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+// A count no payload could back (CRC recomputed, so only the parser can
+// object) fails as corrupt instead of allocating first.
+TEST(TrainStateTest, HugeCountsFailWithoutAllocating) {
+  const TrainState state = MakeState();
+  const int64_t huge = int64_t{1} << 40;
+  // The optimizer moment count follows `t`; the cursor's epoch-time count
+  // follows three i64s, the 5-entry order and the 3 losses.
+  const std::pair<size_t, size_t> fields[] = {{2, 8}, {4, 24 + 48 + 20}};
+  for (const auto& [section, offset] : fields) {
+    auto sections = ParseCheckpointV2(SerializeTrainState(state), "huge");
+    ASSERT_TRUE(sections.ok()) << sections.status().ToString();
+    std::string& payload = (*sections)[section].payload;
+    payload = Patched<int64_t>(payload, offset, huge);
+    auto parsed = ParseTrainState(SerializeCheckpointV2(*sections), "huge");
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+        << "section " << section << ": " << parsed.status().ToString();
+  }
 }
 
 TEST(TrainStateTest, TruncationAtEveryByteFailsCleanly) {
@@ -243,6 +356,62 @@ TEST(TrainStateTest, SaveLoadRoundTripsThroughDisk) {
   EXPECT_TRUE(loaded->rng == state.rng);
   auto missing = LoadTrainCheckpoint(dir + "/nope.sgcl");
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+}
+
+// A model file and a training checkpoint of the same run both rebuild
+// the trained model: the config section gives the architecture, kModel
+// every weight (LoadModel's init seed differs from the trainer's).
+TEST(ModelFileTest, LoadModelRebuildsEveryArchBitwise) {
+  GraphDataset ds = SmallDataset();
+  std::vector<const Graph*> graphs;
+  for (int64_t i = 0; i < ds.size(); ++i) graphs.push_back(&ds.graph(i));
+  for (GnnArch arch :
+       {GnnArch::kGin, GnnArch::kGcn, GnnArch::kGat, GnnArch::kSage}) {
+    SgclConfig cfg = SmallConfig(ds.feat_dim(), /*epochs=*/1);
+    cfg.encoder.arch = arch;
+    const std::string dir =
+        TmpDir(std::string("model_file_") + GnnArchToString(arch));
+    SgclTrainer trainer(cfg, /*seed=*/11);
+    PretrainOptions options;
+    options.checkpoint_dir = dir;
+    ASSERT_TRUE(trainer.Pretrain(ds, {}, options).ok());
+    const std::string model_path = dir + "/model.ckpt";
+    ASSERT_TRUE(SaveModel(trainer.model(), model_path).ok());
+    const std::vector<float> want =
+        trainer.model().EmbedGraphs(graphs).values();
+    for (const std::string& path : {model_path, CheckpointFileName(dir, 1)}) {
+      auto loaded = LoadModel(path);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      EXPECT_EQ((*loaded)->config().encoder.arch, arch) << path;
+      EXPECT_EQ((*loaded)->EmbedGraphs(graphs).values(), want) << path;
+    }
+  }
+}
+
+// Files without config bytes (a kModel-only file, a config section that
+// holds an 8-byte fingerprint) are errors that name the config section.
+TEST(ModelFileTest, FilesWithoutConfigBytesAreRejected) {
+  const std::string dir = TmpDir("model_file_no_config");
+  Rng rng(3);
+  const SgclModel model(SmallConfig(7), &rng);
+  const std::string params_path = dir + "/params.ckpt";
+  ASSERT_TRUE(SaveCheckpoint(model, params_path).ok());
+  auto params_only = LoadModel(params_path);
+  ASSERT_FALSE(params_only.ok());
+  EXPECT_NE(params_only.status().message().find("config section"),
+            std::string::npos)
+      << params_only.status().ToString();
+
+  TrainState state = MakeState();
+  state.config_bytes = std::string(8, '\x5a');
+  const std::string ckpt_path = CheckpointFileName(dir, state.next_epoch);
+  ASSERT_TRUE(SaveTrainCheckpoint(state, ckpt_path).ok());
+  for (const Status& st : {LoadModel(ckpt_path).status(),
+                           LoadTrainCheckpoint(ckpt_path).status()}) {
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    EXPECT_NE(st.message().find("config section"), std::string::npos)
+        << st.ToString();
+  }
 }
 
 TEST(CheckpointFilesTest, NamingSortsByEpoch) {
@@ -389,32 +558,31 @@ TEST(TrainerCheckpointTest, ResumeReproducesUninterruptedRunBitwise) {
   EXPECT_EQ(rest->total_batches, full->total_batches);
 }
 
-// A checkpoint written before grad_accum was recorded still resumes,
-// bitwise, under the cursor check alone.
-TEST(TrainerCheckpointTest, CheckpointWithoutGradAccumResumesBitwise) {
+// Seed 0 is a seed like any other: the checkpoint's train_seed of 0
+// keys the resumed batches, not the resuming trainer's seed.
+TEST(TrainerCheckpointTest, SeedZeroRunResumesBitwise) {
   GraphDataset ds = SmallDataset();
   SgclConfig cfg = SmallConfig(ds.feat_dim(), /*epochs=*/3);
-  const std::string dir = TmpDir("trainer_resume_legacy");
-  SgclTrainer trainer(cfg, /*seed=*/5);
+  const std::string dir = TmpDir("trainer_resume_seed0");
+  SgclTrainer trainer(cfg, /*seed=*/0);
   PretrainOptions options;
   options.checkpoint_dir = dir;
+  options.checkpoint_keep_last = 0;
   auto full = trainer.Pretrain(ds, {}, options);
   ASSERT_TRUE(full.ok()) << full.status().ToString();
 
-  const std::string path = CheckpointFileName(dir, 1);
-  auto bytes = ReadFileToString(path);
-  ASSERT_TRUE(bytes.ok());
-  ASSERT_TRUE(AtomicWriteFile(path, WithoutGradAccum(*bytes)).ok());
-  auto legacy = LoadTrainCheckpoint(path);
-  ASSERT_TRUE(legacy.ok());
-  ASSERT_EQ(legacy->grad_accum, 0u);
-
-  SgclTrainer resumed(cfg, /*seed=*/999);
+  SgclTrainer resumed(cfg, /*seed=*/7);
   PretrainOptions resume_options;
-  resume_options.resume_from = path;
+  resume_options.resume_from = CheckpointFileName(dir, 1);
   auto rest = resumed.Pretrain(ds, {}, resume_options);
   ASSERT_TRUE(rest.ok()) << rest.status().ToString();
   EXPECT_EQ(rest->epoch_losses, full->epoch_losses);
+  const std::vector<Tensor> want = trainer.model().Parameters();
+  const std::vector<Tensor> got = resumed.model().Parameters();
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(got[k].values(), want[k].values()) << "parameter " << k;
+  }
 }
 
 TEST(TrainerCheckpointTest, ResumeRejectsMismatchedConfig) {

@@ -1,5 +1,6 @@
 #include "data/shard_store.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -435,6 +436,29 @@ std::string SavedMutag(const char* name, uint64_t seed) {
   const std::string dir = TempDir(name);
   EXPECT_TRUE(SaveDataset(MakeTuDataset(TuDataset::kMutag, opt), dir).ok());
   return dir;
+}
+
+// Writing a store over a larger one leaves exactly the new store's files.
+TEST(DatasetIoTest, OverwritingAStoreRemovesStaleShards) {
+  const std::string dir = TempDir("dataset_overwrite");
+  WriteStore(MakeZincLikeDataset(20, /*seed=*/3), dir, /*graphs_per_shard=*/5);
+  ASSERT_TRUE(fs::exists(ShardedGraphStore::ShardPath(dir, 3)));
+  SyntheticTuOptions opt;
+  opt.graph_fraction = 0.03;
+  opt.node_cap = 10;
+  const GraphDataset small = MakeTuDataset(TuDataset::kMutag, opt);
+  ASSERT_TRUE(SaveDataset(small, dir).ok());
+  std::vector<std::string> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    files.push_back(entry.path().filename().string());
+  }
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, (std::vector<std::string>{"manifest.sgsm",
+                                             "shard-000000.sgshard"}));
+  auto loaded = LoadDataset(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->size(), small.size());
+  fs::remove_all(dir);
 }
 
 TEST(DatasetIoTest, TuRoundTrip) {

@@ -8,7 +8,6 @@
 #include "core/sgcl_model.h"
 #include "gtest/gtest.h"
 #include "nn/encoder.h"
-#include "nn/linear.h"
 #include "test_util.h"
 
 namespace sgcl {
@@ -104,36 +103,6 @@ TEST(CheckpointTest, GarbageFileRejected) {
   Status st = LoadCheckpoint(path, &enc);
   EXPECT_FALSE(st.ok());
   std::remove(path.c_str());
-}
-
-// Backward compat: a v1 file written by the original (pre-section)
-// format, committed as a golden binary. The expected float values are
-// baked into the file, so this fails if the v1 parse path drifts.
-TEST(CheckpointTest, GoldenV1FileStillLoads) {
-  const std::string path =
-      std::string(SGCL_TESTDATA_DIR) + "/checkpoint_v1_linear_2x3.ckpt";
-  Rng rng(11);
-  Linear linear(2, 3, &rng);
-  ASSERT_TRUE(LoadCheckpoint(path, &linear).ok());
-  const std::vector<float> expected_weight = {0.1f, 0.2f, 0.3f,
-                                              0.4f, 0.5f, 0.6f};
-  const std::vector<float> expected_bias = {1.5f, -2.25f, 0.125f};
-  EXPECT_EQ(linear.weight().values(), expected_weight);
-  EXPECT_EQ(linear.bias().values(), expected_bias);
-}
-
-TEST(CheckpointTest, GoldenV1ShapeMismatchDoesNotPartiallyApply) {
-  const std::string path =
-      std::string(SGCL_TESTDATA_DIR) + "/checkpoint_v1_linear_2x3.ckpt";
-  Rng rng(12);
-  // The golden file holds two tensors; a bias-free Linear expects one.
-  // The count check must fire before any tensor is applied, leaving the
-  // (shape-compatible) weight untouched.
-  Linear mismatched(2, 3, &rng, /*use_bias=*/false);
-  const std::vector<float> before = mismatched.weight().values();
-  Status st = LoadCheckpoint(path, &mismatched);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(mismatched.weight().values(), before);
 }
 
 TEST(CheckpointTest, SaveWritesV2AndMidFileMismatchIsAtomic) {

@@ -213,7 +213,6 @@ TEST_F(ServiceTest, PredictBatchedIsBitwiseIdenticalToAlone) {
 TEST_F(ServiceTest, MalformedRequestsGet4xxAndNeverWedgeTheServer) {
   ServeOptions options;
   options.batcher.batch_timeout_us = 0;
-  options.max_body_bytes = 4096;
   StartService(options);
 
   // Garbage / wrong-shape bodies: 400 with a JSON error envelope.
@@ -235,11 +234,12 @@ TEST_F(ServiceTest, MalformedRequestsGet4xxAndNeverWedgeTheServer) {
     EXPECT_TRUE(HasStatus(response, "400")) << "prefix " << len;
   }
 
-  // Unknown route -> 404; wrong method -> 405; oversized body -> 413.
+  // Unknown route -> 404; wrong method -> 405; a body one byte past the
+  // 4 MiB limit -> 413.
   EXPECT_TRUE(HasStatus(Post(port_, "/v1/nope", valid), "404"));
   EXPECT_TRUE(HasStatus(Get(port_, "/v1/embed"), "405"));
-  EXPECT_TRUE(
-      HasStatus(Post(port_, "/v1/embed", std::string(8192, 'x')), "413"));
+  EXPECT_TRUE(HasStatus(
+      Post(port_, "/v1/embed", std::string((4u << 20) + 1, 'x')), "413"));
 
   // Raw non-HTTP bytes -> 400, connection closed, server stays up.
   EXPECT_TRUE(HasStatus(RawRequest(port_, "\x01\x02\x03garbage\r\n\r\n"),
@@ -253,7 +253,6 @@ TEST_F(ServiceTest, OverloadGets503WithRetryAfter) {
   ServeOptions options;
   options.batcher.max_queue_requests = 1;
   options.batcher.batch_timeout_us = 0;
-  options.retry_after_s = 3;
   // Deterministic overload: the embed path blocks until released.
   std::promise<void> entered;
   std::promise<void> release;
@@ -286,7 +285,7 @@ TEST_F(ServiceTest, OverloadGets503WithRetryAfter) {
   }
   const std::string overloaded = Post(port_, "/v1/embed", OneGraphBody());
   EXPECT_TRUE(HasStatus(overloaded, "503")) << overloaded;
-  EXPECT_NE(overloaded.find("Retry-After: 3"), std::string::npos)
+  EXPECT_NE(overloaded.find("Retry-After: 1"), std::string::npos)
       << overloaded;
   EXPECT_NE(Body(overloaded).find("\"error\""), std::string::npos);
 

@@ -12,23 +12,23 @@
 //                      pretrain streams the store (generate or shard_writer
 //                      output) from disk; peak memory stays bounded by the
 //                      shard cache + prefetch depth, not the corpus size
-//   sgcl_cli evaluate  --data=ds --model=model.ckpt [--folds=K]
+//   sgcl_cli evaluate  --data=ds --model=model.ckpt [--folds=K] [--seed=S]
 //   sgcl_cli scores    --data=ds --model=model.ckpt [--graph=I]
-//   sgcl_cli serve     --model=model.ckpt (--feat-dim=D | --data=ds)
-//                      [--http-port=P] [--http-threads=N]
+//   sgcl_cli serve     --model=model.ckpt [--http-port=P] [--http-threads=N]
 //                      [--max-batch-graphs=G] [--max-batch-nodes=V]
 //                      [--batch-timeout-us=T] [--max-queue=Q]
 //                      [--max-request-graphs=G] [--max-request-nodes=V]
 //                      [--duration-s=S]
 //                      serves POST /v1/embed and /v1/predict through the
 //                      dynamic micro-batcher (serve/service.h); runs until
-//                      SIGINT/SIGTERM unless --duration-s > 0. The model
-//                      checkpoint and (optional) store manifest are read
-//                      here, before serving starts — request handlers never
-//                      touch the filesystem (lint rule sgcl-R7)
+//                      SIGINT/SIGTERM unless --duration-s > 0. The model is
+//                      read here, before serving starts — request handlers
+//                      never touch the filesystem (lint rule sgcl-R7)
 //
 // Datasets are graph stores (data/shard_store.h): a directory holding a
-// manifest and its shards. `generate` writes a one-shard store.
+// manifest and its shards. `generate` writes a one-shard store. A model
+// file (pretrain --out or any --checkpoint-dir file) carries its config:
+// evaluate, scores and serve build the model from it.
 //
 // Every command supports --help. Flags are typed (common/flags.h):
 // malformed values ("--epochs=abc"), unknown flags, and positional
@@ -75,7 +75,6 @@
 #include "data/synthetic_tu.h"
 #include "eval/cross_validation.h"
 #include "graph/graph_source.h"
-#include "nn/checkpoint.h"
 #include "serve/service.h"
 
 namespace sgcl {
@@ -86,8 +85,8 @@ int Fail(const Status& status) {
   return 1;
 }
 
-// Shared outcome of FlagSet::Parse: 0 = proceed, >= 0 returned otherwise.
-// Returns -1 to proceed, 0 for --help, 1 for a parse error.
+// Shared outcome of FlagSet::Parse: -1 to proceed, 0 for --help, 1 for a
+// parse error.
 int HandleParse(const FlagSet& flags, const Status& st) {
   if (flags.help_requested()) {
     std::printf("%s", flags.Help().c_str());
@@ -110,33 +109,24 @@ Result<TuDataset> DatasetByName(const std::string& name) {
                           "RDT-M-5K, IMDB-B)");
 }
 
-// Training-only flags (pretrain).
+// Model-shape and schedule flags: pretrain's alone. Inference commands
+// read the config from the model file.
 struct TrainFlags {
-  int epochs = 20;
-  int batch = 16;
-
-  void Register(FlagSet* flags) {
-    flags->Int("epochs", &epochs, "pretraining epochs");
-    flags->Int("batch", &batch, "minibatch size (graphs)");
-  }
-};
-
-// Encoder flags shared by pretrain, evaluate, scores, and serve.
-struct ModelFlags {
   std::string arch = "gin";
   int hidden = 32;
   int layers = 3;
+  int epochs = 20;
+  int batch = 16;
 
   void Register(FlagSet* flags) {
     flags->String("arch", &arch, "encoder architecture: gin|gcn|gat|sage");
     flags->Int("hidden", &hidden, "encoder hidden dimension");
     flags->Int("layers", &layers, "encoder message-passing layers");
+    flags->Int("epochs", &epochs, "pretraining epochs");
+    flags->Int("batch", &batch, "minibatch size (graphs)");
   }
 
-  // `train` is pretrain's; the inference commands pass none and keep
-  // SgclConfig's epoch count and batch size, which no weight depends on.
-  Result<SgclConfig> ToConfig(int64_t feat_dim,
-                              const TrainFlags* train = nullptr) const {
+  Result<SgclConfig> ToConfig(int64_t feat_dim) const {
     SgclConfig cfg = MakeUnsupervisedConfig(feat_dim);
     if (arch == "gin") {
       cfg.encoder.arch = GnnArch::kGin;
@@ -153,10 +143,8 @@ struct ModelFlags {
     cfg.encoder.hidden_dim = hidden;
     cfg.proj_dim = hidden;
     cfg.encoder.num_layers = layers;
-    if (train != nullptr) {
-      cfg.epochs = train->epochs;
-      cfg.batch_size = train->batch;
-    }
+    cfg.epochs = epochs;
+    cfg.batch_size = batch;
     SGCL_RETURN_NOT_OK(cfg.Validate());
     return cfg;
   }
@@ -243,21 +231,28 @@ struct CheckpointFlags {
                 "(starts fresh when the directory has none)");
   }
 
+  // `flags` is the parsed command line: without --checkpoint-dir, a set
+  // checkpoint flag would be silently ignored, so it is an error.
+  Status Validate(const FlagSet& flags) const {
+    for (const char* name : {"checkpoint-every", "checkpoint-keep",
+                             "checkpoint-every-batches", "resume"}) {
+      if (dir.empty() && flags.IsSet(name)) {
+        return Status::InvalidArgument(
+            StrFormat("--%s requires --checkpoint-dir", name));
+      }
+    }
+    if (keep < 0) {
+      return Status::InvalidArgument(StrFormat(
+          "--checkpoint-keep must be >= 0 (0 keeps all), got %d", keep));
+    }
+    return Status::OK();
+  }
+
   // Fills PretrainOptions' checkpoint fields, resolving --resume to a
   // concrete checkpoint path. A missing directory or empty directory
   // with --resume starts fresh; any other lookup failure is an error.
   Status Apply(PretrainOptions* options) const {
-    if (dir.empty()) {
-      if (resume) {
-        return Status::InvalidArgument(
-            "--resume requires --checkpoint-dir");
-      }
-      if (every_batches > 0) {
-        return Status::InvalidArgument(
-            "--checkpoint-every-batches requires --checkpoint-dir");
-      }
-      return Status::OK();
-    }
+    if (dir.empty()) return Status::OK();
     options->checkpoint_dir = dir;
     options->checkpoint_every = every;
     options->checkpoint_keep_last = keep;
@@ -287,7 +282,6 @@ struct DistributedFlags {
   int coordinator_port = 0;
   int grad_accum = 8;
   int allreduce_timeout_ms = 60000;
-  int connect_deadline_ms = 15000;
 
   void Register(FlagSet* flags) {
     flags->Int("workers", &workers,
@@ -344,7 +338,6 @@ struct DistributedFlags {
 // the worker options plus (rank 0 only) the coordinator's schedule.
 struct DistributedRun {
   DistributedPretrainOptions options;
-  int workers = 0;
   AllReduceSchedule schedule;  // rank 0: validated against every HELLO
   int cache_rounds = 64;
 };
@@ -388,9 +381,9 @@ Result<PretrainStats> ObservedPretrain(SgclTrainer* trainer,
                                        const GraphSource& source,
                                        const ObservabilityFlags& obs,
                                        const char* command, int total_epochs,
-                                       const CheckpointFlags* ckpt = nullptr,
-                                       int prefetch_depth = 2,
-                                       DistributedRun* dist = nullptr) {
+                                       const CheckpointFlags& ckpt,
+                                       int prefetch_depth,
+                                       DistributedRun* dist) {
   SetRunId(GenerateRunId());
   // Fail fast: every sink path is validated here, before training starts,
   // so a typo'd directory is a clean error instead of lost work at the
@@ -443,7 +436,7 @@ Result<PretrainStats> ObservedPretrain(SgclTrainer* trainer,
   // Rank 0 of a distributed run hosts the reduction coordinator; its
   // per-worker rows feed this run's /status board.
   std::unique_ptr<AllReduceCoordinator> coordinator;
-  if (dist != nullptr && dist->workers > 0 && dist->options.rank == 0) {
+  if (dist != nullptr && dist->options.rank == 0) {
     AllReduceCoordinatorOptions coord_options;
     coord_options.schedule = dist->schedule;
     coord_options.cache_rounds = dist->cache_rounds;
@@ -474,16 +467,14 @@ Result<PretrainStats> ObservedPretrain(SgclTrainer* trainer,
                 report.total_epochs, report.mean_loss, report.seconds);
     std::fflush(stdout);
   };
-  if (ckpt != nullptr) {
-    SGCL_RETURN_NOT_OK(ckpt->Apply(&options));
-    options.on_checkpoint = [&](const CheckpointReport& report) {
-      board.RecordCheckpoint(report.path, report.seconds);
-      SGCL_LOG(INFO) << command << " checkpoint " << report.path << " ("
-                     << report.seconds << "s)";
-    };
-  }
+  SGCL_RETURN_NOT_OK(ckpt.Apply(&options));
+  options.on_checkpoint = [&](const CheckpointReport& report) {
+    board.RecordCheckpoint(report.path, report.seconds);
+    SGCL_LOG(INFO) << command << " checkpoint " << report.path << " ("
+                   << report.seconds << "s)";
+  };
   Result<PretrainStats> stats =
-      dist != nullptr && dist->workers > 0
+      dist != nullptr
           ? trainer->PretrainDistributed(source, {}, options, dist->options)
           : trainer->Pretrain(source, {}, options);
   if (coordinator != nullptr) {
@@ -491,8 +482,8 @@ Result<PretrainStats> ObservedPretrain(SgclTrainer* trainer,
     // workers are still fetching their last rounds would fail them.
     if (stats.ok() &&
         !coordinator->WaitForGoodbyes(
-            dist->workers, dist->options.allreduce_timeout_ms)) {
-      SGCL_LOG(WARNING) << "coordinator: not all " << dist->workers
+            dist->options.world_size, dist->options.allreduce_timeout_ms)) {
+      SGCL_LOG(WARNING) << "coordinator: not all " << dist->options.world_size
                         << " workers said goodbye before the deadline";
     }
     coordinator->Stop();
@@ -574,12 +565,14 @@ int CmdInfo(int argc, char** argv) {
   }
   auto ds = LoadDataset(data);
   if (!ds.ok()) return Fail(ds.status());
+  auto feat_dim = ds->FeatDim();
+  if (!feat_dim.ok()) return Fail(feat_dim.status());
   DatasetStats stats = ds->Stats();
   std::printf("%s: %lld graphs, %d classes, %d tasks, feat dim %lld,\n"
               "  %.2f avg nodes, %.2f avg edges\n",
               ds->name().c_str(), static_cast<long long>(stats.num_graphs),
               ds->num_classes(), ds->num_tasks(),
-              static_cast<long long>(ds->feat_dim()), stats.avg_nodes,
+              static_cast<long long>(*feat_dim), stats.avg_nodes,
               stats.avg_edges);
   return 0;
 }
@@ -588,7 +581,6 @@ int CmdPretrain(int argc, char** argv) {
   std::string data = "dataset", out = "model.ckpt";
   uint64_t seed = 1;
   int prefetch_depth = 2;
-  ModelFlags model_flags;
   TrainFlags train_flags;
   ObservabilityFlags obs;
   CheckpointFlags ckpt;
@@ -602,7 +594,6 @@ int CmdPretrain(int argc, char** argv) {
   flags.Int("prefetch-depth", &prefetch_depth,
             "batches decoded ahead of the training step (<= 0 fetches "
             "synchronously)");
-  model_flags.Register(&flags);
   train_flags.Register(&flags);
   obs.Register(&flags);
   ckpt.Register(&flags);
@@ -611,6 +602,7 @@ int CmdPretrain(int argc, char** argv) {
     return rc;
   }
   if (Status st = dist_flags.Validate(flags); !st.ok()) return Fail(st);
+  if (Status st = ckpt.Validate(flags); !st.ok()) return Fail(st);
   // Workers checkpoint independently: give each rank its own subtree so
   // FindLatestCheckpoint never picks up a sibling's file.
   if (dist_flags.workers > 0 && !ckpt.dir.empty()) {
@@ -621,18 +613,16 @@ int CmdPretrain(int argc, char** argv) {
   const GraphSource& source = **store;
   auto feat_dim = source.FeatDim();
   if (!feat_dim.ok()) return Fail(feat_dim.status());
-  auto cfg = model_flags.ToConfig(*feat_dim, &train_flags);
+  auto cfg = train_flags.ToConfig(*feat_dim);
   if (!cfg.ok()) return Fail(cfg.status());
   SgclTrainer trainer(*cfg, seed);
   DistributedRun dist_run;
   if (dist_flags.workers > 0) {
-    dist_run.workers = dist_flags.workers;
     dist_run.options.rank = dist_flags.rank;
     dist_run.options.world_size = dist_flags.workers;
     dist_run.options.grad_accum = dist_flags.grad_accum;
     dist_run.options.coordinator_port = dist_flags.coordinator_port;
     dist_run.options.allreduce_timeout_ms = dist_flags.allreduce_timeout_ms;
-    dist_run.options.connect_deadline_ms = dist_flags.connect_deadline_ms;
     // The coordinator's schedule, against which every worker HELLO is
     // validated. run_seed must be the run's ORIGINAL seed: when rank 0
     // is itself resuming, peek its checkpoint rather than trusting this
@@ -643,7 +633,7 @@ int CmdPretrain(int argc, char** argv) {
       if (latest.ok()) {
         auto peeked = LoadTrainCheckpoint(*latest);
         if (!peeked.ok()) return Fail(peeked.status());
-        if (peeked->train_seed != 0) run_seed = peeked->train_seed;
+        run_seed = peeked->train_seed;
       }
     }
     AllReduceSchedule& schedule = dist_run.schedule;
@@ -669,48 +659,60 @@ int CmdPretrain(int argc, char** argv) {
                            1u << 20));
   }
   auto stats = ObservedPretrain(&trainer, source, obs, "pretrain",
-                                cfg->epochs, &ckpt, prefetch_depth,
+                                cfg->epochs, ckpt, prefetch_depth,
                                 dist_flags.workers > 0 ? &dist_run : nullptr);
   if (!stats.ok()) return Fail(stats.status());
   std::printf("pretrained %d epochs: loss %.4f -> %.4f\n", cfg->epochs,
               stats->epoch_losses.front(), stats->epoch_losses.back());
-  Status st = SaveCheckpoint(trainer.model(), out);
+  Status st = SaveModel(trainer.model(), out);
   if (!st.ok()) return Fail(st);
   std::printf("wrote %s (%lld parameters)\n", out.c_str(),
               static_cast<long long>(trainer.model().NumParameters()));
   return 0;
 }
 
+// The model file at `path`, which must have been trained on `feat_dim`
+// node features.
+Result<std::unique_ptr<SgclModel>> LoadModelFor(const std::string& path,
+                                                int64_t feat_dim) {
+  SGCL_ASSIGN_OR_RETURN(std::unique_ptr<SgclModel> model, LoadModel(path));
+  const int64_t in_dim = model->config().encoder.in_dim;
+  if (in_dim != feat_dim) {
+    return Status::InvalidArgument(StrFormat(
+        "%s was trained on %lld node features, the dataset has %lld",
+        path.c_str(), static_cast<long long>(in_dim),
+        static_cast<long long>(feat_dim)));
+  }
+  return model;
+}
+
 int CmdEvaluate(int argc, char** argv) {
   std::string data = "dataset", model_path = "model.ckpt";
   int folds = 10;
   uint64_t seed = 1;
-  ModelFlags model_flags;
   FlagSet flags("sgcl_cli evaluate");
   flags.String("data", &data, "dataset store directory");
-  flags.String("model", &model_path, "checkpoint path");
+  flags.String("model", &model_path, "model file (pretrain --out)");
   flags.Int("folds", &folds, "SVM cross-validation folds");
   flags.Uint64("seed", &seed, "evaluation seed (cross-validation folds)");
-  model_flags.Register(&flags);
   if (int rc = HandleParse(flags, flags.Parse(argc, argv, 2)); rc >= 0) {
     return rc;
   }
   auto ds = LoadDataset(data);
   if (!ds.ok()) return Fail(ds.status());
+  auto feat_dim = ds->FeatDim();
+  if (!feat_dim.ok()) return Fail(feat_dim.status());
   if (folds < 2 || folds > ds->size()) {
     return Fail(Status::InvalidArgument(StrFormat(
         "--folds %d must be in [2, %lld] (the dataset's graph count)", folds,
         static_cast<long long>(ds->size()))));
   }
-  auto cfg = model_flags.ToConfig(ds->feat_dim());
-  if (!cfg.ok()) return Fail(cfg.status());
-  Rng rng(seed);
-  SgclModel model(*cfg, &rng);
-  Status st = LoadCheckpoint(model_path, &model);
-  if (!st.ok()) return Fail(st);
+  auto model = LoadModelFor(model_path, *feat_dim);
+  if (!model.ok()) return Fail(model.status());
   std::vector<const Graph*> all;
   for (int64_t i = 0; i < ds->size(); ++i) all.push_back(&ds->graph(i));
-  Tensor emb = model.EmbedGraphs(all);
+  Tensor emb = (*model)->EmbedGraphs(all);
+  Rng rng(seed);
   MeanStd cv = SvmCrossValidate(emb.values(), emb.rows(), emb.cols(),
                                 ds->Labels().value(), ds->num_classes(), folds, &rng);
   std::printf("%d-fold SVM accuracy: %.2f%% ± %.2f%%\n", folds,
@@ -721,29 +723,25 @@ int CmdEvaluate(int argc, char** argv) {
 int CmdScores(int argc, char** argv) {
   std::string data = "dataset", model_path = "model.ckpt";
   int64_t index = 0;
-  ModelFlags model_flags;
   FlagSet flags("sgcl_cli scores");
   flags.String("data", &data, "dataset store directory");
-  flags.String("model", &model_path, "checkpoint path");
+  flags.String("model", &model_path, "model file (pretrain --out)");
   flags.Int64("graph", &index, "graph index to score");
-  model_flags.Register(&flags);
   if (int rc = HandleParse(flags, flags.Parse(argc, argv, 2)); rc >= 0) {
     return rc;
   }
   auto ds = LoadDataset(data);
   if (!ds.ok()) return Fail(ds.status());
-  auto cfg = model_flags.ToConfig(ds->feat_dim());
-  if (!cfg.ok()) return Fail(cfg.status());
-  Rng rng(1);
-  SgclModel model(*cfg, &rng);
-  Status st = LoadCheckpoint(model_path, &model);
-  if (!st.ok()) return Fail(st);
+  auto feat_dim = ds->FeatDim();
+  if (!feat_dim.ok()) return Fail(feat_dim.status());
+  auto model = LoadModelFor(model_path, *feat_dim);
+  if (!model.ok()) return Fail(model.status());
   if (index < 0 || index >= ds->size()) {
     return Fail(Status::OutOfRange("--graph outside dataset"));
   }
   const Graph& g = ds->graph(index);
-  std::vector<float> k = model.NodeLipschitzConstants(g);
-  std::vector<float> p = model.NodePreservationProbs(g);
+  std::vector<float> k = (*model)->NodeLipschitzConstants(g);
+  std::vector<float> p = (*model)->NodePreservationProbs(g);
   std::printf("graph %lld (label %d): node, Lipschitz K, preserve prob%s\n",
               static_cast<long long>(index), g.label(),
               g.semantic_mask().empty() ? "" : ", semantic");
@@ -764,8 +762,6 @@ void HandleServeSignal(int) { g_serve_stop = 1; }
 
 int CmdServe(int argc, char** argv) {
   std::string model_path = "model.ckpt";
-  std::string data;
-  int64_t feat_dim = 0;
   int http_port = 0;
   int http_threads = 4;
   int64_t max_batch_graphs = 16;
@@ -777,15 +773,8 @@ int CmdServe(int argc, char** argv) {
   double duration_s = 0.0;
   double trace_sample_rate = 0.0;
   int64_t trace_ring_size = 256;
-  ModelFlags model_flags;
   FlagSet flags("sgcl_cli serve");
-  flags.String("model", &model_path, "checkpoint to serve");
-  flags.String("data", &data,
-               "dataset store whose manifest gives the feature dimension "
-               "(alternative to --feat-dim)");
-  flags.Int64("feat-dim", &feat_dim,
-              "node feature dimension the model was trained with "
-              "(see `sgcl_cli info`)");
+  flags.String("model", &model_path, "model file to serve (pretrain --out)");
   flags.Int("http-port", &http_port,
             "listen on 127.0.0.1:<port>; 0 picks an ephemeral port");
   flags.Int("http-threads", &http_threads, "HTTP worker threads");
@@ -812,7 +801,6 @@ int CmdServe(int argc, char** argv) {
   flags.Int64("trace-ring-size", &trace_ring_size,
               "capacity of the in-memory trace ring, in traces "
               "(oldest evicted first)");
-  model_flags.Register(&flags);
   if (int rc = HandleParse(flags, flags.Parse(argc, argv, 2)); rc >= 0) {
     return rc;
   }
@@ -842,25 +830,8 @@ int CmdServe(int argc, char** argv) {
         "--batch-timeout-us must be >= 0, got " +
         std::to_string(batch_timeout_us)));
   }
-  if (feat_dim <= 0) {
-    if (data.empty()) {
-      return Fail(Status::InvalidArgument(
-          "serve needs --feat-dim (or --data to derive it)"));
-    }
-    auto store = ShardedGraphStore::Open(data);
-    if (!store.ok()) return Fail(store.status());
-    auto store_feat_dim = (*store)->FeatDim();
-    if (!store_feat_dim.ok()) return Fail(store_feat_dim.status());
-    feat_dim = *store_feat_dim;
-  }
-  auto cfg = model_flags.ToConfig(feat_dim);
-  if (!cfg.ok()) return Fail(cfg.status());
-  // LoadCheckpoint overwrites every weight (all or nothing), so the init
-  // seed is fixed.
-  Rng rng(1);
-  SgclModel model(*cfg, &rng);
-  Status st = LoadCheckpoint(model_path, &model);
-  if (!st.ok()) return Fail(st);
+  auto model = LoadModel(model_path);
+  if (!model.ok()) return Fail(model.status());
 
   SetRunId(GenerateRunId());
   serve::ServeOptions options;
@@ -877,16 +848,16 @@ int CmdServe(int argc, char** argv) {
   options.trace_ring_size = trace_ring_size;
   MetricsRegistry::Global().Reset();  // per-run isolation
   TraceRing::Global().Clear();
-  serve::ServeService service(&model, options);
-  st = service.Start();
-  if (!st.ok()) return Fail(st);
+  serve::ServeService service(model->get(), options);
+  if (Status st = service.Start(); !st.ok()) return Fail(st);
   // The smoke scripts parse this line to find an ephemeral port.
   std::printf("serve: http://127.0.0.1:%d run_id %s\n", service.port(),
               GetRunId().c_str());
-  std::printf("model %s: %s %d-layer hidden %d, feat dim %lld, fused %s\n",
-              model_path.c_str(), model_flags.arch.c_str(),
-              model_flags.layers, model_flags.hidden,
-              static_cast<long long>(feat_dim),
+  const EncoderConfig& encoder = (*model)->config().encoder;
+  std::printf("model %s: %s %d-layer hidden %lld, feat dim %lld, fused %s\n",
+              model_path.c_str(), GnnArchToString(encoder.arch),
+              encoder.num_layers, static_cast<long long>(encoder.hidden_dim),
+              static_cast<long long>(encoder.in_dim),
               service.session().fused() ? "yes" : "no");
   std::fflush(stdout);
 
