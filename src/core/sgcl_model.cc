@@ -22,6 +22,19 @@ SgclModel::SgclModel(const SgclConfig& config, Rng* rng) : config_(config) {
                                                     config.lipschitz_mode);
 }
 
+std::optional<int64_t> SgclModel::NumParametersFor(const SgclConfig& config) {
+  const int64_t h = config.encoder.hidden_dim;
+  // The projection Mlp {h, h, proj_dim}: W1, b1, W2, b2.
+  const std::optional<int64_t> projection =
+      CheckedAdd(CheckedAdd(CheckedMul(h, h), h),
+                 CheckedAdd(CheckedMul(h, config.proj_dim), config.proj_dim));
+  // f_q, f_k, the projection head and the [h, 1] probability head.
+  return CheckedAdd(
+      CheckedAdd(CheckedMul(2, GnnEncoder::NumParametersFor(config.encoder)),
+                 projection),
+      h);
+}
+
 Tensor SgclModel::LearnedKeepScores(const GraphBatch& batch) const {
   Tensor h_q = f_q_->EncodeNodes(batch.features, batch);
   return Sigmoid(prob_head_->Forward(h_q));  // [N, 1]

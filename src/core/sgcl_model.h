@@ -6,6 +6,7 @@
 #define SGCL_CORE_SGCL_MODEL_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/contrastive_loss.h"
@@ -26,6 +27,10 @@ struct SgclLossStats {
 class SgclModel : public Module {
  public:
   SgclModel(const SgclConfig& config, Rng* rng);
+
+  // NumParameters() of a model built from `config`, computed without
+  // building it; nullopt when the count overflows int64_t.
+  static std::optional<int64_t> NumParametersFor(const SgclConfig& config);
 
   // The full objective L = E[L_s + λ_c L_c] + λ_W Θ_W over a minibatch.
   // Needs at least 2 graphs (InfoNCE negatives). `rng` drives the

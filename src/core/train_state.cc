@@ -315,6 +315,16 @@ Result<std::unique_ptr<SgclModel>> LoadModel(const std::string& path) {
   SGCL_ASSIGN_OR_RETURN(
       const std::string model_bytes,
       FindCheckpointSection(sections, CheckpointSectionId::kModel, path));
+  // The config's widths are outside input: before the model is built, the
+  // parameters they imply must fit the model section, 4 bytes each.
+  const std::optional<int64_t> num_params = SgclModel::NumParametersFor(config);
+  if (!num_params.has_value() ||
+      *num_params > static_cast<int64_t>(model_bytes.size() / sizeof(float))) {
+    return Status::InvalidArgument(StrFormat(
+        "%s config section describes more parameters than its %zu-byte "
+        "model section holds",
+        path.c_str(), model_bytes.size()));
+  }
   Rng rng(1);
   auto model = std::make_unique<SgclModel>(config, &rng);
   SGCL_RETURN_NOT_OK(

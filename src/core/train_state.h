@@ -89,7 +89,8 @@ uint64_t ConfigFingerprint(const SgclConfig& config);
 
 // A model file holds kConfig and kModel, written atomically. LoadModel
 // builds the model any checkpoint's kConfig describes (fixed init seed)
-// and applies its kModel.
+// and applies its kModel; a kConfig whose parameters cannot fit the
+// kModel payload is InvalidArgument before anything is allocated.
 Status SaveModel(const SgclModel& model, const std::string& path);
 Result<std::unique_ptr<SgclModel>> LoadModel(const std::string& path);
 

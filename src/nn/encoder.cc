@@ -53,10 +53,33 @@ GnnEncoder::GnnEncoder(const EncoderConfig& config, Rng* rng)
   }
 }
 
+std::optional<int64_t> GnnEncoder::NumParametersFor(
+    const EncoderConfig& config) {
+  const int64_t out = config.hidden_dim;
+  const auto conv = [&](int64_t in) -> std::optional<int64_t> {
+    const std::optional<int64_t> in_out = CheckedMul(in, out);
+    switch (config.arch) {
+      case GnnArch::kGin:  // Mlp {in, out, out}: W1, b1, W2, b2
+        return CheckedAdd(CheckedAdd(in_out, CheckedMul(out, out)),
+                          CheckedMul(2, out));
+      case GnnArch::kGcn:  // W, b
+        return CheckedAdd(in_out, out);
+      case GnnArch::kGat:  // two heads of W, a_src, a_dst; then b
+        return CheckedAdd(CheckedMul(2, CheckedAdd(in_out, CheckedMul(2, out))),
+                          out);
+      case GnnArch::kSage:  // W_self, b, W_neigh
+        return CheckedAdd(CheckedMul(2, in_out), out);
+    }
+    return std::nullopt;
+  };
+  return CheckedAdd(conv(config.in_dim),
+                    CheckedMul(config.num_layers - 1, conv(out)));
+}
+
 Tensor GnnEncoder::EncodeNodes(const Tensor& x, const GraphBatch& batch) const {
   Tensor h = x;
   for (size_t l = 0; l < layers_.size(); ++l) {
-    h = Relu(layers_[l]->Forward(h, batch));
+    h = layers_[l]->Forward(h, batch);
   }
   return h;
 }

@@ -3,6 +3,7 @@
 #define SGCL_NN_ENCODER_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,7 +30,12 @@ class GnnEncoder : public Module {
  public:
   GnnEncoder(const EncoderConfig& config, Rng* rng);
 
-  // Final-layer node embeddings [N, hidden_dim]. ReLU after every layer.
+  // NumParameters() of an encoder built from `config`, computed without
+  // building it; nullopt when the count overflows int64_t.
+  static std::optional<int64_t> NumParametersFor(const EncoderConfig& config);
+
+  // Final-layer node embeddings [N, hidden_dim]. Every layer ends in a
+  // ReLU (GraphConv::Forward returns its activated output).
   Tensor EncodeNodes(const Tensor& x, const GraphBatch& batch) const;
 
   // Graph embeddings [num_graphs, hidden_dim]: pooled node embeddings.

@@ -50,7 +50,7 @@ Tensor GatConv::Forward(const Tensor& x, const GraphBatch& batch) const {
     out = (h == 0) ? head_out : Add(out, head_out);
   }
   out = MulScalar(out, 1.0f / static_cast<float>(heads_.size()));
-  return Add(out, bias_);
+  return Relu(Add(out, bias_));
 }
 
 std::vector<Tensor> GatConv::Parameters() const {

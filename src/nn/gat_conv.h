@@ -3,7 +3,8 @@
 // For each of two heads: e_ij = LeakyReLU_0.2(a_src · Wh_i + a_dst · Wh_j)
 // over the self-loop-augmented edge set, alpha = softmax_j(e_ij), and
 // h_i' = sum_j alpha_ij Wh_j. The head outputs are averaged (the "final
-// layer" convention), keeping the output dimension equal to out_dim.
+// layer" convention), keeping the output dimension equal to out_dim,
+// then biased and ReLU'd.
 #ifndef SGCL_NN_GAT_CONV_H_
 #define SGCL_NN_GAT_CONV_H_
 

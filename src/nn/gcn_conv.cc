@@ -22,7 +22,7 @@ Tensor GcnConv::Forward(const Tensor& x, const GraphBatch& batch) const {
   Tensor self_term = MulBroadcastCol(
       xw, Tensor::FromVector({batch.num_nodes, 1}, std::move(inv_self)));
   const int64_t e = static_cast<int64_t>(batch.edge_src.size());
-  if (e == 0) return self_term;
+  if (e == 0) return Relu(self_term);
   std::vector<float> coef(static_cast<size_t>(e));
   for (int64_t r = 0; r < e; ++r) {
     coef[r] = 1.0f / std::sqrt(
@@ -34,7 +34,7 @@ Tensor GcnConv::Forward(const Tensor& x, const GraphBatch& batch) const {
                       Tensor::FromVector({e, 1}, std::move(coef)));
   Tensor neighbor_term =
       ScatterAddRows(messages, batch.edge_dst, batch.num_nodes);
-  return Add(self_term, neighbor_term);
+  return Relu(Add(self_term, neighbor_term));
 }
 
 std::vector<Tensor> GcnConv::Parameters() const {

@@ -1,5 +1,5 @@
 // Graph Convolutional Network layer (Kipf & Welling, ICLR'17):
-//   H' = D̂^{-1/2} (A + I) D̂^{-1/2} X W + b,  D̂ = deg(A + I).
+//   H' = relu(D̂^{-1/2} (A + I) D̂^{-1/2} X W + b),  D̂ = deg(A + I).
 #ifndef SGCL_NN_GCN_CONV_H_
 #define SGCL_NN_GCN_CONV_H_
 

@@ -4,7 +4,8 @@
 //
 // Forward runs as one autograd node: the fused row kernel of
 // nn/gin_kernel.h (shared with GinInferencePlan) plus a hand-written
-// backward, bit-identical to composing the layer from tensor ops.
+// backward, bit-identical to composing the layer and the encoder's ReLU
+// after it from tensor ops.
 #ifndef SGCL_NN_GIN_CONV_H_
 #define SGCL_NN_GIN_CONV_H_
 
@@ -21,7 +22,7 @@ class GinConv : public GraphConv {
  public:
   GinConv(int64_t in_dim, int64_t out_dim, Rng* rng);
 
-  // Pre-activation output MLP(agg) [batch.num_nodes, out_dim]; gradients
+  // Activated output relu(MLP(agg)) [batch.num_nodes, out_dim]; gradients
   // flow to x, the MLP parameters and batch.edge_weights.
   Tensor Forward(const Tensor& x, const GraphBatch& batch) const override;
   std::vector<Tensor> Parameters() const override;

@@ -50,8 +50,7 @@ void GinInferencePlan::EncodeNodes(const float* x, int64_t n,
     float* dst = (l + 1 == layers_.size())
                      ? out
                      : (l % 2 == 0 ? buf_a.get() : buf_b.get());
-    GinLayerForward(layer, in, n, in_edges, /*relu_out=*/true, agg.get(),
-                    hid.get(), dst);
+    GinLayerForward(layer, in, n, in_edges, agg.get(), hid.get(), dst);
     in = dst;
   }
 }
@@ -99,8 +98,7 @@ GinMaskedViewKernel::GinMaskedViewKernel(const GinInferencePlan& plan,
     const GinLayerParams& layer = layers[l];
     layer_acts_[l].resize(static_cast<size_t>(n * layer.out));
     float* dst = layer_acts_[l].data();
-    GinLayerForward(layer, in, n, in_edges_, /*relu_out=*/true, agg.get(),
-                    hid.get(), dst);
+    GinLayerForward(layer, in, n, in_edges_, agg.get(), hid.get(), dst);
     in = dst;
   }
 }

@@ -6,8 +6,8 @@
 // allocation, gradient buffers, and backward closures — is pure overhead
 // there. A GinInferencePlan snapshots raw weight pointers from a
 // GnnEncoder and runs each layer through the same row kernel GinConv's
-// autograd node uses (nn/gin_kernel.h), fusing the encoder's ReLU into
-// it, with flat buffers and no tape.
+// autograd node uses (nn/gin_kernel.h), the encoder's ReLU included,
+// with flat buffers and no tape.
 //
 // Determinism: every stage is row-partitioned via ParallelFor and each
 // row accumulates in the same order as the tape (neighbor sums in edge

@@ -16,48 +16,97 @@ int64_t RowGrain(int64_t flops_per_row) {
                                   std::max<int64_t>(1, flops_per_row));
 }
 
-// One output row of a dense product: y = a W + bias (bias == nullptr adds
-// +0.0f), optionally ReLU'd. Register-tiled over the output dimension so
-// accumulators stay out of memory; per output element the accumulation
-// starts at 0 and runs in ascending-k order, as tensor/ops.cc MatMul's
-// does. Unlike MatMul there is no zero-input skip: ReLU inputs are ~half
-// zeros at random positions, and the resulting branch mispredicts cost
-// more than the vectorized multiplies they save (adding 0 * w to a
-// finite sum is bitwise-neutral, so results are unchanged).
-inline void DenseRow(const float* a, int64_t in, const float* w,
-                     const float* bias, int64_t out, bool relu, float* y) {
-  for (int64_t j0 = 0; j0 < out; j0 += 32) {
-    const int64_t blk = std::min<int64_t>(32, out - j0);
-    float acc[32];
-    for (int64_t t = 0; t < blk; ++t) acc[t] = 0.0f;
-    for (int64_t k = 0; k < in; ++k) {
-      const float av = a[k];
-      const float* wrow = w + k * out + j0;
-      for (int64_t t = 0; t < blk; ++t) acc[t] += av * wrow[t];
+// Output tiles of the dense products are kTileRows x kTileCols: 128
+// accumulators, eight 512-bit registers on x86-64-v4.
+constexpr int64_t kTileRows = 4;
+constexpr int64_t kTileCols = 32;
+
+// Rows r < R of C = A B over all `cols` columns, where A(r, k) =
+// a[r * a_row + k * a_k] and B is [depth, cols] row-major; row r of C
+// starts at c + r * ldc. Each element starts at +0.0f, or at its current
+// value when `accumulate`, and adds A(r, k) B[k][j] in ascending k — the
+// order of tensor/ops.cc MatMul's output and of its dB, which
+// accumulates onto the gradient. A dense product (not `accumulate`)
+// then adds bias[j] (+0.0f when null) and, with `relu`, writes 0 where
+// the sum is not > 0: the per-op tape's MatMul, bias Add, Relu.
+//
+// Full kTileCols-wide tiles have compile-time bounds, so GCC keeps their
+// R x kTileCols accumulators in registers across the k loop; a column
+// tail runs the same loop with a runtime width, one row at a time. The
+// helper is force-inlined: each SGCL_TARGET_CLONES caller then compiles
+// it for its own ISA, where a plain `inline` one may be emitted once,
+// for the baseline ISA, and called from every clone. Unlike MatMul
+// there is no zero-input skip: ReLU inputs are ~half zeros at random
+// positions, and the resulting branch mispredicts cost more than the
+// vectorized multiplies they save (adding 0 * w to a finite sum is
+// bitwise-neutral, so results are unchanged).
+template <int64_t R>
+[[gnu::always_inline]] inline void ProductRows(
+    const float* a, int64_t a_row, int64_t a_k, int64_t depth, const float* b,
+    int64_t cols, const float* bias, bool relu, bool accumulate, float* c,
+    int64_t ldc) {
+  const auto finish = [&](float acc, int64_t j) {
+    if (accumulate) return acc;
+    const float v = acc + (bias != nullptr ? bias[j] : 0.0f);
+    return !relu || v > 0.0f ? v : 0.0f;
+  };
+  int64_t j0 = 0;
+  for (; j0 + kTileCols <= cols; j0 += kTileCols) {
+    float acc[R][kTileCols];
+    for (int64_t r = 0; r < R; ++r) {
+      for (int64_t t = 0; t < kTileCols; ++t) {
+        acc[r][t] = accumulate ? c[r * ldc + j0 + t] : 0.0f;
+      }
     }
-    for (int64_t t = 0; t < blk; ++t) {
-      const float v = acc[t] + (bias != nullptr ? bias[j0 + t] : 0.0f);
-      y[j0 + t] = !relu || v > 0.0f ? v : 0.0f;
+    for (int64_t k = 0; k < depth; ++k) {
+      const float* brow = b + k * cols + j0;
+      for (int64_t r = 0; r < R; ++r) {
+        const float av = a[r * a_row + k * a_k];
+        for (int64_t t = 0; t < kTileCols; ++t) acc[r][t] += av * brow[t];
+      }
     }
+    for (int64_t r = 0; r < R; ++r) {
+      for (int64_t t = 0; t < kTileCols; ++t) {
+        c[r * ldc + j0 + t] = finish(acc[r][t], j0 + t);
+      }
+    }
+  }
+  if (j0 == cols) return;
+  const int64_t blk = cols - j0;
+  for (int64_t r = 0; r < R; ++r) {
+    float* crow = c + r * ldc + j0;
+    float acc[kTileCols];
+    for (int64_t t = 0; t < blk; ++t) acc[t] = accumulate ? crow[t] : 0.0f;
+    for (int64_t k = 0; k < depth; ++k) {
+      const float av = a[r * a_row + k * a_k];
+      const float* brow = b + k * cols + j0;
+      for (int64_t t = 0; t < blk; ++t) acc[t] += av * brow[t];
+    }
+    for (int64_t t = 0; t < blk; ++t) crow[t] = finish(acc[t], j0 + t);
   }
 }
 
-// The two MLP layers and the layer's output activation for one row whose
-// aggregate is already in `arow`; the trailing ReLU fuses into the
-// second dense layer.
-inline void MlpRow(const GinLayerParams& p, const float* arow, bool relu_out,
-                   float* hrow, float* yrow) {
-  DenseRow(arow, p.in, p.w1, p.b1, p.hid, /*relu=*/true, hrow);
-  DenseRow(hrow, p.hid, p.w2, p.b2, p.out, relu_out, yrow);
+// The two MLP layers of R rows whose aggregates are in `arows`, each
+// followed by its ReLU (the hidden one and the layer's output one).
+template <int64_t R>
+[[gnu::always_inline]] inline void MlpRows(const GinLayerParams& p,
+                                           const float* arows, float* hrows,
+                                           float* yrows) {
+  ProductRows<R>(arows, p.in, 1, p.in, p.w1, p.hid, p.b1, /*relu=*/true,
+                 /*accumulate=*/false, hrows, p.hid);
+  ProductRows<R>(hrows, p.hid, 1, p.hid, p.w2, p.out, p.b2, /*relu=*/true,
+                 /*accumulate=*/false, yrows, p.out);
 }
 
 // agg_v = x_v + sum of (weighted) in-neighbors, neighbor terms first and
 // in edge order — the order of ScatterAddRows followed by Add(x, sum).
 // Under a masked view (masked >= 0) the in-edges from `masked` are
 // skipped and the masked row keeps none.
-inline void AggregateRow(const GinLayerParams& p, const float* in,
-                         const EdgeCsr& in_edges, int64_t v, int64_t masked,
-                         float* arow) {
+[[gnu::always_inline]] inline void AggregateRow(const GinLayerParams& p,
+                                                const float* in,
+                                                const EdgeCsr& in_edges,
+                                                int64_t v, int64_t masked,
+                                                float* arow) {
   for (int64_t j = 0; j < p.in; ++j) arow[j] = 0.0f;
   const bool weighted = !in_edges.weights.empty();
   for (int64_t t = in_edges.offsets[v];
@@ -75,63 +124,77 @@ inline void AggregateRow(const GinLayerParams& p, const float* in,
   for (int64_t j = 0; j < p.in; ++j) arow[j] = xrow[j] + arow[j];
 }
 
-// Rows [lo, hi) of GinLayerForward. Rowwise given the previous layer's
-// activations, so rows partition freely across threads without changing
-// any result.
+// Rows [lo, hi) of GinLayerForward, kTileRows at a time and the last
+// rows singly. Rowwise given the previous layer's activations, so rows
+// partition freely across threads and tiles without changing any
+// result.
 SGCL_TARGET_CLONES
 void GinLayerRows(const GinLayerParams& p, const float* in,
-                  const EdgeCsr& in_edges, bool relu_out, float* agg,
-                  float* hid, float* dst, int64_t lo, int64_t hi) {
-  for (int64_t v = lo; v < hi; ++v) {
-    float* arow = agg + v * p.in;
-    AggregateRow(p, in, in_edges, v, /*masked=*/-1, arow);
-    MlpRow(p, arow, relu_out, hid + v * p.hid, dst + v * p.out);
+                  const EdgeCsr& in_edges, float* agg, float* hid, float* dst,
+                  int64_t lo, int64_t hi) {
+  int64_t v = lo;
+  for (; v + kTileRows <= hi; v += kTileRows) {
+    for (int64_t r = 0; r < kTileRows; ++r) {
+      AggregateRow(p, in, in_edges, v + r, /*masked=*/-1, agg + (v + r) * p.in);
+    }
+    MlpRows<kTileRows>(p, agg + v * p.in, hid + v * p.hid, dst + v * p.out);
+  }
+  for (; v < hi; ++v) {
+    AggregateRow(p, in, in_edges, v, /*masked=*/-1, agg + v * p.in);
+    MlpRows<1>(p, agg + v * p.in, hid + v * p.hid, dst + v * p.out);
   }
 }
 
-// Rows [lo, hi) of the hidden-side gradients. With dH = dout W2^T (as a
-// DenseRow against W2^T, so each element sums over the output dimension
+// Rows [v, v + R) of the hidden-side gradients. With dH = dout W2^T (a
+// product against W2^T, so each element sums over the output dimension
 // in ascending order from 0, like MatMul's dA):
 //   dpre = dH where hid > 0, else 0             (the hidden ReLU)
 //   dagg = dpre W1^T                            (when dagg != nullptr)
+template <int64_t R>
+[[gnu::always_inline]] inline void HiddenGradBlock(
+    const GinLayerParams& p, const float* dout, const float* hid,
+    const float* w2t, const float* w1t, float* dpre, float* dagg, int64_t v) {
+  float* drows = dpre + v * p.hid;
+  ProductRows<R>(dout + v * p.out, p.out, 1, p.out, w2t, p.hid, nullptr,
+                 /*relu=*/false, /*accumulate=*/false, drows, p.hid);
+  const float* hrows = hid + v * p.hid;
+  for (int64_t j = 0; j < R * p.hid; ++j) {
+    if (!(hrows[j] > 0.0f)) drows[j] = 0.0f;
+  }
+  if (dagg != nullptr) {
+    ProductRows<R>(drows, p.hid, 1, p.hid, w1t, p.in, nullptr, /*relu=*/false,
+                   /*accumulate=*/false, dagg + v * p.in, p.in);
+  }
+}
+
+// Rows [lo, hi) of the hidden-side gradients, kTileRows at a time.
 SGCL_TARGET_CLONES
 void HiddenGradRows(const GinLayerParams& p, const float* dout,
                     const float* hid, const float* w2t, const float* w1t,
                     float* dpre, float* dagg, int64_t lo, int64_t hi) {
-  for (int64_t v = lo; v < hi; ++v) {
-    float* drow = dpre + v * p.hid;
-    DenseRow(dout + v * p.out, p.out, w2t, nullptr, p.hid, /*relu=*/false,
-             drow);
-    const float* hrow = hid + v * p.hid;
-    for (int64_t j = 0; j < p.hid; ++j) {
-      if (!(hrow[j] > 0.0f)) drow[j] = 0.0f;
-    }
-    if (dagg != nullptr) {
-      DenseRow(drow, p.hid, w1t, nullptr, p.in, /*relu=*/false,
-               dagg + v * p.in);
-    }
+  int64_t v = lo;
+  for (; v + kTileRows <= hi; v += kTileRows) {
+    HiddenGradBlock<kTileRows>(p, dout, hid, w2t, w1t, dpre, dagg, v);
   }
+  for (; v < hi; ++v) HiddenGradBlock<1>(p, dout, hid, w2t, w1t, dpre, dagg, v);
 }
 
-// Rows [lo, hi) of dw += a^T g for a [n, k] and g [n, cols]: each weight
-// row p accumulates a[i][p] * g[i] over nodes i in ascending order
-// directly onto its current value, as MatMul's dB does.
+// Rows [lo, hi) of dw += a^T g for a [n, k] and g [n, cols]: weight row
+// p accumulates a[i][p] * g[i] over nodes i in ascending order directly
+// onto its current value, as MatMul's dB does. A tile takes kTileRows
+// weight rows, i.e. kTileRows adjacent columns of `a`.
 SGCL_TARGET_CLONES
 void OuterGradRows(const float* a, int64_t k, const float* g, int64_t n,
                    int64_t cols, float* dw, int64_t lo, int64_t hi) {
-  for (int64_t p = lo; p < hi; ++p) {
-    float* row = dw + p * cols;
-    for (int64_t j0 = 0; j0 < cols; j0 += 32) {
-      const int64_t blk = std::min<int64_t>(32, cols - j0);
-      float acc[32];
-      for (int64_t t = 0; t < blk; ++t) acc[t] = row[j0 + t];
-      for (int64_t i = 0; i < n; ++i) {
-        const float av = a[i * k + p];
-        const float* grow = g + i * cols + j0;
-        for (int64_t t = 0; t < blk; ++t) acc[t] += av * grow[t];
-      }
-      for (int64_t t = 0; t < blk; ++t) row[j0 + t] = acc[t];
-    }
+  int64_t p = lo;
+  for (; p + kTileRows <= hi; p += kTileRows) {
+    ProductRows<kTileRows>(a + p, /*a_row=*/1, /*a_k=*/k, n, g, cols, nullptr,
+                           /*relu=*/false, /*accumulate=*/true, dw + p * cols,
+                           cols);
+  }
+  for (; p < hi; ++p) {
+    ProductRows<1>(a + p, 1, k, n, g, cols, nullptr, /*relu=*/false,
+                   /*accumulate=*/true, dw + p * cols, cols);
   }
 }
 
@@ -198,11 +261,11 @@ EdgeCsr BuildEdgeCsr(int64_t n, const int32_t* by, const int32_t* other,
 }
 
 void GinLayerForward(const GinLayerParams& p, const float* x, int64_t n,
-                     const EdgeCsr& in_edges, bool relu_out, float* agg,
-                     float* hid, float* out) {
+                     const EdgeCsr& in_edges, float* agg, float* hid,
+                     float* out) {
   ParallelFor(0, n, RowGrain(p.in * p.hid + p.hid * p.out),
               [&](int64_t lo, int64_t hi) {
-                GinLayerRows(p, x, in_edges, relu_out, agg, hid, out, lo, hi);
+                GinLayerRows(p, x, in_edges, agg, hid, out, lo, hi);
               });
 }
 
@@ -214,7 +277,7 @@ void GinDirtyRows(const GinLayerParams& p, const float* in,
   for (int64_t t = 0; t < num_dirty; ++t) {
     const int64_t v = dirty[t];
     AggregateRow(p, in, in_edges, v, masked, agg);
-    MlpRow(p, agg, /*relu_out=*/true, hid, dst + v * p.out);
+    MlpRows<1>(p, agg, hid, dst + v * p.out);
   }
 }
 

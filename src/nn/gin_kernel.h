@@ -6,13 +6,17 @@
 // The hand-written backward reproduces, per output element, the
 // accumulation order of the per-op tape composition it replaced
 // (GatherRows, MulBroadcastCol, ScatterAddRows, MulScalar, Add, MatMul,
-// bias Add, Relu, MatMul, bias Add); DESIGN.md §7 has the argument.
+// bias Add, Relu, MatMul, bias Add, and the encoder's Relu); DESIGN.md
+// §7 has the argument.
 //
 // Determinism: every loop is a row partition over the shared pool (node
 // rows, weight rows, edges) and each output element accumulates
 // privately in a fixed order, so results are identical for every thread
-// count. The library builds with -ffp-contract=off, so the
-// ISA-dispatched clones round exactly like the baseline build.
+// count. The dense products run in register tiles of 4 rows x 32
+// columns, which change how many elements advance together, not the
+// order in which any one element accumulates. The library builds with
+// -ffp-contract=off, so the ISA-dispatched clones round exactly like the
+// baseline build.
 #ifndef SGCL_NN_GIN_KERNEL_H_
 #define SGCL_NN_GIN_KERNEL_H_
 
@@ -44,19 +48,19 @@ struct EdgeCsr {
 EdgeCsr BuildEdgeCsr(int64_t n, const int32_t* by, const int32_t* other,
                      int64_t num_edges, const float* weights);
 
-// One GIN layer over all n rows:
+// One GIN layer over all n rows, with the encoder's ReLU after it:
 //   agg = x + sum_{e: dst(e) = v} w_e x_src(e)
 //   hid = relu(agg W1 + b1)
-//   out = hid W2 + b2, ReLU'd when `relu_out`.
+//   out = relu(hid W2 + b2)
 // Writes agg [n, in], hid [n, hid] and out [n, out]; `x` is [n, in].
 void GinLayerForward(const GinLayerParams& p, const float* x, int64_t n,
-                     const EdgeCsr& in_edges, bool relu_out, float* agg,
-                     float* hid, float* out);
+                     const EdgeCsr& in_edges, float* agg, float* hid,
+                     float* out);
 
 // Recomputes the listed rows of one layer under single-node masked view
 // `masked` (its in-edges are skipped, and the masked row keeps no edges),
-// with the same arithmetic as GinLayerForward (ReLU'd output) but no
-// materialized view edge list. `agg` and `hid` are single-row scratch.
+// with the same arithmetic as GinLayerForward but no materialized view
+// edge list. `agg` and `hid` are single-row scratch.
 void GinDirtyRows(const GinLayerParams& p, const float* in,
                   const EdgeCsr& in_edges, int64_t masked,
                   const int32_t* dirty, int64_t num_dirty, float* agg,
@@ -73,8 +77,9 @@ struct GinLayerGrads {
   float* edge_weights = nullptr;  // [num_edges, 1]
 };
 
-// Backward of a GinLayerForward call made with relu_out = false, from
-// the output gradient `dout` [n, out]:
+// Backward of a GinLayerForward call, from `dout` [n, out], the gradient
+// of the pre-activation output hid W2 + b2: the caller has already
+// zeroed the output gradient where out is not > 0 (the output ReLU).
 //   dPre = (dout W2^T) masked by hid > 0      dW2 += hid^T dout
 //   dAgg = dPre W1^T                          dW1 += agg^T dPre
 //   dx_u += sum_{e: src(e) = u} w_e dAgg_dst(e) + dAgg_u

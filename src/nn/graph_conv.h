@@ -9,9 +9,11 @@ namespace sgcl {
 
 class GraphConv : public Module {
  public:
-  // x [batch.num_nodes, in_dim] -> [batch.num_nodes, out_dim]. The layer
-  // reads only topology (edge lists, degrees) from `batch`; features come
-  // from `x` so layers can be stacked and fed perturbed inputs.
+  // x [batch.num_nodes, in_dim] -> [batch.num_nodes, out_dim], the
+  // layer's output after its ReLU (the encoder stacks layers directly).
+  // The layer reads only topology (edge lists, degrees) from `batch`;
+  // features come from `x` so layers can be stacked and fed perturbed
+  // inputs.
   virtual Tensor Forward(const Tensor& x, const GraphBatch& batch) const = 0;
 };
 

@@ -18,6 +18,20 @@ void Module::CopyParametersFrom(const Module& other) {
   }
 }
 
+std::optional<int64_t> CheckedMul(std::optional<int64_t> a,
+                                  std::optional<int64_t> b) {
+  int64_t result = 0;
+  if (!a || !b || __builtin_mul_overflow(*a, *b, &result)) return std::nullopt;
+  return result;
+}
+
+std::optional<int64_t> CheckedAdd(std::optional<int64_t> a,
+                                  std::optional<int64_t> b) {
+  int64_t result = 0;
+  if (!a || !b || __builtin_add_overflow(*a, *b, &result)) return std::nullopt;
+  return result;
+}
+
 std::vector<Tensor> ConcatParameters(
     std::initializer_list<const Module*> modules) {
   std::vector<Tensor> all;

@@ -2,6 +2,8 @@
 #ifndef SGCL_NN_MODULE_H_
 #define SGCL_NN_MODULE_H_
 
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -23,6 +25,14 @@ class Module {
   // Copies parameter values from `other` (shapes must match pairwise).
   void CopyParametersFrom(const Module& other);
 };
+
+// a * b and a + b for parameter counts computed from untrusted sizes (a
+// model file's config section): nullopt when an operand is nullopt or
+// the result overflows int64_t.
+std::optional<int64_t> CheckedMul(std::optional<int64_t> a,
+                                  std::optional<int64_t> b);
+std::optional<int64_t> CheckedAdd(std::optional<int64_t> a,
+                                  std::optional<int64_t> b);
 
 // Concatenates the parameter lists of several modules.
 std::vector<Tensor> ConcatParameters(

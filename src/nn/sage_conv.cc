@@ -13,7 +13,7 @@ SageConv::SageConv(int64_t in_dim, int64_t out_dim, Rng* rng)
 Tensor SageConv::Forward(const Tensor& x, const GraphBatch& batch) const {
   SGCL_CHECK_EQ(x.rows(), batch.num_nodes);
   Tensor self_term = self_linear_->Forward(x);
-  if (batch.edge_src.empty()) return self_term;
+  if (batch.edge_src.empty()) return Relu(self_term);
   Tensor neighbor_sum = ScatterAddRows(GatherRows(x, batch.edge_src),
                                        batch.edge_dst, batch.num_nodes);
   // Mean over neighbors; isolated nodes keep a zero neighbor term.
@@ -25,7 +25,7 @@ Tensor SageConv::Forward(const Tensor& x, const GraphBatch& batch) const {
   Tensor neighbor_mean = MulBroadcastCol(
       neighbor_sum,
       Tensor::FromVector({batch.num_nodes, 1}, std::move(inv_deg)));
-  return Add(self_term, neigh_linear_->Forward(neighbor_mean));
+  return Relu(Add(self_term, neigh_linear_->Forward(neighbor_mean)));
 }
 
 std::vector<Tensor> SageConv::Parameters() const {

@@ -1,5 +1,5 @@
 // GraphSAGE layer with mean aggregator (Hamilton et al., NeurIPS'17):
-//   h_i' = W_self h_i + W_neigh mean_{j in N(i)} h_j + b.
+//   h_i' = relu(W_self h_i + W_neigh mean_{j in N(i)} h_j + b).
 #ifndef SGCL_NN_SAGE_CONV_H_
 #define SGCL_NN_SAGE_CONV_H_
 

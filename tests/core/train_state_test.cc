@@ -414,6 +414,56 @@ TEST(ModelFileTest, FilesWithoutConfigBytesAreRejected) {
   }
 }
 
+// The parameter count a config implies, computed without building the
+// model, is the built model's for every encoder architecture; a count
+// past int64_t is nullopt, not a wrapped value.
+TEST(ModelFileTest, NumParametersForMatchesTheBuiltModel) {
+  for (GnnArch arch :
+       {GnnArch::kGin, GnnArch::kGcn, GnnArch::kGat, GnnArch::kSage}) {
+    for (const int layers : {1, 3}) {
+      SgclConfig cfg = SmallConfig(7);
+      cfg.encoder.arch = arch;
+      cfg.encoder.num_layers = layers;
+      cfg.proj_dim = 5;
+      Rng rng(4);
+      const SgclModel model(cfg, &rng);
+      SCOPED_TRACE(::testing::Message() << GnnArchToString(arch) << ", "
+                                        << layers << " layers");
+      EXPECT_EQ(GnnEncoder::NumParametersFor(cfg.encoder),
+                model.encoder_k().NumParameters());
+      EXPECT_EQ(SgclModel::NumParametersFor(cfg), model.NumParameters());
+    }
+  }
+  SgclConfig huge = MakeUnsupervisedConfig(7);
+  huge.encoder.hidden_dim = int64_t{1} << 40;
+  EXPECT_FALSE(SgclModel::NumParametersFor(huge).has_value());
+}
+
+// hidden_dim = 2^40 passes Validate(), but the model it describes cannot
+// fit a small model's kModel section: LoadModel rejects the file before
+// it allocates, where it used to throw std::bad_alloc.
+TEST(ModelFileTest, ConfigTooLargeForItsModelSectionIsRejected) {
+  const std::string dir = TmpDir("model_file_oversized_config");
+  Rng rng(5);
+  const SgclModel model(MakeUnsupervisedConfig(7), &rng);
+  SgclConfig huge = MakeUnsupervisedConfig(7);
+  huge.encoder.hidden_dim = int64_t{1} << 40;
+  ASSERT_TRUE(huge.Validate().ok());
+  std::vector<CheckpointSection> sections;
+  sections.push_back({static_cast<uint32_t>(CheckpointSectionId::kConfig),
+                      SerializeConfig(huge)});
+  sections.push_back({static_cast<uint32_t>(CheckpointSectionId::kModel),
+                      SerializeModuleParams(model.Parameters())});
+  const std::string path = dir + "/oversized.ckpt";
+  ASSERT_TRUE(AtomicWriteFile(path, SerializeCheckpointV2(sections)).ok());
+  auto loaded = LoadModel(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("model section"),
+            std::string::npos)
+      << loaded.status().ToString();
+}
+
 TEST(CheckpointFilesTest, NamingSortsByEpoch) {
   EXPECT_EQ(CheckpointFileName("d", 7), "d/ckpt-000007.sgcl");
   EXPECT_EQ(CheckpointFileName("d", 123456), "d/ckpt-123456.sgcl");

@@ -1,9 +1,11 @@
 // Golden tests for the shared GIN row kernel (nn/gin_kernel.h) through
 // both of its users:
 //  - GinConv's autograd node must reproduce, bit for bit, the output and
-//    every gradient of the per-op tape composition it replaced, on
-//    multi-graph batches with self-loops, isolated nodes, no edges and
-//    no nodes, with and without edge weights, at every thread count.
+//    every gradient of the per-op tape composition it replaced (the
+//    encoder's ReLU included), on multi-graph batches with self-loops,
+//    isolated nodes, no edges and no nodes, with and without edge
+//    weights, at every thread count, for widths and node counts that
+//    fill the kernel's 4 x 32 register tiles and that leave each tail.
 //  - GinInferencePlan must reproduce GnnEncoder::EncodeNodes bit for bit,
 //    which holds only while the library builds without floating-point
 //    contraction.
@@ -11,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -25,7 +28,8 @@
 namespace sgcl {
 namespace {
 
-// The GIN layer as the per-op composition GinConv::Forward used to build.
+// The GIN layer and the ReLU after it as the per-op composition
+// GinConv::Forward and GnnEncoder::EncodeNodes used to build.
 Tensor PerOpGinLayer(const GinConv& conv, const Tensor& x,
                      const GraphBatch& batch) {
   Tensor messages = GatherRows(x, batch.edge_src);
@@ -36,7 +40,7 @@ Tensor PerOpGinLayer(const GinConv& conv, const Tensor& x,
       ScatterAddRows(messages, batch.edge_dst, batch.num_nodes);
   Tensor agg = Add(MulScalar(x, 1.0f), neighbor_sum);
   Tensor h = Relu(conv.mlp().layer(0).Forward(agg));
-  return conv.mlp().layer(1).Forward(h);
+  return Relu(conv.mlp().layer(1).Forward(h));
 }
 
 void ExpectBitEqual(const std::vector<float>& got,
@@ -115,9 +119,9 @@ struct TwoLayerRun {
   std::vector<std::vector<float>> grads;  // x, edge weights, then params
 };
 
-// Two stacked layers with a ReLU between, loss = sum(y2 * r): the first
-// layer's input is a leaf and the second's an interior tape node, and
-// the edge weights (when present) feed both layers.
+// Two stacked layers, loss = sum(y2 * r): the first layer's input is a
+// leaf and the second's an interior tape node, and the edge weights
+// (when present) feed both layers.
 TwoLayerRun RunTwoLayers(bool per_op, const GinConv& l1, const GinConv& l2,
                          const GraphBatch& batch, const Tensor& x,
                          const Tensor& r) {
@@ -132,7 +136,7 @@ TwoLayerRun RunTwoLayers(bool per_op, const GinConv& l1, const GinConv& l2,
   auto layer = [&](const GinConv& conv, const Tensor& in) {
     return per_op ? PerOpGinLayer(conv, in, batch) : conv.Forward(in, batch);
   };
-  Tensor y = layer(l2, Relu(layer(l1, x)));
+  Tensor y = layer(l2, layer(l1, x));
   Sum(Mul(y, r)).Backward();
   TwoLayerRun run;
   run.out = y.values();
@@ -165,17 +169,26 @@ class GinConvNodeTest : public ::testing::Test {
 
 TEST_F(GinConvNodeTest, MatchesPerOpOnRandomMultiGraphBatches) {
   Rng rng(101);
-  // Small batches, and one large enough to split every ParallelFor.
+  // Node counts of 35, 5 and 841 (3, 1 and 1 mod 4), 1, 2, 3 and 10 leave
+  // every tail of the 4-row tiles; the batches of 840 and 841 nodes are
+  // large enough to split every ParallelFor.
+  std::vector<int64_t> split_plus_one(40, 21);
+  split_plus_one.push_back(1);
   const std::vector<std::vector<int64_t>> shapes = {
-      {1, 6, 11, 17}, {2, 3}, std::vector<int64_t>(40, 21)};
+      {1, 6, 11, 17}, {2, 3}, std::vector<int64_t>(40, 21), {1}, {2}, {3},
+      {4, 6}, split_plus_one};
+  // Hidden widths: 7 is all column tail, 40 one 32-column register tile
+  // plus a tail, and 32 and 64 fill whole tiles.
+  const std::vector<std::pair<int64_t, uint64_t>> widths = {
+      {7, 11}, {40, 12}, {32, 16}, {64, 17}};
   for (const std::vector<int64_t>& sizes : shapes) {
     GraphBatch batch = RandomBatch(sizes, 5, &rng);
     for (const bool x_grad : {true, false}) {
-      SCOPED_TRACE(::testing::Message() << batch.num_nodes << " nodes, x_grad "
-                                      << x_grad);
-      ExpectNodeMatchesPerOp(batch, 5, 7, x_grad, 11);
-      // Wider than one 32-column register tile.
-      ExpectNodeMatchesPerOp(batch, 5, 40, x_grad, 12);
+      for (const auto& [hidden, seed] : widths) {
+        SCOPED_TRACE(::testing::Message() << batch.num_nodes << " nodes, x_grad "
+                                        << x_grad << ", hidden " << hidden);
+        ExpectNodeMatchesPerOp(batch, 5, hidden, x_grad, seed);
+      }
     }
   }
 }
@@ -234,6 +247,22 @@ TEST_F(GinConvNodeTest, GradientsBitwiseIdenticalAcrossThreadCounts) {
   }
 }
 
+// The node applies the encoder's ReLU itself: no output element is
+// negative or -0.0f, and the random pre-activations are not all clamped.
+TEST_F(GinConvNodeTest, ForwardOutputIsActivated) {
+  Rng rng(108);
+  const GraphBatch batch = RandomBatch({1, 6, 11, 17}, 5, &rng);
+  GinConv conv(5, 40, &rng);
+  const Tensor out = conv.Forward(batch.features, batch);
+  size_t positive = 0;
+  for (const float v : out.values()) {
+    EXPECT_GE(v, 0.0f);
+    EXPECT_FALSE(std::signbit(v));
+    if (v > 0.0f) ++positive;
+  }
+  EXPECT_GT(positive, 0u);
+}
+
 // The node counts its two dense layers in tensor/matmul_flops, as the
 // two MatMul calls it replaced did.
 TEST_F(GinConvNodeTest, TalliesDenseLayerFlops) {
@@ -265,7 +294,7 @@ TEST(GinConvNodeDeathTest, OutOfRangeEdgeIndexAborts) {
 TEST(GinInferencePlanTest, EncodeBatchMatchesEncoderBitwise) {
   Rng rng(107);
   const GraphBatch batch = RandomBatch({1, 6, 11, 17, 30, 2}, 7, &rng);
-  for (const int64_t hidden : {16, 40}) {
+  for (const int64_t hidden : {16, 32, 40, 64}) {
     EncoderConfig cfg;
     cfg.arch = GnnArch::kGin;
     cfg.in_dim = 7;

@@ -1,6 +1,7 @@
 // Unit tests for Linear/MLP and the four graph convolution layers,
 // including gradient flow through message passing.
 #include <cmath>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "nn/gat_conv.h"
@@ -107,11 +108,17 @@ TEST(GatConvTest, MultiHeadAveragesToSameShape) {
 }
 
 TEST(GinConvTest, AggregatesNeighborSum) {
-  // With an identity-like setup we can check GIN's pre-MLP aggregation
-  // indirectly: two isolated nodes vs the same nodes connected must give
-  // different outputs for the same features.
+  // With identity MLP weights and zero biases, non-negative features pass
+  // both ReLUs unchanged, so the layer's output is its GIN-0 aggregate
+  // x_v + sum of neighbors: isolated nodes keep their own features, and
+  // connected nodes add each other's.
   Rng rng(10);
   GinConv conv(2, 2, &rng);
+  const std::vector<Tensor> params = conv.Parameters();  // W1 b1 W2 b2
+  params[0].impl()->data = {1.0f, 0.0f, 0.0f, 1.0f};
+  params[1].impl()->data = {0.0f, 0.0f};
+  params[2].impl()->data = {1.0f, 0.0f, 0.0f, 1.0f};
+  params[3].impl()->data = {0.0f, 0.0f};
   Graph isolated(2, 2);
   isolated.set_feature(0, 0, 1.0f);
   isolated.set_feature(1, 0, 2.0f);
@@ -119,13 +126,10 @@ TEST(GinConvTest, AggregatesNeighborSum) {
   connected.AddUndirectedEdge(0, 1);
   GraphBatch bi = GraphBatch::FromGraphPtrs({&isolated});
   GraphBatch bc = GraphBatch::FromGraphPtrs({&connected});
-  Tensor yi = conv.Forward(bi.features, bi);
-  Tensor yc = conv.Forward(bc.features, bc);
-  float diff = 0.0f;
-  for (int64_t i = 0; i < yi.numel(); ++i) {
-    diff += std::fabs(yi.data()[i] - yc.data()[i]);
-  }
-  EXPECT_GT(diff, 1e-4f);
+  EXPECT_EQ(conv.Forward(bi.features, bi).values(),
+            (std::vector<float>{1.0f, 0.0f, 2.0f, 0.0f}));
+  EXPECT_EQ(conv.Forward(bc.features, bc).values(),
+            (std::vector<float>{3.0f, 0.0f, 3.0f, 0.0f}));
 }
 
 TEST(GcnConvTest, PermutationEquivariant) {
