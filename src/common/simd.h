@@ -10,7 +10,10 @@
 // load time.
 //
 // noinline matters: without it GCC can inline the baseline clone into
-// the caller and skip the ifunc dispatch entirely.
+// the caller and skip the ifunc dispatch entirely. The reverse holds for
+// helpers an annotated function calls: mark them [[gnu::always_inline]],
+// or GCC may emit a helper once, for the baseline ISA, and call that
+// copy from every clone.
 //
 // Disabled under ThreadSanitizer/AddressSanitizer: their runtimes are
 // not initialized yet when the dynamic loader runs ifunc resolvers, so
