@@ -30,9 +30,9 @@ Serve-trace mode (request tracing end to end):
 Starts `sgcl_cli serve --trace-sample-rate=1`, drives it with
 serve_load --slowest-traces, then asserts: the /metrics latency
 histogram carries a bucket exemplar that resolves at /v1/traces/<id>;
-the span tree is well-formed (serve/request root with queue wait, batch
-formation, forward, and encode children that sum to within 10% of the
-root's wall time); and `trace_report` parses the /trace chrome dump
+the span tree is well-formed (serve/request root with parse, queue
+wait, forward, and encode children that sum to within 10% of the root's
+wall time); and `trace_report` parses the /trace chrome dump
 (nonzero exit on parse failure fails the check).
 """
 import json
@@ -52,8 +52,8 @@ RING_SIZE = 64
 
 # Every stage a served request passes through; serve/parse is tiny but
 # must still be present for the tree to account for the request.
-SERVE_STAGES = {"serve/parse", "serve/queue_wait", "serve/batch_form",
-                "serve/forward", "serve/encode"}
+SERVE_STAGES = {"serve/parse", "serve/queue_wait", "serve/forward",
+                "serve/encode"}
 
 TELEMETRY_LINE = re.compile(
     r"telemetry: http://127\.0\.0\.1:(\d+) run_id (\S+)")
@@ -238,8 +238,7 @@ def check_serve_traces(cli: str, serve_load: str, trace_report: str,
     proc = subprocess.Popen(
         [cli, "serve", f"--model={model}", "--http-port=0",
          "--http-threads=8", "--max-batch-graphs=16",
-         "--batch-timeout-us=500", "--trace-sample-rate=1",
-         "--trace-ring-size=256"],
+         "--trace-sample-rate=1", "--trace-ring-size=256"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     port = 0
     try:

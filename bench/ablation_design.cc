@@ -36,7 +36,7 @@ double Pearson(const std::vector<float>& a, const std::vector<float>& b) {
 int main(int argc, char** argv) {
   SetLogLevel(LogLevel::kWarning);
   std::string only;
-  BenchScale scale = ParseArgs(argc, argv, &only);
+  BenchScale scale = ParseArgs(argc, argv, {"generator", "pooling"}, &only);
   Stopwatch total;
 
   GraphDataset mutag = MakeTu(TuDataset::kMutag, scale, /*seed=*/600);

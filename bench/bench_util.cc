@@ -10,7 +10,9 @@
 
 namespace sgcl::bench {
 
-BenchScale ParseArgs(int argc, char** argv, std::string* only_filter) {
+BenchScale ParseArgs(int argc, char** argv,
+                     const std::vector<std::string>& rows,
+                     std::string* only_filter) {
   BenchScale scale;
   std::string mode = "ci";
   int seeds = scale.seeds;
@@ -21,7 +23,8 @@ BenchScale ParseArgs(int argc, char** argv, std::string* only_filter) {
                "paper (the paper's full protocol sizes)");
   flags.Int("seeds", &seeds, "seed count (paper mode's default is 5)");
   flags.String("only", only_filter,
-               "run only datasets/methods whose name contains this");
+               "run only the rows (methods, kernels, variants, sweeps, "
+               "architectures) whose name contains this");
   Status st = flags.Parse(argc, argv, 1);
   if (flags.help_requested()) {
     std::printf("%s", flags.Help().c_str());
@@ -33,6 +36,18 @@ BenchScale ParseArgs(int argc, char** argv, std::string* only_filter) {
   if (st.ok() && flags.IsSet("seeds") && seeds < 1) {
     st = Status::InvalidArgument(
         StrFormat("--seeds must be >= 1, got %d", seeds));
+  }
+  if (st.ok() && !only_filter->empty() &&
+      std::none_of(rows.begin(), rows.end(), [&](const std::string& row) {
+        return Selected(row, *only_filter);
+      })) {
+    std::string names;
+    for (const std::string& row : rows) {
+      names += (names.empty() ? "" : ", ") + row;
+    }
+    st = Status::InvalidArgument("--only=" + *only_filter +
+                                 " selects no row; the rows are: " +
+                                 (names.empty() ? "(none)" : names));
   }
   if (!st.ok()) {
     std::fprintf(stderr, "error: %s\n%s", st.ToString().c_str(),

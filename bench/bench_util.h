@@ -4,7 +4,8 @@
 //   --mode=ci     scaled-down sizes that finish on a single core (default)
 //   --mode=paper  the paper's full protocol sizes
 //   --seeds=N     override the seed count
-//   --only=SUBSTR run only datasets/methods whose name contains SUBSTR
+//   --only=SUBSTR run only the rows (methods, kernels, variants, sweeps,
+//                 architectures) whose name contains SUBSTR
 #ifndef SGCL_BENCH_BENCH_UTIL_H_
 #define SGCL_BENCH_BENCH_UTIL_H_
 
@@ -42,9 +43,13 @@ struct BenchScale {
 };
 
 // Parses --mode/--seeds/--only; returns the scale and sets `only_filter`.
-// Exits 0 after --help, and 2 on an unknown flag, an unknown mode, or a
-// malformed or < 1 seed count, before any dataset is built.
-BenchScale ParseArgs(int argc, char** argv, std::string* only_filter);
+// `rows` names the binary's rows, the things --only selects. Exits 0 after
+// --help, and 2 on an unknown flag, an unknown mode, a malformed or < 1
+// seed count, or an --only that selects none of `rows`, before any
+// dataset is built.
+BenchScale ParseArgs(int argc, char** argv,
+                     const std::vector<std::string>& rows,
+                     std::string* only_filter);
 
 // True when `name` passes the --only filter (case-sensitive substring).
 bool Selected(const std::string& name, const std::string& only_filter);

@@ -25,16 +25,6 @@ struct Sweep {
 
 int main(int argc, char** argv) {
   SetLogLevel(LogLevel::kWarning);
-  std::string only;
-  BenchScale scale = ParseArgs(argc, argv, &only);
-
-  const std::vector<TuDataset> datasets = {
-      TuDataset::kProteins, TuDataset::kDd, TuDataset::kImdbB};
-  std::vector<GraphDataset> data;
-  for (size_t d = 0; d < datasets.size(); ++d) {
-    data.push_back(MakeTu(datasets[d], scale, /*seed=*/900 + d));
-  }
-
   const std::vector<Sweep> sweeps = {
       {"lambda_c",
        {0.0001, 0.001, 0.005, 0.01, 0.05, 0.1},
@@ -49,6 +39,17 @@ int main(int argc, char** argv) {
        {0.1, 0.2, 0.3, 0.4, 0.5},
        [](SgclConfig* c, double v) { c->tau = static_cast<float>(v); }},
   };
+  std::vector<std::string> rows;
+  for (const Sweep& sweep : sweeps) rows.push_back(sweep.name);
+  std::string only;
+  BenchScale scale = ParseArgs(argc, argv, rows, &only);
+
+  const std::vector<TuDataset> datasets = {
+      TuDataset::kProteins, TuDataset::kDd, TuDataset::kImdbB};
+  std::vector<GraphDataset> data;
+  for (size_t d = 0; d < datasets.size(); ++d) {
+    data.push_back(MakeTu(datasets[d], scale, /*seed=*/900 + d));
+  }
 
   UnsupervisedProtocolOptions proto;
   proto.num_seeds = scale.seeds;

@@ -27,16 +27,6 @@ struct Sweep {
 
 int main(int argc, char** argv) {
   SetLogLevel(LogLevel::kWarning);
-  std::string only;
-  BenchScale scale = ParseArgs(argc, argv, &only);
-
-  GraphDataset zinc = MakeZincLikeDataset(scale.zinc_graphs, /*seed=*/321);
-  GraphDataset bbbp = MakeMol(MolTask::kBbbp, scale, /*seed=*/501);
-  ThreeWaySplit split = ScaffoldSplit(bbbp, 0.8, 0.1);
-  FinetuneConfig ft;
-  ft.epochs = scale.finetune_epochs;
-  ft.batch_size = scale.batch_size;
-
   const std::vector<Sweep> sweeps = {
       {"lambda_c",
        {0.0001, 0.001, 0.005, 0.01, 0.05, 0.1},
@@ -51,6 +41,17 @@ int main(int argc, char** argv) {
        {0.1, 0.2, 0.3, 0.4, 0.5},
        [](SgclConfig* c, double v) { c->tau = static_cast<float>(v); }},
   };
+  std::vector<std::string> rows;
+  for (const Sweep& sweep : sweeps) rows.push_back(sweep.name);
+  std::string only;
+  BenchScale scale = ParseArgs(argc, argv, rows, &only);
+
+  GraphDataset zinc = MakeZincLikeDataset(scale.zinc_graphs, /*seed=*/321);
+  GraphDataset bbbp = MakeMol(MolTask::kBbbp, scale, /*seed=*/501);
+  ThreeWaySplit split = ScaffoldSplit(bbbp, 0.8, 0.1);
+  FinetuneConfig ft;
+  ft.epochs = scale.finetune_epochs;
+  ft.batch_size = scale.batch_size;
 
   Stopwatch total;
   std::printf(

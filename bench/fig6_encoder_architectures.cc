@@ -15,8 +15,12 @@ using namespace sgcl::bench;
 
 int main(int argc, char** argv) {
   SetLogLevel(LogLevel::kWarning);
+  const std::vector<GnnArch> archs = {GnnArch::kGcn, GnnArch::kSage,
+                                      GnnArch::kGat, GnnArch::kGin};
+  std::vector<std::string> rows;
+  for (GnnArch arch : archs) rows.push_back(GnnArchToString(arch));
   std::string only;
-  BenchScale scale = ParseArgs(argc, argv, &only);
+  BenchScale scale = ParseArgs(argc, argv, rows, &only);
 
   const std::vector<TuDataset> datasets = {
       TuDataset::kMutag, TuDataset::kProteins, TuDataset::kDd,
@@ -27,9 +31,6 @@ int main(int argc, char** argv) {
     data.push_back(MakeTu(datasets[d], scale, /*seed=*/700 + d));
     dataset_names.push_back(data.back().name());
   }
-
-  const std::vector<GnnArch> archs = {GnnArch::kGcn, GnnArch::kSage,
-                                      GnnArch::kGat, GnnArch::kGin};
 
   UnsupervisedProtocolOptions proto;
   proto.num_seeds = scale.seeds;

@@ -46,8 +46,9 @@ double StrokeAuc(const std::vector<float>& scores, const Graph& g) {
 
 int main(int argc, char** argv) {
   SetLogLevel(LogLevel::kWarning);
+  // One figure, no rows: any --only is a usage error.
   std::string only;
-  BenchScale scale = ParseArgs(argc, argv, &only);
+  BenchScale scale = ParseArgs(argc, argv, /*rows=*/{}, &only);
 
   Stopwatch total;
   const int per_digit = scale.paper ? 40 : 12;

@@ -16,8 +16,14 @@ using namespace sgcl::bench;
 
 int main(int argc, char** argv) {
   SetLogLevel(LogLevel::kWarning);
+  const std::vector<KernelKind> kernels = {
+      KernelKind::kGraphlet, KernelKind::kWlSubtree, KernelKind::kDeepWl};
+  const std::vector<std::string> methods = UnsupervisedMethodNames();
+  std::vector<std::string> rows;
+  for (KernelKind kind : kernels) rows.push_back(GraphKernel(kind).name());
+  rows.insert(rows.end(), methods.begin(), methods.end());
   std::string only;
-  BenchScale scale = ParseArgs(argc, argv, &only);
+  BenchScale scale = ParseArgs(argc, argv, rows, &only);
 
   const std::vector<TuDataset> datasets = AllTuDatasets();
   std::vector<std::string> dataset_names;
@@ -31,8 +37,7 @@ int main(int argc, char** argv) {
   proto.cv_folds = scale.cv_folds;
 
   // --- Graph-kernel rows. ---
-  for (KernelKind kind :
-       {KernelKind::kGraphlet, KernelKind::kWlSubtree, KernelKind::kDeepWl}) {
+  for (KernelKind kind : kernels) {
     GraphKernel kernel(kind);
     if (!Selected(kernel.name(), only)) continue;
     std::vector<std::optional<MeanStd>> row;
@@ -52,7 +57,7 @@ int main(int argc, char** argv) {
   }
 
   // --- Self-supervised rows. ---
-  for (const std::string& method : UnsupervisedMethodNames()) {
+  for (const std::string& method : methods) {
     if (!Selected(method, only)) continue;
     std::vector<std::optional<MeanStd>> row;
     for (size_t d = 0; d < datasets.size(); ++d) {

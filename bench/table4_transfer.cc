@@ -18,8 +18,9 @@ using namespace sgcl::bench;
 
 int main(int argc, char** argv) {
   SetLogLevel(LogLevel::kWarning);
+  const std::vector<std::string> methods = TransferMethodNames();
   std::string only;
-  BenchScale scale = ParseArgs(argc, argv, &only);
+  BenchScale scale = ParseArgs(argc, argv, methods, &only);
 
   const std::vector<MolTask> tasks = AllMolTasks();
   std::vector<std::string> task_names;
@@ -36,7 +37,7 @@ int main(int argc, char** argv) {
   ft.epochs = scale.finetune_epochs;
   ft.batch_size = scale.batch_size;
 
-  for (const std::string& method : TransferMethodNames()) {
+  for (const std::string& method : methods) {
     if (!Selected(method, only)) continue;
     std::vector<std::vector<double>> per_task(tasks.size());
     for (int s = 0; s < scale.seeds; ++s) {

@@ -43,8 +43,11 @@ SgclConfig VariantConfig(const std::string& variant, int64_t feat_dim,
 
 int main(int argc, char** argv) {
   SetLogLevel(LogLevel::kWarning);
+  const std::vector<std::string> variants = {
+      "SGCL w/o VG", "SGCL w/o LGA", "SGCL w/o SRL",
+      "SGCL w/o Lc", "SGCL w/o LW",  "SGCL"};
   std::string only;
-  BenchScale scale = ParseArgs(argc, argv, &only);
+  BenchScale scale = ParseArgs(argc, argv, variants, &only);
 
   const std::vector<MolTask> tasks = {MolTask::kBbbp, MolTask::kTox21,
                                       MolTask::kToxcast, MolTask::kSider};
@@ -55,10 +58,6 @@ int main(int argc, char** argv) {
     task_names.push_back(downstream.back().name());
   }
   GraphDataset zinc = MakeZincLikeDataset(scale.zinc_graphs, /*seed=*/321);
-
-  const std::vector<std::string> variants = {
-      "SGCL w/o VG", "SGCL w/o LGA", "SGCL w/o SRL",
-      "SGCL w/o Lc", "SGCL w/o LW",  "SGCL"};
 
   ResultTable table(task_names);
   Stopwatch total;

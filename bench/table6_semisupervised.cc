@@ -17,8 +17,11 @@ using namespace sgcl::bench;
 
 int main(int argc, char** argv) {
   SetLogLevel(LogLevel::kWarning);
+  const std::vector<std::string> methods = {
+      "No Pre-Train", "GAE",     "Infomax", "GraphCL",
+      "JOAOv2",       "SimGRACE", "AutoGCL", "SGCL"};
   std::string only;
-  BenchScale scale = ParseArgs(argc, argv, &only);
+  BenchScale scale = ParseArgs(argc, argv, methods, &only);
 
   const std::vector<TuDataset> datasets = {TuDataset::kNci1,
                                            TuDataset::kCollab};
@@ -37,10 +40,6 @@ int main(int argc, char** argv) {
   for (TuDataset d : datasets) {
     data.push_back(MakeTu(d, scale, /*seed=*/800 + static_cast<int>(d)));
   }
-
-  const std::vector<std::string> methods = {
-      "No Pre-Train", "GAE",     "Infomax", "GraphCL",
-      "JOAOv2",       "SimGRACE", "AutoGCL", "SGCL"};
 
   ResultTable table(columns);
   Stopwatch total;

@@ -16,6 +16,7 @@
 #ifndef SGCL_COMMON_PARALLEL_H_
 #define SGCL_COMMON_PARALLEL_H_
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -90,6 +91,16 @@ void SetParallelThreads(int num_threads);
 // wins) after all chunks finish.
 void ParallelFor(int64_t begin, int64_t end, int64_t grain,
                  const std::function<void(int64_t, int64_t)>& fn);
+
+// The grain for a row-partitioned kernel costing `work_per_row` (flops or
+// multiply-adds) per row: chunks of at least 2^16, so a small range runs
+// inline and a large one splits into ~64K tasks. The row-parallel kernels
+// of tensor/ops.cc and nn/gin_kernel.cc share this one rule.
+inline int64_t RowGrain(int64_t work_per_row) {
+  constexpr int64_t kMinWorkPerChunk = 1 << 16;
+  return std::max<int64_t>(
+      1, kMinWorkPerChunk / std::max<int64_t>(1, work_per_row));
+}
 
 }  // namespace sgcl
 

@@ -194,7 +194,7 @@ class TraceRing {
 // Records a completed span with explicit timestamps (TraceNowUs values)
 // into the trace ring as a child of `parent`. Used by instrumentation
 // that reconstructs phases after the fact (the micro-batcher's
-// per-request queue_wait/batch_form/forward); no-op returning 0 when
+// per-request queue_wait/forward); no-op returning 0 when
 // `parent` is invalid. Returns the span's id. Passing a nonzero
 // `span_id` (from TraceRing::NextSpanId) uses it instead of allocating;
 // this lets callers pre-allocate an id, run nested work under

@@ -8,14 +8,6 @@
 namespace sgcl {
 namespace {
 
-// Same sizing rule as the row-parallel kernels in tensor/ops.cc: chunks
-// of at least ~64K flops so scheduling overhead stays negligible.
-int64_t RowGrain(int64_t flops_per_row) {
-  constexpr int64_t kMinFlopsPerChunk = 1 << 16;
-  return std::max<int64_t>(1, kMinFlopsPerChunk /
-                                  std::max<int64_t>(1, flops_per_row));
-}
-
 // Output tiles of the dense products are kTileRows x kTileCols: 128
 // accumulators, eight 512-bit registers on x86-64-v4.
 constexpr int64_t kTileRows = 4;

@@ -1,7 +1,5 @@
 #include "serve/batcher.h"
 
-#include <algorithm>
-#include <chrono>
 #include <future>
 #include <utility>
 
@@ -28,12 +26,13 @@ int64_t TotalNodes(const std::vector<Graph>& graphs) {
 struct MicroBatcher::Pending {
   const std::vector<Graph>* graphs;
   int64_t total_nodes;
-  std::chrono::steady_clock::time_point enqueue_time;
+  // TraceNowUs() at enqueue: the start of both the queue_wait_us sample
+  // and, when traced, the request's serve/queue_wait span.
+  int64_t enqueue_us = 0;
   // Submitter's ambient TraceContext (the request's root span), captured
   // at enqueue so the dispatch thread can attribute this request's
-  // queue_wait / batch_form phases to its trace.
+  // queue_wait phase to its trace.
   TraceContext trace_ctx;
-  int64_t enqueue_us = 0;  // TraceNowUs() µs, only set when traced
   // Stamped by RunBatch before the promise resolves (the fulfilment is
   // the synchronization point): the submitter records its serve/forward
   // span from run_start_us to its own wake-up, so result delivery and
@@ -109,11 +108,8 @@ Result<std::vector<std::vector<float>>> MicroBatcher::Submit(
   Pending pending;
   pending.graphs = &graphs;
   pending.total_nodes = TotalNodes(graphs);
-  pending.enqueue_time = std::chrono::steady_clock::now();
+  pending.enqueue_us = TraceNowUs();
   pending.trace_ctx = CurrentTraceContext();
-  if (pending.trace_ctx.valid()) {
-    pending.enqueue_us = TraceNowUs();
-  }
   auto future = pending.promise.get_future();
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -146,72 +142,44 @@ Result<std::vector<std::vector<float>>> MicroBatcher::Submit(
 void MicroBatcher::DispatchLoop() {
   for (;;) {
     std::vector<Pending*> batch;
-    int64_t batch_graphs = 0;
-    int64_t batch_nodes = 0;
-    int64_t form_start_us = 0;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
       if (stopping_ && queue_.empty()) return;
-      form_start_us = TraceNowUs();
-
-      // FILLING: admit the oldest request unconditionally, then keep
-      // admitting while the caps hold — waiting out the timeout window
-      // when the queue runs dry early.
-      const auto deadline = std::chrono::steady_clock::now() +
-                            std::chrono::microseconds(options_.batch_timeout_us);
-      for (;;) {
-        while (!queue_.empty()) {
-          Pending* front = queue_.front();
-          const int64_t graphs =
-              static_cast<int64_t>(front->graphs->size());
-          const bool fits =
-              batch.empty() ||
-              (batch_graphs + graphs <= options_.max_batch_graphs &&
-               batch_nodes + front->total_nodes <= options_.max_batch_nodes);
-          if (!fits) break;
-          queue_.pop_front();
-          batch.push_back(front);
-          batch_graphs += graphs;
-          batch_nodes += front->total_nodes;
-          if (batch_graphs >= options_.max_batch_graphs ||
-              batch_nodes >= options_.max_batch_nodes) {
-            break;
-          }
+      // Admit the oldest request unconditionally, then keep admitting in
+      // FIFO order while the caps hold; a head that does not fit closes
+      // the batch and leads the next one.
+      int64_t batch_graphs = 0;
+      int64_t batch_nodes = 0;
+      while (!queue_.empty()) {
+        Pending* front = queue_.front();
+        const int64_t graphs = static_cast<int64_t>(front->graphs->size());
+        if (!batch.empty() &&
+            (batch_graphs + graphs > options_.max_batch_graphs ||
+             batch_nodes + front->total_nodes > options_.max_batch_nodes)) {
+          break;
         }
-        const bool full = batch_graphs >= options_.max_batch_graphs ||
-                          batch_nodes >= options_.max_batch_nodes ||
-                          (!queue_.empty());  // head does not fit: close
-        if (full || stopping_ || options_.batch_timeout_us <= 0) break;
-        if (cv_.wait_until(lock, deadline, [this] {
-              return stopping_ || !queue_.empty();
-            })) {
-          if (stopping_) break;
-          continue;  // more work arrived within the window
-        }
-        break;  // timeout: ship the partial batch
+        queue_.pop_front();
+        batch.push_back(front);
+        batch_graphs += graphs;
+        batch_nodes += front->total_nodes;
       }
       queue_depth_->Set(static_cast<double>(queue_.size()));
     }
-    if (!batch.empty()) RunBatch(std::move(batch), form_start_us);
+    RunBatch(std::move(batch));
   }
 }
 
-void MicroBatcher::RunBatch(std::vector<Pending*> batch,
-                            int64_t form_start_us) {
-  const auto now = std::chrono::steady_clock::now();
+void MicroBatcher::RunBatch(std::vector<Pending*> batch) {
+  const int64_t run_start_us = TraceNowUs();
   std::vector<const Graph*> graphs;
   for (const Pending* p : batch) {
-    queue_wait_us_->Observe(static_cast<double>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            now - p->enqueue_time)
-            .count()));
+    queue_wait_us_->Observe(static_cast<double>(run_start_us - p->enqueue_us));
     for (const Graph& g : *p->graphs) graphs.push_back(&g);
   }
   // Forward span ids are pre-allocated so spans recorded *inside* the
   // forward (inference_session) can nest under them; the forwards run
   // under the first traced request's context.
-  const int64_t run_start_us = TraceNowUs();
   std::vector<uint64_t> forward_span_ids(batch.size(), 0);
   TraceContext forward_ctx;
   for (size_t i = 0; i < batch.size(); ++i) {
@@ -272,18 +240,15 @@ void MicroBatcher::RunBatch(std::vector<Pending*> batch,
     }
     begin = end;
   }
-  // Attribute this batch's pre-execution phases to every traced request
-  // before any promise resolves (the request root span closes on the
-  // submitter's thread right after; spans arriving later would be
-  // dropped), and stamp the forward timing so the submitter can close
-  // its serve/forward span at wake-up.
+  // Record each traced request's queue wait (enqueue to run start, the
+  // interval queue_wait_us measures) before any promise resolves (the
+  // request root span closes on the submitter's thread right after;
+  // spans arriving later would be dropped), and stamp the forward timing
+  // so the submitter can close its serve/forward span at wake-up.
   for (size_t i = 0; i < batch.size(); ++i) {
     Pending* p = batch[i];
     if (!p->trace_ctx.valid()) continue;
-    const int64_t form_us = std::max(p->enqueue_us, form_start_us);
     RecordManualSpan("serve/queue_wait", p->trace_ctx, p->enqueue_us,
-                     form_us);
-    RecordManualSpan("serve/batch_form", p->trace_ctx, form_us,
                      run_start_us);
     p->run_start_us = run_start_us;
     p->forward_span_id = forward_span_ids[i];

@@ -1,19 +1,16 @@
 // Dynamic micro-batcher: coalesces concurrent inference requests into
 // one block-diagonal batch per model forward.
 //
-// State machine (one dispatch thread per batcher):
-//
-//   IDLE --first request arrives--> FILLING
-//   FILLING: pop FIFO requests while the batch stays within
-//            max_batch_graphs / max_batch_nodes; when the queue runs dry
-//            wait until the oldest admitted request is batch_timeout_us
-//            old, then EXECUTE whatever has accumulated.
-//   EXECUTE: BatchFn calls over the concatenated graphs, re-chunked so
-//            every forward respects the caps (an oversized request is
-//            split; a lone graph bigger than max_batch_nodes is
-//            indivisible and runs alone); per-request slices of the
-//            result fulfil each caller's future; back to IDLE (or
-//            straight to FILLING when the queue is non-empty).
+// Dispatch (one thread per batcher): wait for a non-empty queue, pop
+// FIFO requests while the batch stays within max_batch_graphs /
+// max_batch_nodes, then call BatchFn over the concatenated graphs,
+// re-chunked so every forward respects the caps (an oversized request
+// is split; a lone graph bigger than max_batch_nodes is indivisible and
+// runs alone); per-request slices of the result fulfil each caller's
+// future. The batcher is work-conserving: it never waits for
+// stragglers. A batch is whatever is queued when the dispatch thread is
+// free, so at low load a request runs alone at once, and under load the
+// requests that arrive while a forward runs form the next batch.
 //
 // Queueing / overload policy: admission is bounded by
 // max_queue_requests; when the queue is full Submit fails fast with
@@ -55,9 +52,6 @@ struct MicroBatcherOptions {
   // (only a lone graph bigger than max_batch_nodes runs over the node
   // cap — graphs are indivisible).
   int64_t max_batch_nodes = 4096;
-  // How long the dispatch thread waits for more work after admitting the
-  // batch's first request. 0 = never wait (greedy drain of the queue).
-  int64_t batch_timeout_us = 2000;
   // Admission bound: requests queued but not yet executing. Full queue =
   // Unavailable.
   int64_t max_queue_requests = 256;
@@ -98,10 +92,7 @@ class MicroBatcher {
   // Waits on cv_ through std::unique_lock, which libc++'s analysis
   // does not model; sgcl_lint's R8 does and keeps this machine-checked.
   void DispatchLoop() SGCL_NO_THREAD_SAFETY_ANALYSIS;
-  // `form_start_us` is the collector-epoch time batch formation opened
-  // (first admit), used to split traced requests' pre-execution time
-  // into queue_wait vs. batch_form spans.
-  void RunBatch(std::vector<Pending*> batch, int64_t form_start_us);
+  void RunBatch(std::vector<Pending*> batch);
 
   const std::string name_;
   const MicroBatcherOptions options_;

@@ -30,7 +30,7 @@ namespace serve {
 
 struct RequestLimits {
   int64_t max_graphs = 64;       // graphs per request
-  int64_t max_total_nodes = 4096;  // summed over the request's graphs
+  int64_t max_total_nodes = 2048;  // summed over the request's graphs
 };
 
 // Parses a request body into graphs with `feat_dim` features per node.

@@ -147,10 +147,10 @@ HttpResponse ServeService::HandleGraphsRequest(const HttpRequest& request,
   const auto t0 = std::chrono::steady_clock::now();
   requests->Increment();
   // Maybe open a sampled trace for this request; the root span below
-  // becomes the tree's root and every phase (parse, queue wait, batch
-  // formation, forward, encode) hangs off it. The id goes back to the
-  // client in X-Sgcl-Trace and onto the latency exemplar so a p99
-  // bucket in /metrics resolves to a /v1/traces/<id> lookup.
+  // becomes the tree's root and every phase (parse, queue wait, forward,
+  // encode) hangs off it. The id goes back to the client in X-Sgcl-Trace
+  // and onto the latency exemplar so a p99 bucket in /metrics resolves to
+  // a /v1/traces/<id> lookup.
   const TraceContext root_ctx = TraceRing::Global().MaybeStartTrace();
   const uint64_t trace_id = root_ctx.trace_id;
   ScopedTraceContext trace_install(root_ctx);
@@ -210,7 +210,7 @@ HttpResponse ServeService::HandleInfo() const {
       "\"embed_dim\":%lld,\"num_layers\":%d,\"pooling\":\"%s\",\"fused\":%s},"
       "\"limits\":{\"max_graphs\":%lld,\"max_total_nodes\":%lld},"
       "\"batcher\":{\"max_batch_graphs\":%lld,\"max_batch_nodes\":%lld,"
-      "\"batch_timeout_us\":%lld,\"max_queue_requests\":%lld}}\n",
+      "\"max_queue_requests\":%lld}}\n",
       kSgclVersion, GnnArchToString(enc.arch),
       static_cast<long long>(session_.feat_dim()),
       static_cast<long long>(session_.embed_dim()), enc.num_layers,
@@ -219,7 +219,6 @@ HttpResponse ServeService::HandleInfo() const {
       static_cast<long long>(options_.limits.max_total_nodes),
       static_cast<long long>(options_.batcher.max_batch_graphs),
       static_cast<long long>(options_.batcher.max_batch_nodes),
-      static_cast<long long>(options_.batcher.batch_timeout_us),
       static_cast<long long>(options_.batcher.max_queue_requests));
   return response;
 }

@@ -21,14 +21,6 @@ void TallyMatMul(const char* which, int64_t flops) {
   internal::TallyMatMulFlops(flops);
 }
 
-// Rows per ParallelFor chunk for a kernel costing `flops_per_row`: small
-// matrices stay inline; large ones split into ~64 KFLOP tasks.
-int64_t RowGrain(int64_t flops_per_row) {
-  constexpr int64_t kMinFlopsPerChunk = 1 << 16;
-  return std::max<int64_t>(1,
-                           kMinFlopsPerChunk / std::max<int64_t>(1, flops_per_row));
-}
-
 // Accumulates `delta` into `t`'s grad if it participates in autograd.
 void AccumulateGrad(const std::shared_ptr<TensorImpl>& t,
                     const std::vector<float>& delta) {

@@ -1,18 +1,18 @@
-// MicroBatcher unit tests: coalescing, FIFO no-overtake batch closing,
-// cap enforcement, timeout flushes, overload rejection, stop draining,
-// and error propagation. Timing-sensitive tests use generous windows and
-// explicit synchronization instead of sleeps wherever possible.
+// MicroBatcher unit tests: a lone request runs at once, requests queued
+// behind a forward coalesce, FIFO no-overtake batch closing, cap
+// enforcement, overload rejection, stop draining, and error propagation.
+// Tests that need a queue hold the first forward with a gate and wait on
+// the queue_depth gauge instead of sleeping.
 #include "serve/batcher.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "common/metrics.h"
+#include "serve/batch_gate.h"
 
 namespace sgcl {
 namespace serve {
@@ -38,10 +38,9 @@ Status NodeCountFn(const std::vector<const Graph*>& graphs,
   return Status::OK();
 }
 
-TEST(MicroBatcherTest, SingleRequestFlushesOnTimeout) {
+TEST(MicroBatcherTest, SingleRequestRunsAtOnce) {
   MicroBatcherOptions options;
   options.max_batch_graphs = 64;
-  options.batch_timeout_us = 1000;  // nothing else arrives: timeout ships it
   MicroBatcher batcher("t_single", options, NodeCountFn);
   ASSERT_TRUE(batcher.Start().ok());
   const std::vector<Graph> graphs = MakeGraphs(3, 5);
@@ -60,66 +59,69 @@ TEST(MicroBatcherTest, ConcurrentRequestsCoalesce) {
   MicroBatcherOptions options;
   options.max_batch_graphs = 64;
   options.max_batch_nodes = 1 << 20;
-  options.batch_timeout_us = 200000;  // wide window: all requests coalesce
-  MicroBatcher batcher("t_coalesce", options, NodeCountFn);
+  FirstForwardGate gate;
+  MicroBatcher batcher("t_coalesce", options, gate.Wrap(NodeCountFn));
   ASSERT_TRUE(batcher.Start().ok());
 
-  constexpr int kThreads = 6;
+  constexpr int kRequests = 6;
   std::vector<std::vector<Graph>> inputs;
-  for (int i = 0; i < kThreads; ++i) inputs.push_back(MakeGraphs(2, 4));
-  std::vector<std::thread> threads;
+  for (int i = 0; i < kRequests; ++i) inputs.push_back(MakeGraphs(2, 4));
   std::atomic<int> ok_count{0};
-  for (int i = 0; i < kThreads; ++i) {
-    threads.emplace_back([&, i] {
-      auto rows = batcher.Submit(inputs[i]);
-      if (rows.ok() && rows->size() == 2u) ok_count.fetch_add(1);
-    });
-  }
+  auto submit = [&](int i) {
+    auto rows = batcher.Submit(inputs[i]);
+    if (rows.ok() && rows->size() == 2u) ok_count.fetch_add(1);
+  };
+  std::vector<std::thread> threads;
+  threads.emplace_back(submit, 0);
+  gate.WaitEntered();  // request 0 runs alone and holds the dispatch thread
+  for (int i = 1; i < kRequests; ++i) threads.emplace_back(submit, i);
+  WaitForQueueDepth("t_coalesce", kRequests - 1);
+  gate.Open();
   for (std::thread& t : threads) t.join();
-  EXPECT_EQ(ok_count.load(), kThreads);
-  // All six requests landed within one timeout window, so they ran in
-  // far fewer batches than requests (typically 1-2; the first request
-  // can slip into its own batch before the others enqueue).
-  EXPECT_LE(batcher.batches_executed(), 3);
+  EXPECT_EQ(ok_count.load(), kRequests);
+  // The five requests that queued behind the first forward ran together.
+  EXPECT_EQ(batcher.batches_executed(), 2);
   batcher.Stop();
 }
 
 TEST(MicroBatcherTest, GraphCapClosesBatch) {
   MicroBatcherOptions options;
   options.max_batch_graphs = 2;
-  options.batch_timeout_us = 200000;
-  // The batch function observes at most 2 graphs per call.
   std::mutex mu;
   std::vector<size_t> batch_sizes;
-  auto fn = [&](const std::vector<const Graph*>& graphs,
-                std::vector<std::vector<float>>* rows) {
+  FirstForwardGate gate;
+  auto fn = gate.Wrap([&](const std::vector<const Graph*>& graphs,
+                          std::vector<std::vector<float>>* rows) {
     {
       std::lock_guard<std::mutex> lock(mu);
       batch_sizes.push_back(graphs.size());
     }
     return NodeCountFn(graphs, rows);
-  };
+  });
   MicroBatcher batcher("t_graph_cap", options, fn);
   ASSERT_TRUE(batcher.Start().ok());
-  constexpr int kThreads = 4;
+  constexpr int kRequests = 4;
   std::vector<std::vector<Graph>> inputs;
-  for (int i = 0; i < kThreads; ++i) inputs.push_back(MakeGraphs(1, 3));
+  for (int i = 0; i < kRequests; ++i) inputs.push_back(MakeGraphs(1, 3));
+  auto submit = [&](int i) { (void)batcher.Submit(inputs[i]); };
   std::vector<std::thread> threads;
-  for (int i = 0; i < kThreads; ++i) {
-    threads.emplace_back([&, i] { (void)batcher.Submit(inputs[i]); });
-  }
+  threads.emplace_back(submit, 0);
+  gate.WaitEntered();
+  for (int i = 1; i < kRequests; ++i) threads.emplace_back(submit, i);
+  WaitForQueueDepth("t_graph_cap", kRequests - 1);
+  gate.Open();
   for (std::thread& t : threads) t.join();
   batcher.Stop();
+  // Request 0 ran alone; of the three queued behind it, the cap closed
+  // the next batch at two graphs and the third ran last.
   std::lock_guard<std::mutex> lock(mu);
-  ASSERT_FALSE(batch_sizes.empty());
-  for (size_t size : batch_sizes) EXPECT_LE(size, 2u);
+  EXPECT_EQ(batch_sizes, (std::vector<size_t>{1, 2, 1}));
 }
 
 TEST(MicroBatcherTest, OversizedRequestStillRunsAlone) {
   MicroBatcherOptions options;
   options.max_batch_graphs = 64;
   options.max_batch_nodes = 4;  // each 10-node graph exceeds the cap
-  options.batch_timeout_us = 0;
   MicroBatcher batcher("t_oversized", options, NodeCountFn);
   ASSERT_TRUE(batcher.Start().ok());
   // A single graph above max_batch_nodes is indivisible: it must still
@@ -139,7 +141,6 @@ TEST(MicroBatcherTest, CapsSplitOversizedRequestsAcrossForwards) {
   // batch-size-1 baseline), and results still arrive in request order.
   MicroBatcherOptions options;
   options.max_batch_graphs = 1;
-  options.batch_timeout_us = 0;
   std::mutex mu;
   std::vector<size_t> forward_sizes;
   auto fn = [&](const std::vector<const Graph*>& graphs,
@@ -172,7 +173,6 @@ TEST(MicroBatcherTest, NodeCapSplitsMixedRequest) {
   MicroBatcherOptions options;
   options.max_batch_graphs = 64;
   options.max_batch_nodes = 7;
-  options.batch_timeout_us = 0;
   MicroBatcher batcher("t_nodecap", options, NodeCountFn);
   ASSERT_TRUE(batcher.Start().ok());
   const std::vector<Graph> graphs = MakeGraphs(5, 3);
@@ -186,44 +186,28 @@ TEST(MicroBatcherTest, NodeCapSplitsMixedRequest) {
 TEST(MicroBatcherTest, RejectsWhenQueueFullAndWhenStopped) {
   MicroBatcherOptions options;
   options.max_queue_requests = 1;
-  options.batch_timeout_us = 0;
-  // Block the dispatch thread inside the batch function so the queue
+  // Hold the dispatch thread inside the batch function so the queue
   // backs up deterministically.
-  std::promise<void> entered;
-  std::promise<void> release;
-  std::shared_future<void> release_future = release.get_future().share();
-  std::atomic<bool> first{true};
-  auto fn = [&](const std::vector<const Graph*>& graphs,
-                std::vector<std::vector<float>>* rows) {
-    if (first.exchange(false)) {
-      entered.set_value();
-      release_future.wait();
-    }
-    return NodeCountFn(graphs, rows);
-  };
-  MicroBatcher batcher("t_overload", options, fn);
+  FirstForwardGate gate;
+  MicroBatcher batcher("t_overload", options, gate.Wrap(NodeCountFn));
   ASSERT_TRUE(batcher.Start().ok());
 
   const std::vector<Graph> a = MakeGraphs(1, 3);
   const std::vector<Graph> b = MakeGraphs(1, 3);
   const std::vector<Graph> c = MakeGraphs(1, 3);
   std::thread blocker([&] { (void)batcher.Submit(a); });
-  entered.get_future().wait();  // dispatch is now stuck in fn(a)
+  gate.WaitEntered();  // dispatch is now stuck in fn(a)
   std::thread queued([&] {
     auto rows = batcher.Submit(b);  // fills the 1-slot queue
     EXPECT_TRUE(rows.ok());
   });
   // Wait until b is actually queued before overflowing.
-  while (MetricsRegistry::Global()
-             .GetGauge("serve/t_overload/queue_depth")
-             ->value() < 1.0) {
-    std::this_thread::yield();
-  }
+  WaitForQueueDepth("t_overload", 1);
   auto rejected = batcher.Submit(c);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kUnavailable);
 
-  release.set_value();
+  gate.Open();
   blocker.join();
   queued.join();
   batcher.Stop();
@@ -236,7 +220,6 @@ TEST(MicroBatcherTest, RejectsWhenQueueFullAndWhenStopped) {
 
 TEST(MicroBatcherTest, BatchFnErrorReachesEveryCaller) {
   MicroBatcherOptions options;
-  options.batch_timeout_us = 0;
   auto fn = [](const std::vector<const Graph*>&,
                std::vector<std::vector<float>>*) {
     return Status::InvalidArgument("model rejected the batch");
@@ -252,7 +235,6 @@ TEST(MicroBatcherTest, BatchFnErrorReachesEveryCaller) {
 
 TEST(MicroBatcherTest, RowCountMismatchIsInternalError) {
   MicroBatcherOptions options;
-  options.batch_timeout_us = 0;
   auto fn = [](const std::vector<const Graph*>&,
                std::vector<std::vector<float>>* rows) {
     rows->push_back({1.0f});  // always one row, regardless of batch size

@@ -13,19 +13,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
-#include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/trace.h"
 #include "core/sgcl_config.h"
 #include "core/sgcl_model.h"
+#include "serve/batch_gate.h"
 
 namespace sgcl {
 namespace serve {
@@ -141,9 +140,7 @@ class ServiceTest : public ::testing::Test {
 };
 
 TEST_F(ServiceTest, EmbedReturnsOneRowPerGraphWithDim) {
-  ServeOptions options;
-  options.batcher.batch_timeout_us = 0;
-  StartService(options);
+  StartService(ServeOptions());
   const std::string response = Post(port_, "/v1/embed", OneGraphBody());
   ASSERT_TRUE(HasStatus(response, "200")) << response;
   const std::string body = Body(response);
@@ -152,9 +149,7 @@ TEST_F(ServiceTest, EmbedReturnsOneRowPerGraphWithDim) {
 }
 
 TEST_F(ServiceTest, PredictReturnsPerNodeProbabilities) {
-  ServeOptions options;
-  options.batcher.batch_timeout_us = 0;
-  StartService(options);
+  StartService(ServeOptions());
   const std::string response = Post(port_, "/v1/predict", OneGraphBody());
   ASSERT_TRUE(HasStatus(response, "200")) << response;
   const std::string row = FirstRow(Body(response));
@@ -163,9 +158,7 @@ TEST_F(ServiceTest, PredictReturnsPerNodeProbabilities) {
 }
 
 TEST_F(ServiceTest, MicroBatchedEmbeddingIsBitwiseIdenticalToAlone) {
-  ServeOptions options;
-  options.batcher.batch_timeout_us = 0;
-  StartService(options);
+  StartService(ServeOptions());
   // Alone: a request whose only graph is the target.
   const std::string alone =
       FirstRow(Body(Post(port_, "/v1/embed", OneGraphBody())));
@@ -178,28 +171,41 @@ TEST_F(ServiceTest, MicroBatchedEmbeddingIsBitwiseIdenticalToAlone) {
   const std::string batched = FirstRow(Body(Post(port_, "/v1/embed", multi)));
   EXPECT_EQ(alone, batched);
 
-  // Same invariant under true cross-request coalescing: concurrent
-  // requests share a fused forward (wide timeout window forces it).
+  // Same invariant under true cross-request coalescing: the first
+  // request holds the forward while the others queue behind it, so they
+  // share the next fused forward.
   service_->Stop();
-  ServeOptions wide;
-  wide.batcher.batch_timeout_us = 100000;
-  StartService(wide);
+  std::mutex mu;
+  std::vector<size_t> forward_graphs;
+  FirstForwardGate gate;
+  StartService(ServeOptions(),
+               gate.Wrap([&](const std::vector<const Graph*>& graphs,
+                             std::vector<std::vector<float>>* rows) {
+                 {
+                   std::lock_guard<std::mutex> lock(mu);
+                   forward_graphs.push_back(graphs.size());
+                 }
+                 return service_->session().EmbedBatch(graphs, rows);
+               }));
   constexpr int kClients = 4;
   std::vector<std::string> rows(kClients);
+  auto client = [&](int i) {
+    rows[i] = FirstRow(Body(Post(port_, "/v1/embed", OneGraphBody())));
+  };
   std::vector<std::thread> clients;
-  for (int i = 0; i < kClients; ++i) {
-    clients.emplace_back([&, i] {
-      rows[i] = FirstRow(Body(Post(port_, "/v1/embed", OneGraphBody())));
-    });
-  }
+  clients.emplace_back(client, 0);
+  gate.WaitEntered();
+  for (int i = 1; i < kClients; ++i) clients.emplace_back(client, i);
+  WaitForQueueDepth("embed", kClients - 1);
+  gate.Open();
   for (std::thread& t : clients) t.join();
   for (int i = 0; i < kClients; ++i) EXPECT_EQ(rows[i], alone) << i;
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(forward_graphs, (std::vector<size_t>{1, kClients - 1}));
 }
 
 TEST_F(ServiceTest, PredictBatchedIsBitwiseIdenticalToAlone) {
-  ServeOptions options;
-  options.batcher.batch_timeout_us = 0;
-  StartService(options);
+  StartService(ServeOptions());
   const std::string alone =
       FirstRow(Body(Post(port_, "/v1/predict", OneGraphBody())));
   ASSERT_FALSE(alone.empty());
@@ -211,9 +217,7 @@ TEST_F(ServiceTest, PredictBatchedIsBitwiseIdenticalToAlone) {
 }
 
 TEST_F(ServiceTest, MalformedRequestsGet4xxAndNeverWedgeTheServer) {
-  ServeOptions options;
-  options.batcher.batch_timeout_us = 0;
-  StartService(options);
+  StartService(ServeOptions());
 
   // Garbage / wrong-shape bodies: 400 with a JSON error envelope.
   for (const char* bad :
@@ -252,44 +256,31 @@ TEST_F(ServiceTest, MalformedRequestsGet4xxAndNeverWedgeTheServer) {
 TEST_F(ServiceTest, OverloadGets503WithRetryAfter) {
   ServeOptions options;
   options.batcher.max_queue_requests = 1;
-  options.batcher.batch_timeout_us = 0;
   // Deterministic overload: the embed path blocks until released.
-  std::promise<void> entered;
-  std::promise<void> release;
-  std::shared_future<void> release_future = release.get_future().share();
-  std::atomic<bool> first{true};
-  BatchFn blocking = [&](const std::vector<const Graph*>& graphs,
-                         std::vector<std::vector<float>>* rows) {
-    if (first.exchange(false)) {
-      entered.set_value();
-      release_future.wait();
-    }
+  FirstForwardGate gate;
+  StartService(options, gate.Wrap([](const std::vector<const Graph*>& graphs,
+                                     std::vector<std::vector<float>>* rows) {
     for (size_t i = 0; i < graphs.size(); ++i) {
       rows->push_back(std::vector<float>(kHidden, 0.0f));
     }
     return Status::OK();
-  };
-  StartService(options, blocking);
+  }));
 
   std::thread executing([&] {
     EXPECT_TRUE(HasStatus(Post(port_, "/v1/embed", OneGraphBody()), "200"));
   });
-  entered.get_future().wait();  // dispatch thread is stuck in the model
+  gate.WaitEntered();  // dispatch thread is stuck in the model
   std::thread queued([&] {
     EXPECT_TRUE(HasStatus(Post(port_, "/v1/embed", OneGraphBody()), "200"));
   });
-  while (MetricsRegistry::Global()
-             .GetGauge("serve/embed/queue_depth")
-             ->value() < 1.0) {
-    std::this_thread::yield();
-  }
+  WaitForQueueDepth("embed", 1);
   const std::string overloaded = Post(port_, "/v1/embed", OneGraphBody());
   EXPECT_TRUE(HasStatus(overloaded, "503")) << overloaded;
   EXPECT_NE(overloaded.find("Retry-After: 1"), std::string::npos)
       << overloaded;
   EXPECT_NE(Body(overloaded).find("\"error\""), std::string::npos);
 
-  release.set_value();
+  gate.Open();
   executing.join();
   queued.join();
 }
@@ -305,7 +296,6 @@ std::string HeaderValue(const std::string& response, const std::string& name) {
 
 TEST_F(ServiceTest, TracedRequestEchoesIdAndServesSpanTree) {
   ServeOptions options;
-  options.batcher.batch_timeout_us = 0;
   options.trace_sample_rate = 1.0;
   options.trace_ring_size = 16;
   StartService(options);
@@ -317,9 +307,8 @@ TEST_F(ServiceTest, TracedRequestEchoesIdAndServesSpanTree) {
   ASSERT_EQ(id.size(), 16u) << response;
 
   // The id resolves to a span tree whose root is the request and whose
-  // children tile the request's life: parse, queue wait, batch
-  // formation, forward (with the model forward nested under it), and
-  // response encode.
+  // children tile the request's life: parse, queue wait, forward (with
+  // the model forward nested under it), and response encode.
   const std::string tree = Body(Get(port_, "/v1/traces/" + id));
   EXPECT_NE(tree.find("\"trace_id\":\"" + id + "\""), std::string::npos)
       << tree;
@@ -327,8 +316,8 @@ TEST_F(ServiceTest, TracedRequestEchoesIdAndServesSpanTree) {
             std::string::npos)
       << tree;
   for (const char* stage :
-       {"serve/parse", "serve/queue_wait", "serve/batch_form",
-        "serve/forward", "serve/infer_embed", "serve/encode"}) {
+       {"serve/parse", "serve/queue_wait", "serve/forward",
+        "serve/infer_embed", "serve/encode"}) {
     EXPECT_NE(tree.find(stage), std::string::npos) << stage << "\n" << tree;
   }
   // serve/infer_embed must nest *under* serve/forward, not beside it
@@ -362,7 +351,6 @@ TEST_F(ServiceTest, TracedRequestEchoesIdAndServesSpanTree) {
 
 TEST_F(ServiceTest, UnsampledRequestsCarryNoTraceArtifacts) {
   ServeOptions options;
-  options.batcher.batch_timeout_us = 0;
   options.trace_sample_rate = 0.0;
   StartService(options);
   TraceRing::Global().Clear();
@@ -377,7 +365,6 @@ TEST_F(ServiceTest, SampledEmbeddingsAreBitwiseIdenticalToUnsampled) {
   // Tracing must be observation-only: the served bytes cannot change
   // when every request is sampled.
   ServeOptions options;
-  options.batcher.batch_timeout_us = 0;
   options.trace_sample_rate = 0.0;
   StartService(options);
   const std::string untraced = Body(Post(port_, "/v1/embed", OneGraphBody()));
@@ -396,9 +383,7 @@ TEST_F(ServiceTest, SampledEmbeddingsAreBitwiseIdenticalToUnsampled) {
 }
 
 TEST_F(ServiceTest, InfoAndStatusDescribeTheService) {
-  ServeOptions options;
-  options.batcher.batch_timeout_us = 0;
-  StartService(options);
+  StartService(ServeOptions());
   const std::string info = Body(Get(port_, "/v1/info"));
   EXPECT_NE(info.find("\"feat_dim\":4"), std::string::npos) << info;
   EXPECT_NE(info.find("\"embed_dim\":8"), std::string::npos);

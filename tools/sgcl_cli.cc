@@ -16,9 +16,8 @@
 //   sgcl_cli scores    --data=ds --model=model.ckpt [--graph=I]
 //   sgcl_cli serve     --model=model.ckpt [--http-port=P] [--http-threads=N]
 //                      [--max-batch-graphs=G] [--max-batch-nodes=V]
-//                      [--batch-timeout-us=T] [--max-queue=Q]
-//                      [--max-request-graphs=G] [--max-request-nodes=V]
-//                      [--duration-s=S]
+//                      [--max-queue=Q] [--max-request-graphs=G]
+//                      [--max-request-nodes=V] [--duration-s=S]
 //                      serves POST /v1/embed and /v1/predict through the
 //                      dynamic micro-batcher (serve/service.h); runs until
 //                      SIGINT/SIGTERM unless --duration-s > 0. The model is
@@ -762,61 +761,53 @@ void HandleServeSignal(int) { g_serve_stop = 1; }
 
 int CmdServe(int argc, char** argv) {
   std::string model_path = "model.ckpt";
-  int http_port = 0;
-  int http_threads = 4;
-  int64_t max_batch_graphs = 16;
-  int64_t max_batch_nodes = 4096;
-  int64_t batch_timeout_us = 2000;
-  int64_t max_queue = 256;
-  int64_t max_request_graphs = 64;
-  int64_t max_request_nodes = 2048;
   double duration_s = 0.0;
-  double trace_sample_rate = 0.0;
-  int64_t trace_ring_size = 256;
+  // The flags write straight into the library's options, so their
+  // defaults are the library's.
+  serve::ServeOptions options;
   FlagSet flags("sgcl_cli serve");
   flags.String("model", &model_path, "model file to serve (pretrain --out)");
-  flags.Int("http-port", &http_port,
+  flags.Int("http-port", &options.http_port,
             "listen on 127.0.0.1:<port>; 0 picks an ephemeral port");
-  flags.Int("http-threads", &http_threads, "HTTP worker threads");
-  flags.Int64("max-batch-graphs", &max_batch_graphs,
+  flags.Int("http-threads", &options.http_threads, "HTTP worker threads");
+  flags.Int64("max-batch-graphs", &options.batcher.max_batch_graphs,
               "micro-batch cap: graphs per fused forward (1 = no batching)");
-  flags.Int64("max-batch-nodes", &max_batch_nodes,
+  flags.Int64("max-batch-nodes", &options.batcher.max_batch_nodes,
               "micro-batch cap: total nodes per fused forward");
-  flags.Int64("batch-timeout-us", &batch_timeout_us,
-              "how long an open batch waits for more requests");
-  flags.Int64("max-queue", &max_queue,
+  flags.Int64("max-queue", &options.batcher.max_queue_requests,
               "admission queue bound; beyond it requests get 503");
-  flags.Int64("max-request-graphs", &max_request_graphs,
+  flags.Int64("max-request-graphs", &options.limits.max_graphs,
               "per-request graph cap (400 past it)");
-  flags.Int64("max-request-nodes", &max_request_nodes,
+  flags.Int64("max-request-nodes", &options.limits.max_total_nodes,
               "per-request total-node cap (400 past it)");
   flags.Double("duration-s", &duration_s,
                "serve for this many seconds then exit; 0 = until "
                "SIGINT/SIGTERM");
-  flags.Double("trace-sample-rate", &trace_sample_rate,
+  flags.Double("trace-sample-rate", &options.trace_sample_rate,
                "sample this fraction of requests into the in-memory trace "
                "ring (deterministic every-Nth; 0 disables); chrome JSON at "
                "GET /trace, span trees at GET /v1/traces/<id>, ids echoed "
                "in X-Sgcl-Trace");
-  flags.Int64("trace-ring-size", &trace_ring_size,
+  flags.Int64("trace-ring-size", &options.trace_ring_size,
               "capacity of the in-memory trace ring, in traces "
               "(oldest evicted first)");
   if (int rc = HandleParse(flags, flags.Parse(argc, argv, 2)); rc >= 0) {
     return rc;
   }
-  if (Status trc = ValidateTraceFlags(trace_sample_rate, trace_ring_size);
+  if (Status trc = ValidateTraceFlags(options.trace_sample_rate,
+                                      options.trace_ring_size);
       !trc.ok()) {
     return Fail(trc);
   }
   // The micro-batcher and the service SGCL_CHECK these limits; out of
   // range they are flag errors, reported before anything loads.
   const std::pair<const char*, int64_t> at_least_one[] = {
-      {"http-threads", http_threads},
-      {"max-batch-graphs", max_batch_graphs},
-      {"max-batch-nodes", max_batch_nodes},
-      {"max-queue", max_queue},
-      {"max-request-graphs", max_request_graphs},
-      {"max-request-nodes", max_request_nodes},
+      {"http-threads", options.http_threads},
+      {"max-batch-graphs", options.batcher.max_batch_graphs},
+      {"max-batch-nodes", options.batcher.max_batch_nodes},
+      {"max-queue", options.batcher.max_queue_requests},
+      {"max-request-graphs", options.limits.max_graphs},
+      {"max-request-nodes", options.limits.max_total_nodes},
   };
   for (const auto& [name, value] : at_least_one) {
     if (value < 1) {
@@ -825,27 +816,12 @@ int CmdServe(int argc, char** argv) {
                                           std::to_string(value)));
     }
   }
-  if (batch_timeout_us < 0) {
-    return Fail(Status::InvalidArgument(
-        "--batch-timeout-us must be >= 0, got " +
-        std::to_string(batch_timeout_us)));
-  }
   auto model = LoadModel(model_path);
   if (!model.ok()) return Fail(model.status());
 
   SetRunId(GenerateRunId());
-  serve::ServeOptions options;
-  options.http_port = http_port;
-  options.http_threads = http_threads;
-  options.batcher.max_batch_graphs = max_batch_graphs;
-  options.batcher.max_batch_nodes = max_batch_nodes;
-  options.batcher.batch_timeout_us = batch_timeout_us;
-  options.batcher.max_queue_requests = max_queue;
-  options.limits.max_graphs = max_request_graphs;
-  options.limits.max_total_nodes =
-      std::min(max_request_nodes, max_batch_nodes);
-  options.trace_sample_rate = trace_sample_rate;
-  options.trace_ring_size = trace_ring_size;
+  options.limits.max_total_nodes = std::min(options.limits.max_total_nodes,
+                                            options.batcher.max_batch_nodes);
   MetricsRegistry::Global().Reset();  // per-run isolation
   TraceRing::Global().Clear();
   serve::ServeService service(model->get(), options);
