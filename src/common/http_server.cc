@@ -1,30 +1,28 @@
 #include "common/http_server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <sys/types.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/logging.h"
 #include "common/metrics.h"
+#include "common/parallel.h"
 #include "common/string_util.h"
 
 namespace sgcl {
 namespace {
 
 // A request's start line + headers larger than this is rejected with
-// 431; bodies are bounded separately by HttpServerOptions.
+// 431.
 constexpr size_t kMaxHeaderBytes = 8192;
+// Bodies larger than this are rejected with 413 (connection closed).
+constexpr size_t kMaxBodyBytes = 4u << 20;
 // Send deadline so one stalled reader cannot hold a serving thread.
-constexpr int kSendTimeoutSec = 5;
+constexpr int kSendTimeoutMs = 5000;
 // Keep-alive connections are closed after this many responses.
 constexpr int kMaxRequestsPerConnection = 100000;
 
@@ -57,29 +55,6 @@ const char* StatusText(int status) {
   }
 }
 
-void SetRecvTimeout(int fd, int timeout_ms) {
-  struct timeval tv;
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = (timeout_ms % 1000) * 1000;
-  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  struct timeval snd;
-  snd.tv_sec = kSendTimeoutSec;
-  snd.tv_usec = 0;
-  setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &snd, sizeof(snd));
-}
-
-// Writes all of `data`, tolerating short writes; best-effort (the client
-// may have gone away, which is its problem, not ours).
-void SendAll(int fd, const std::string& data) {
-  size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n =
-        send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) return;
-    sent += static_cast<size_t>(n);
-  }
-}
-
 // Graceful teardown for connections whose request stream was not fully
 // consumed (oversized/truncated bodies, malformed heads). Closing with
 // unread data pending makes the kernel send RST, which can destroy the
@@ -96,6 +71,18 @@ void ShutdownDrain(int fd) {
     if (n <= 0) break;
     drained += static_cast<size_t>(n);
   }
+}
+
+// Every server-made error (400/404/405/408/413/431) carries a JSON body:
+// {"error":{"code":N,"message":"..."}}. Handler-made responses are never
+// rewritten.
+HttpResponse MakeError(int status, const std::string& message) {
+  HttpResponse response;
+  response.status = status;
+  response.content_type = "application/json";
+  response.body = StrFormat("{\"error\":{\"code\":%d,\"message\":\"%s\"}}\n",
+                            status, JsonEscape(message).c_str());
+  return response;
 }
 
 std::string ToLower(std::string s) {
@@ -200,46 +187,15 @@ Status HttpServer::Start(int port, const HttpServerOptions& options) {
   if (running()) {
     return Status::InvalidArgument("HttpServer already running");
   }
-  if (port < 0 || port > 65535) {
+  if (options.num_threads > kMaxThreadCount) {
     return Status::InvalidArgument(
-        StrFormat("port %d is outside [0, 65535]", port));
+        StrFormat("%d serving threads exceed the limit of %d",
+                  options.num_threads, kMaxThreadCount));
   }
+  SGCL_RETURN_NOT_OK(listener_.Listen(port));
   options_ = options;
   options_.num_threads = std::max(1, options_.num_threads);
   options_.idle_timeout_ms = std::max(1, options_.idle_timeout_ms);
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::Internal(StrFormat("socket() failed: %s", strerror(errno)));
-  }
-  const int one = 1;
-  setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) < 0) {
-    const Status st = Status::Internal(
-        StrFormat("bind(127.0.0.1:%d) failed: %s", port, strerror(errno)));
-    close(fd);
-    return st;
-  }
-  if (listen(fd, /*backlog=*/64) < 0) {
-    const Status st =
-        Status::Internal(StrFormat("listen() failed: %s", strerror(errno)));
-    close(fd);
-    return st;
-  }
-  socklen_t len = sizeof(addr);
-  if (getsockname(fd, reinterpret_cast<struct sockaddr*>(&addr), &len) < 0) {
-    const Status st = Status::Internal(
-        StrFormat("getsockname() failed: %s", strerror(errno)));
-    close(fd);
-    return st;
-  }
-  port_ = ntohs(addr.sin_port);
-  listen_fd_ = fd;
   stopping_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
   threads_.reserve(static_cast<size_t>(options_.num_threads));
@@ -252,20 +208,7 @@ Status HttpServer::Start(int port, const HttpServerOptions& options) {
 void HttpServer::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
   stopping_.store(true, std::memory_order_release);
-  // shutdown() wakes blocked accept()s on Linux; the self-connects below
-  // cover platforms where it does not (one per serving thread).
-  shutdown(listen_fd_, SHUT_RDWR);
-  for (size_t i = 0; i < threads_.size(); ++i) {
-    const int fd = socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) break;
-    struct sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(port_));
-    connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr));
-    close(fd);
-  }
+  listener_.Wake();
   // Kick active (possibly keep-alive-idle) connections so their serving
   // threads observe EOF promptly instead of waiting out the timeout.
   {
@@ -276,22 +219,21 @@ void HttpServer::Stop() {
     if (t.joinable()) t.join();
   }
   threads_.clear();
-  close(listen_fd_);
-  listen_fd_ = -1;
+  listener_.Close();
 }
 
 void HttpServer::AcceptLoop() {
   while (!stopping_.load(std::memory_order_acquire)) {
-    const int client_fd = accept(listen_fd_, nullptr, nullptr);
-    if (client_fd < 0) {
-      if (errno == EINTR) continue;
-      // Any other accept failure while stopping is the shutdown wakeup;
-      // outside shutdown it is unrecoverable for this loop either way.
+    const Result<int> accepted = listener_.Accept();
+    if (!accepted.ok()) {
+      // An accept failure while stopping is the shutdown wake; outside
+      // shutdown it is unrecoverable for this loop either way.
       if (!stopping_.load(std::memory_order_acquire)) {
-        SGCL_LOG(WARNING) << "http accept() failed: " << strerror(errno);
+        SGCL_LOG(WARNING) << "http " << accepted.status().ToString();
       }
       return;
     }
+    const int client_fd = *accepted;
     if (stopping_.load(std::memory_order_acquire)) {
       close(client_fd);
       return;
@@ -307,20 +249,6 @@ void HttpServer::AcceptLoop() {
     }
     close(client_fd);
   }
-}
-
-HttpResponse HttpServer::MakeError(int status,
-                                   const std::string& message) const {
-  HttpResponse response;
-  response.status = status;
-  if (options_.json_errors) {
-    response.content_type = "application/json";
-    response.body = StrFormat("{\"error\":{\"code\":%d,\"message\":\"%s\"}}\n",
-                              status, JsonEscape(message).c_str());
-  } else {
-    response.body = message + "\n";
-  }
-  return response;
 }
 
 HttpResponse HttpServer::Dispatch(const HttpRequest& request) const {
@@ -362,7 +290,7 @@ HttpResponse HttpServer::Dispatch(const HttpRequest& request) const {
 }
 
 void HttpServer::ServeConnection(int client_fd) {
-  SetRecvTimeout(client_fd, options_.idle_timeout_ms);
+  SetSocketTimeouts(client_fd, options_.idle_timeout_ms, kSendTimeoutMs);
   std::string buffer;  // bytes received but not yet consumed
   int served = 0;
   bool keep_open = true;
@@ -428,10 +356,10 @@ void HttpServer::ServeConnection(int client_fd) {
       if (!length_ok) {
         response = MakeError(400, "invalid Content-Length");
         framing_broken = true;
-      } else if (content_length > options_.max_body_bytes) {
+      } else if (content_length > kMaxBodyBytes) {
         response = MakeError(
             413, StrFormat("body of %zu bytes exceeds the %zu-byte limit",
-                           content_length, options_.max_body_bytes));
+                           content_length, kMaxBodyBytes));
         framing_broken = true;  // unread body: cannot reuse the stream
       } else {
         const auto expect = request.headers.find("expect");

@@ -1,27 +1,32 @@
-// Minimal dependency-free blocking HTTP/1.1 server (POSIX sockets) for
-// the live telemetry endpoint and the embedding inference service.
+// Minimal dependency-free blocking HTTP/1.1 server for the live
+// telemetry endpoint and the embedding inference service. Its sockets
+// come from common/socket.h: loopback-only bind, deadlines, full sends.
 //
 // Design constraints, in order:
 //  1. Zero cost to the training loop. With the default options the
-//     server runs one accept thread; handlers read process-wide state
+//     server runs one serving thread; handlers read process-wide state
 //     (metrics registry, trace collector, RunStatusBoard) that the hot
 //     paths already publish via relaxed atomics / short critical
 //     sections. Nothing in training blocks on the server.
-//  2. Boring and bounded. Request header size, body size, and
+//  2. Boring and bounded. Request headers (8 KiB), bodies (4 MiB) and
 //     per-socket recv time are capped so a stuck client cannot wedge a
 //     serving thread for long. With num_threads == 1, requests are
-//     served one at a time on the accept thread (concurrent clients
-//     queue in the listen backlog).
-//  3. Clean shutdown. Stop() wakes the accept loop(s), shuts down every
-//     active connection, and joins all threads deterministically; the
-//     destructor stops too, so scoped usage is leak-free.
+//     served one at a time (concurrent clients queue in the listen
+//     backlog).
+//  3. Clean shutdown. Stop() follows common/socket.h's wake rule: it
+//     shuts the listener down, which wakes every serving thread blocked
+//     in accept, shuts down every active connection, joins all threads,
+//     and only then closes the listener. The destructor stops too, so
+//     scoped usage is leak-free.
 //
 // Default scope matches the original diagnostics endpoint: GET/HEAD
 // only, exact-path dispatch, Connection: close on every response. The
-// serving stack (serve/service.*) opts into more via HttpServerOptions:
-// keep-alive with an idle timeout, multiple serving threads, POST
-// bodies framed by Content-Length, and JSON error bodies. Still no TLS
-// and no chunked encoding; bind is loopback-only.
+// serving stack (serve/service.*) opts into keep-alive with an idle
+// timeout and multiple serving threads via HttpServerOptions; POST
+// bodies are framed by Content-Length. Every server-made error
+// (400/404/405/408/413/431) carries a JSON body,
+// {"error":{"code":N,"message":"..."}}; handler-made responses are never
+// rewritten. No TLS and no chunked encoding.
 #ifndef SGCL_COMMON_HTTP_SERVER_H_
 #define SGCL_COMMON_HTTP_SERVER_H_
 
@@ -36,6 +41,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/socket.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 
@@ -66,8 +72,9 @@ struct HttpResponse {
 using HttpHandler = std::function<HttpResponse(const HttpRequest&)>;
 
 struct HttpServerOptions {
-  // Number of threads accepting and serving connections. 1 preserves
-  // the original serialized diagnostics behavior.
+  // Number of threads accepting and serving connections, at most
+  // kMaxThreadCount (common/parallel.h). 1 preserves the original
+  // serialized diagnostics behavior.
   int num_threads = 1;
   // When true, HTTP/1.1 connections persist across requests until the
   // client sends "Connection: close", the idle timeout fires, or the
@@ -76,12 +83,6 @@ struct HttpServerOptions {
   // Per-recv deadline; for keep-alive connections this is the idle
   // timeout between requests.
   int idle_timeout_ms = 5000;
-  // Bodies larger than this are rejected with 413 (connection closed).
-  size_t max_body_bytes = 1 << 20;
-  // When true, server-generated errors (400/404/405/408/413/431) carry
-  // a JSON body: {"error":{"code":N,"message":"..."}}. Handler-produced
-  // responses are never rewritten.
-  bool json_errors = false;
 };
 
 class HttpServer {
@@ -110,7 +111,9 @@ class HttpServer {
 
   // Binds 127.0.0.1:`port` (0 = kernel-assigned ephemeral port, see
   // port()), starts the serving threads. InvalidArgument when already
-  // running, Internal on socket errors (e.g. port in use).
+  // running, for a port outside [0, 65535] or for more than
+  // kMaxThreadCount threads; Internal on socket errors (e.g. port in
+  // use).
   Status Start(int port);
   Status Start(int port, const HttpServerOptions& options);
 
@@ -120,7 +123,7 @@ class HttpServer {
 
   bool running() const { return running_.load(std::memory_order_acquire); }
   // Actual bound port (valid after a successful Start).
-  int port() const { return port_; }
+  int port() const { return listener_.port(); }
   // Total requests answered, including 404s (test/diagnostic aid).
   int64_t requests_served() const {
     return requests_served_.load(std::memory_order_relaxed);
@@ -130,7 +133,6 @@ class HttpServer {
   void AcceptLoop();
   void ServeConnection(int client_fd);
   HttpResponse Dispatch(const HttpRequest& request) const;
-  HttpResponse MakeError(int status, const std::string& message) const;
 
   std::map<std::string, std::map<std::string, HttpHandler>> handlers_;
   // Prefix-dispatched GET handlers, keyed by prefix; consulted only
@@ -143,8 +145,7 @@ class HttpServer {
   HttpServerOptions options_;
   std::mutex conn_mu_;
   std::set<int> active_fds_ SGCL_GUARDED_BY(conn_mu_);
-  int listen_fd_ = -1;
-  int port_ = 0;
+  LoopbackListener listener_;
 };
 
 }  // namespace sgcl

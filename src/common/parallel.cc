@@ -5,12 +5,12 @@
 #include <chrono>
 #include <cstdlib>
 #include <exception>
-#include <limits>
 #include <memory>
 
 #include "common/check.h"
 #include "common/logging.h"
 #include "common/metrics.h"
+#include "common/string_util.h"
 #include "common/trace.h"
 
 namespace sgcl {
@@ -87,8 +87,9 @@ Result<int> ParseThreadCount(const std::string& value) {
   if (end == value.c_str() || *end != '\0') {
     return Status::InvalidArgument("thread count is not an integer");
   }
-  if (errno == ERANGE || parsed > std::numeric_limits<int>::max()) {
-    return Status::InvalidArgument("thread count overflows int");
+  if (errno == ERANGE || parsed > kMaxThreadCount) {
+    return Status::InvalidArgument(
+        StrFormat("thread count is outside [1, %d]", kMaxThreadCount));
   }
   if (parsed <= 0) {
     return Status::InvalidArgument("thread count must be positive");

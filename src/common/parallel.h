@@ -31,11 +31,18 @@
 
 namespace sgcl {
 
+// The most threads any count from outside the program may ask for:
+// SGCL_NUM_THREADS, HttpServerOptions::num_threads (sgcl_cli serve
+// --http-threads) and serve_load --concurrency. Far above every caller,
+// it turns a typo such as 2147483647 into an error before any thread
+// starts, instead of spawning until std::thread throws.
+constexpr int kMaxThreadCount = 1024;
+
 // Strictly parses a thread-count override (the SGCL_NUM_THREADS
 // environment variable). InvalidArgument on empty, non-numeric, or
-// trailing-garbage input, on zero/negative counts, and on values that
-// overflow int. The pool warns and falls back to the hardware default
-// instead of silently misconfiguring. Exposed for tests.
+// trailing-garbage input, and on counts outside [1, kMaxThreadCount].
+// The pool warns and falls back to the hardware default instead of
+// silently misconfiguring. Exposed for tests.
 Result<int> ParseThreadCount(const std::string& value);
 
 class ThreadPool {

@@ -133,13 +133,16 @@ void AllReduceCoordinator::Stop() {
     if (accept_thread_.joinable()) accept_thread_.join();
     return;
   }
-  listener_.Disconnect();
+  listener_.ShutdownWake();
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (auto& channel : channels_) channel->ShutdownWake();
     cv_.notify_all();
   }
   if (accept_thread_.joinable()) accept_thread_.join();
+  // Closed only now: an accept thread woken above may still have been
+  // about to call accept(2) on this descriptor.
+  listener_.Disconnect();
   // The accept loop is gone, so the channel/thread lists are final;
   // wake any connection it registered after the first sweep, then join.
   std::vector<std::thread> handlers;

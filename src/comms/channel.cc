@@ -1,17 +1,12 @@
 #include "comms/channel.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <sys/types.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
 
 #include "common/fault.h"
-#include "common/logging.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
 
@@ -26,15 +21,6 @@ constexpr size_t kRecvChunk = 64 * 1024;
 constexpr const char* kPeerClosedMessage = "comms peer closed connection";
 // Marker IsIoTimeout keys on, embedded in every deadline-expiry Status.
 constexpr const char* kTimeoutMarker = "timed out after";
-
-void ApplyIoTimeout(int fd, int timeout_ms) {
-  if (fd < 0 || timeout_ms <= 0) return;
-  struct timeval tv;
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = (timeout_ms % 1000) * 1000;
-  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
 
 Counter* BytesSentCounter() {
   static Counter* const counter =
@@ -78,50 +64,25 @@ FramedChannel::~FramedChannel() { Disconnect(); }
 
 Status FramedChannel::Connect(int port) {
   if (connected()) return Status::FailedPrecondition("already connected");
-  if (port < 0 || port > 65535) {
-    return Status::InvalidArgument(
-        StrFormat("port %d is outside [0, 65535]", port));
+  if (auto fault = CheckFault(fault_prefix_ + "/connect"); fault.has_value()) {
+    return *fault;
   }
-  const std::string point = fault_prefix_ + "/connect";
-  if (auto fault = FaultInjector::Global().Check(point); fault.has_value()) {
-    if (*fault == FaultKind::kCrash) return SimulatedCrash(point);
-    return Status::Unavailable(
-        StrFormat("injected fault at %s", point.c_str()));
-  }
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::Internal(StrFormat("socket: %s", std::strerror(errno)));
-  }
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    const int err = errno;
-    close(fd);
-    return Status::Unavailable(StrFormat("connect 127.0.0.1:%d: %s", port,
-                                         std::strerror(err)));
-  }
-  const int one = 1;
-  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  SGCL_ASSIGN_OR_RETURN(const int fd, ConnectLoopback(port));
   fd_.store(fd, std::memory_order_release);
-  ApplyIoTimeout(fd, timeout_ms_);
+  SetSocketTimeouts(fd, timeout_ms_, timeout_ms_);
   return Status::OK();
 }
 
 void FramedChannel::Adopt(int fd) {
   Disconnect();
-  const int one = 1;
-  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  SetNoDelay(fd);
   fd_.store(fd, std::memory_order_release);
-  ApplyIoTimeout(fd, timeout_ms_);
+  SetSocketTimeouts(fd, timeout_ms_, timeout_ms_);
 }
 
 void FramedChannel::SetIoTimeout(int timeout_ms) {
   timeout_ms_ = timeout_ms;
-  ApplyIoTimeout(fd(), timeout_ms_);
+  if (connected()) SetSocketTimeouts(fd(), timeout_ms_, timeout_ms_);
 }
 
 Status FramedChannel::Send(uint32_t type, std::string_view payload) {
@@ -135,14 +96,8 @@ Status FramedChannel::Send(uint32_t type, std::string_view payload) {
       if (*fault == FaultKind::kShortWrite && sent == 0) {
         // Torn-write model: push a prefix of the frame onto the wire so
         // the peer sees a truncated/corrupt frame, then fail locally.
-        const size_t torn = frame.size() / 2;
-        size_t torn_sent = 0;
-        while (torn_sent < torn) {
-          const ssize_t n = send(fd(), frame.data() + torn_sent,
-                                 torn - torn_sent, MSG_NOSIGNAL);
-          if (n <= 0) break;
-          torn_sent += static_cast<size_t>(n);
-        }
+        const size_t torn_sent = SendAll(
+            fd(), std::string_view(frame).substr(0, frame.size() / 2));
         BytesSentCounter()->Increment(static_cast<int64_t>(torn_sent));
         return Status::Unavailable(
             StrFormat("injected short write at %s (%zu of %zu bytes)",
@@ -220,74 +175,12 @@ void FramedChannel::ShutdownWake() {
 FrameListener::FrameListener(std::string fault_prefix)
     : fault_prefix_(std::move(fault_prefix)) {}
 
-FrameListener::~FrameListener() { Disconnect(); }
-
-Status FrameListener::Listen(int port) {
-  if (listening()) return Status::FailedPrecondition("already listening");
-  if (port < 0 || port > 65535) {
-    return Status::InvalidArgument(
-        StrFormat("port %d is outside [0, 65535]", port));
-  }
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::Internal(StrFormat("socket: %s", std::strerror(errno)));
-  }
-  // SO_REUSEADDR so a restarted coordinator can rebind a port still in
-  // TIME_WAIT; with ephemeral ports (the only mode tests use) it is
-  // belt-and-suspenders against ctest -j collisions.
-  const int one = 1;
-  setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) < 0) {
-    const int err = errno;
-    close(fd);
-    return Status::Internal(StrFormat("bind 127.0.0.1:%d: %s", port,
-                                      std::strerror(err)));
-  }
-  if (listen(fd, 64) < 0) {
-    const int err = errno;
-    close(fd);
-    return Status::Internal(StrFormat("listen: %s", std::strerror(err)));
-  }
-  struct sockaddr_in bound;
-  socklen_t bound_len = sizeof(bound);
-  if (getsockname(fd, reinterpret_cast<struct sockaddr*>(&bound),
-                  &bound_len) < 0) {
-    const int err = errno;
-    close(fd);
-    return Status::Internal(StrFormat("getsockname: %s", std::strerror(err)));
-  }
-  port_ = ntohs(bound.sin_port);
-  fd_.store(fd, std::memory_order_release);
-  return Status::OK();
-}
-
 Result<int> FrameListener::AcceptFd() {
-  const int listen_fd = fd_.load(std::memory_order_acquire);
-  if (listen_fd < 0) return Status::FailedPrecondition("listener is closed");
+  if (!listening()) return Status::FailedPrecondition("listener is closed");
   if (auto fault = CheckFault(fault_prefix_ + "/accept"); fault.has_value()) {
     return *fault;
   }
-  const int client = accept(listen_fd, nullptr, nullptr);
-  if (client < 0) {
-    return Status::Unavailable(StrFormat("accept: %s", std::strerror(errno)));
-  }
-  return client;
-}
-
-void FrameListener::Disconnect() {
-  const int fd = fd_.exchange(-1, std::memory_order_acq_rel);
-  if (fd >= 0) {
-    // shutdown() wakes a thread blocked in accept(2) on Linux; pairing
-    // it with close keeps the wake robust (http_server.cc uses the same
-    // double-tap for its accept loop).
-    shutdown(fd, SHUT_RDWR);
-    close(fd);
-  }
+  return socket_.Accept();
 }
 
 }  // namespace sgcl

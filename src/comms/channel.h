@@ -2,11 +2,10 @@
 // and receives comms/frame.h frames on one connected socket, and a
 // FrameListener accepts connections for the coordinator side.
 //
-// Socket discipline follows common/http_server.cc: loopback-only bind
-// with SO_REUSEADDR and kernel-assigned ephemeral ports (port 0), recv
-// and send deadlines via SO_RCVTIMEO/SO_SNDTIMEO so a wedged peer can
-// never hang a thread forever, full-buffer send loops tolerating short
-// writes, and shutdown()-based wakeups for threads blocked in accept.
+// Sockets come from common/socket.h: loopback-only bind with
+// SO_REUSEADDR and kernel-assigned ephemeral ports (port 0), TCP_NODELAY
+// on both ends, one recv/send deadline so a wedged peer can never hang a
+// thread forever, and its wake rule for threads blocked in accept.
 //
 // Every syscall the protocol depends on is threaded through the fault
 // injector (common/fault.h) under this channel's configurable point
@@ -30,6 +29,7 @@
 #include <string_view>
 
 #include "comms/frame.h"
+#include "common/socket.h"
 #include "common/status.h"
 
 namespace sgcl {
@@ -105,33 +105,30 @@ class FramedChannel {
 class FrameListener {
  public:
   explicit FrameListener(std::string fault_prefix = "comms");
-  ~FrameListener();
 
-  FrameListener(const FrameListener&) = delete;
-  FrameListener& operator=(const FrameListener&) = delete;
-
-  // Binds 127.0.0.1:`port` (0 = ephemeral, see port()) with
-  // SO_REUSEADDR and starts listening.
-  Status Listen(int port);
+  // Binds 127.0.0.1:`port` (0 = ephemeral, see port()) and starts
+  // listening.
+  Status Listen(int port) { return socket_.Listen(port); }
 
   // Blocks until a connection arrives; returns the connected fd (the
-  // caller Adopt()s it into a FramedChannel). Unavailable once Disconnect()
-  // ran or on accept errors.
+  // caller Adopt()s it into a FramedChannel). Unavailable once
+  // ShutdownWake() ran or on accept errors.
   Result<int> AcceptFd();
 
-  // Wakes any thread blocked in AcceptFd and closes the listen socket.
-  void Disconnect();
+  // Thread-safe: wakes every thread blocked in AcceptFd, and later calls
+  // fail at once. The socket stays open until Disconnect().
+  void ShutdownWake() { socket_.Wake(); }
 
-  int port() const { return port_; }
-  [[nodiscard]] bool listening() const {
-    return fd_.load(std::memory_order_acquire) >= 0;
-  }
+  // Closes the listen socket. Call it only once every thread that may
+  // be in AcceptFd has been joined. The destructor closes too.
+  void Disconnect() { socket_.Close(); }
+
+  int port() const { return socket_.port(); }
+  [[nodiscard]] bool listening() const { return socket_.listening(); }
 
  private:
   std::string fault_prefix_;
-  // Atomic: Close (another thread) wakes a blocked AcceptFd.
-  std::atomic<int> fd_{-1};
-  int port_ = 0;
+  LoopbackListener socket_;
 };
 
 }  // namespace sgcl

@@ -14,7 +14,6 @@ namespace serve {
 namespace {
 
 constexpr int kIdleTimeoutMs = 10000;
-constexpr size_t kMaxBodyBytes = 4u << 20;
 constexpr int kRetryAfterS = 1;  // Retry-After on 503 overload responses
 
 const std::vector<double>& LatencyBoundsUs() {
@@ -111,8 +110,6 @@ Status ServeService::Start() {
   http.num_threads = options_.http_threads;
   http.keep_alive = true;
   http.idle_timeout_ms = kIdleTimeoutMs;
-  http.max_body_bytes = kMaxBodyBytes;
-  http.json_errors = true;
   const Status st = server_.Start(options_.http_port, http);
   if (!st.ok()) {
     embed_batcher_->Stop();

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -44,6 +45,11 @@ TEST(ParseThreadCountTest, RejectsOverflow) {
   // Larger than both int and long.
   EXPECT_FALSE(ParseThreadCount("99999999999999999999999").ok());
   EXPECT_FALSE(ParseThreadCount("2147483648").ok());  // INT_MAX + 1
+  // Counts that fit an int but would spawn that many threads.
+  EXPECT_FALSE(ParseThreadCount("2147483647").ok());
+  EXPECT_FALSE(ParseThreadCount(std::to_string(kMaxThreadCount + 1)).ok());
+  EXPECT_EQ(*ParseThreadCount(std::to_string(kMaxThreadCount)),
+            kMaxThreadCount);
 }
 
 TEST_F(ThreadPoolTest, RunsSubmittedTasks) {

@@ -1,14 +1,8 @@
 #include "common/telemetry.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstring>
 #include <set>
 #include <string>
 #include <thread>
@@ -18,36 +12,15 @@
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "common/trace.h"
+#include "http_test_client.h"
 
 namespace sgcl {
 namespace {
 
 // Whole HTTP response (status line, headers, body) of GET `path`.
 std::string GetRaw(int port, const std::string& path) {
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    close(fd);
-    return "";
-  }
-  const std::string request =
-      "GET " + path + " HTTP/1.1\r\nHost: localhost\r\n\r\n";
-  send(fd, request.data(), request.size(), 0);
-  std::string response;
-  char buf[2048];
-  while (true) {
-    const ssize_t n = recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    response.append(buf, static_cast<size_t>(n));
-  }
-  close(fd);
-  return response;
+  return ::sgcl::testing::RawHttpExchange(
+      port, "GET " + path + " HTTP/1.1\r\nHost: localhost\r\n\r\n");
 }
 
 std::string Get(int port, const std::string& path) {

@@ -1,6 +1,7 @@
 // FramedChannel / FrameListener tests: loopback round-trips, recv
 // deadlines, peer-close detection, fault-injected short/failed I/O,
 // and full-duplex use from two threads (the TSan target).
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -158,6 +159,28 @@ TEST(ChannelTest, ShutdownWakeUnblocksARecvFromAnotherThread) {
   auto frame = pair.server.Recv();  // no deadline: only the wake ends it
   EXPECT_FALSE(frame.ok());
   waker.join();
+}
+
+// AllReduceCoordinator::Stop's order: ShutdownWake fails the blocked
+// AcceptFd and every later one at once, but leaves the descriptor open
+// for an accept thread that may still be about to use it; Disconnect
+// closes it after that thread is joined.
+TEST(ChannelTest, ListenerWakeFailsAcceptsButKeepsTheSocketOpen) {
+  FrameListener listener;
+  ASSERT_TRUE(listener.Listen(0).ok());
+  Status blocked;
+  std::thread acceptor([&] { blocked = listener.AcceptFd().status(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  listener.ShutdownWake();
+  acceptor.join();
+  EXPECT_EQ(blocked.code(), StatusCode::kUnavailable) << blocked.ToString();
+  const auto start = std::chrono::steady_clock::now();
+  const Result<int> late = listener.AcceptFd();
+  EXPECT_EQ(late.status().code(), StatusCode::kUnavailable);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  EXPECT_TRUE(listener.listening());
+  listener.Disconnect();
+  EXPECT_FALSE(listener.listening());
 }
 
 TEST(ChannelTest, ListenerPicksDistinctEphemeralPorts) {

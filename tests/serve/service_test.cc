@@ -5,15 +5,9 @@
 // function override seam.
 #include "serve/service.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -25,6 +19,7 @@
 #include "core/sgcl_config.h"
 #include "core/sgcl_model.h"
 #include "serve/batch_gate.h"
+#include "http_test_client.h"
 
 namespace sgcl {
 namespace serve {
@@ -47,44 +42,22 @@ const SgclModel& TestModel() {
   return *model;
 }
 
-// One-shot HTTP client: sends a raw request with Connection: close and
-// reads until EOF. Returns the full response text.
-std::string RawRequest(int port, const std::string& raw) {
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    close(fd);
-    return "";
-  }
-  send(fd, raw.data(), raw.size(), 0);
-  std::string response;
-  char buf[4096];
-  while (true) {
-    const ssize_t n = recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    response.append(buf, static_cast<size_t>(n));
-  }
-  close(fd);
-  return response;
-}
+// One-shot requests send Connection: close, so reading until EOF reads
+// one response.
+using ::sgcl::testing::RawHttpExchange;
 
 std::string Post(int port, const std::string& path, const std::string& body) {
-  return RawRequest(port,
-                    "POST " + path + " HTTP/1.1\r\nHost: localhost\r\n"
-                    "Content-Type: application/json\r\nContent-Length: " +
-                        std::to_string(body.size()) +
-                        "\r\nConnection: close\r\n\r\n" + body);
+  return RawHttpExchange(port,
+                         "POST " + path + " HTTP/1.1\r\nHost: localhost\r\n"
+                         "Content-Type: application/json\r\nContent-Length: " +
+                             std::to_string(body.size()) +
+                             "\r\nConnection: close\r\n\r\n" + body);
 }
 
 std::string Get(int port, const std::string& path) {
-  return RawRequest(port, "GET " + path + " HTTP/1.1\r\nHost: localhost\r\n"
-                          "Connection: close\r\n\r\n");
+  return RawHttpExchange(port, "GET " + path +
+                                   " HTTP/1.1\r\nHost: localhost\r\n"
+                                   "Connection: close\r\n\r\n");
 }
 
 std::string Body(const std::string& response) {
@@ -246,7 +219,7 @@ TEST_F(ServiceTest, MalformedRequestsGet4xxAndNeverWedgeTheServer) {
       Post(port_, "/v1/embed", std::string((4u << 20) + 1, 'x')), "413"));
 
   // Raw non-HTTP bytes -> 400, connection closed, server stays up.
-  EXPECT_TRUE(HasStatus(RawRequest(port_, "\x01\x02\x03garbage\r\n\r\n"),
+  EXPECT_TRUE(HasStatus(RawHttpExchange(port_, "\x01\x02\x03garbage\r\n\r\n"),
                         "400"));
 
   // After all that abuse a valid request still succeeds.

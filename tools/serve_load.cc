@@ -19,9 +19,6 @@
 // bench_diff-readable file: achieved QPS (higher is better) and the
 // latency quantiles in microseconds, with QPS, occupancy, request counts
 // and the load configuration recorded in the "context" object.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -41,7 +38,9 @@
 #include "common/flags.h"
 #include "common/json.h"
 #include "common/metrics.h"
+#include "common/parallel.h"
 #include "common/rng.h"
+#include "common/socket.h"
 #include "common/status.h"
 #include "common/string_util.h"
 
@@ -62,11 +61,10 @@ class HttpClient {
   Result<int> Roundtrip(const std::string& request, std::string* body) {
     for (int attempt = 0; attempt < 2; ++attempt) {
       if (fd_ < 0) {
-        const Status st = Connect();
-        if (!st.ok()) return st;
+        SGCL_ASSIGN_OR_RETURN(fd_, ConnectLoopback(port_));
         if (attempt > 0) ++reconnects_;
       }
-      if (!SendAll(request)) {
+      if (SendAll(fd_, request) != request.size()) {
         CloseFd();
         continue;  // stale keep-alive connection: reconnect once
       }
@@ -84,40 +82,9 @@ class HttpClient {
   const std::string& last_trace_id() const { return last_trace_id_; }
 
  private:
-  Status Connect() {
-    fd_ = socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return Status::Internal("socket() failed");
-    const int one = 1;
-    setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    struct sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(port_));
-    if (connect(fd_, reinterpret_cast<struct sockaddr*>(&addr),
-                sizeof(addr)) < 0) {
-      CloseFd();
-      return Status::Unavailable(
-          StrFormat("connect(127.0.0.1:%d) failed: %s", port_,
-                    strerror(errno)));
-    }
-    return Status::OK();
-  }
-
   void CloseFd() {
     if (fd_ >= 0) close(fd_);
     fd_ = -1;
-  }
-
-  bool SendAll(const std::string& data) {
-    size_t sent = 0;
-    while (sent < data.size()) {
-      const ssize_t n =
-          send(fd_, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-      if (n <= 0) return false;
-      sent += static_cast<size_t>(n);
-    }
-    return true;
   }
 
   Result<int> ReadResponse(std::string* body) {
@@ -332,8 +299,12 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "error: --features must be onehot or uniform\n");
     return 2;
   }
-  if (concurrency < 1 || pool < 1 || graphs_per_request < 1 || nodes < 2 ||
-      duration_s <= 0.0) {
+  if (concurrency < 1 || concurrency > kMaxThreadCount) {
+    std::fprintf(stderr, "error: --concurrency=%d is outside [1, %d]\n",
+                 concurrency, kMaxThreadCount);
+    return 2;
+  }
+  if (pool < 1 || graphs_per_request < 1 || nodes < 2 || duration_s <= 0.0) {
     std::fprintf(stderr, "error: implausible load configuration\n");
     return 2;
   }

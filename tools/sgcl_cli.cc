@@ -65,6 +65,7 @@
 #include "common/flags.h"
 #include "common/logging.h"
 #include "common/metrics.h"
+#include "common/parallel.h"
 #include "common/string_util.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
@@ -815,6 +816,11 @@ int CmdServe(int argc, char** argv) {
                                           " must be >= 1, got " +
                                           std::to_string(value)));
     }
+  }
+  if (options.http_threads > kMaxThreadCount) {
+    return Fail(Status::InvalidArgument(
+        StrFormat("--http-threads must be <= %d, got %d", kMaxThreadCount,
+                  options.http_threads)));
   }
   auto model = LoadModel(model_path);
   if (!model.ok()) return Fail(model.status());
