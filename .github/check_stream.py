@@ -64,7 +64,7 @@ def main() -> int:
 
     # 2. Uninterrupted streaming reference.
     run([cli, "pretrain", "--data=stream_store", f"--epochs={EPOCHS}",
-         *MODEL_ARGS, "--seed=0", "--prefetch-depth=2",
+         *MODEL_ARGS, "--seed=0",
          "--metrics-out=stream_ref.jsonl", "--out=stream_ref.ckpt"])
     ref = epoch_losses("stream_ref.jsonl")
     assert len(ref) == EPOCHS, ref
@@ -72,7 +72,7 @@ def main() -> int:
     # 3. Same run with mid-epoch checkpoints, SIGKILLed mid-flight.
     proc = subprocess.Popen(
         [cli, "pretrain", "--data=stream_store", f"--epochs={EPOCHS}",
-         *MODEL_ARGS, "--seed=0", "--prefetch-depth=2",
+         *MODEL_ARGS, "--seed=0",
          "--checkpoint-dir=stream_ckpt", "--checkpoint-every-batches=2",
          "--checkpoint-keep=0", "--out=stream_kill.ckpt"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
@@ -95,7 +95,7 @@ def main() -> int:
     # 4. Resume under a different seed; losses must match the reference
     # bitwise for every epoch the resumed run reports.
     run([cli, "pretrain", "--data=stream_store", f"--epochs={EPOCHS}",
-         *MODEL_ARGS, "--seed=31337", "--prefetch-depth=2",
+         *MODEL_ARGS, "--seed=31337",
          "--checkpoint-dir=stream_ckpt", "--checkpoint-every-batches=2",
          "--checkpoint-keep=0", "--resume",
          "--metrics-out=stream_resume.jsonl", "--out=stream_resume.ckpt"])

@@ -20,7 +20,6 @@
 #define SGCL_COMMON_METRICS_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -186,28 +185,6 @@ std::string JsonDouble(double v);
 // Sanitizes an internal metric name ("parallel/queue_wait_us") into a
 // Prometheus-legal one ("sgcl_parallel_queue_wait_us").
 std::string PrometheusMetricName(const std::string& name);
-
-// RAII stage timer: adds the scope's wall time in microseconds to a
-// counter on destruction. Prefer SGCL_TRACE_SPAN_TIMED (trace.h) at
-// instrumentation sites so the stage also shows up in traces.
-class ScopedUsTimer {
- public:
-  explicit ScopedUsTimer(Counter* counter)
-      : counter_(counter), start_(std::chrono::steady_clock::now()) {}
-  ~ScopedUsTimer() {
-    if (counter_ == nullptr) return;
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    counter_->Increment(
-        std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
-            .count());
-  }
-  ScopedUsTimer(const ScopedUsTimer&) = delete;
-  ScopedUsTimer& operator=(const ScopedUsTimer&) = delete;
-
- private:
-  Counter* counter_;
-  std::chrono::steady_clock::time_point start_;
-};
 
 }  // namespace sgcl
 

@@ -56,87 +56,84 @@ std::string GenerateRunId() {
                    counter.fetch_add(1) + 1);
 }
 
-RunStatusBoard::RunStatusBoard()
-    : start_(std::chrono::steady_clock::now()) {}
-
 void RunStatusBoard::BeginRun(const std::string& command, int total_epochs) {
+  Fields fresh;
+  fresh.command = command;
+  fresh.state = "running";
+  fresh.total_epochs = total_epochs;
   std::lock_guard<std::mutex> lock(mu_);
-  command_ = command;
-  state_ = "running";
-  completed_epochs_ = 0;
-  total_epochs_ = total_epochs;
-  last_epoch_seconds_ = 0.0;
-  losses_.clear();
-  stage_seconds_.clear();
-  checkpoint_count_ = 0;
-  last_checkpoint_path_.clear();
-  checkpoint_seconds_ = 0.0;
-  workers_.clear();
-  start_ = std::chrono::steady_clock::now();
+  fields_ = std::move(fresh);
 }
 
 void RunStatusBoard::RecordEpoch(
     int epoch, int total_epochs, double loss, double seconds,
     const std::map<std::string, double>& stage_seconds) {
   std::lock_guard<std::mutex> lock(mu_);
-  completed_epochs_ = epoch + 1;
-  total_epochs_ = total_epochs;
-  last_epoch_seconds_ = seconds;
-  losses_.push_back(loss);
+  fields_.completed_epochs = epoch + 1;
+  fields_.total_epochs = total_epochs;
+  fields_.last_epoch_seconds = seconds;
+  fields_.losses.push_back(loss);
   for (const auto& [stage, secs] : stage_seconds) {
-    stage_seconds_[stage] += secs;
+    fields_.stage_seconds[stage] += secs;
   }
 }
 
 void RunStatusBoard::EndRun(bool ok) {
   std::lock_guard<std::mutex> lock(mu_);
-  state_ = ok ? "done" : "failed";
+  fields_.state = ok ? "done" : "failed";
 }
 
 void RunStatusBoard::RecordCheckpoint(const std::string& path,
                                       double seconds) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++checkpoint_count_;
-  last_checkpoint_path_ = path;
-  checkpoint_seconds_ += seconds;
+  ++fields_.checkpoint_count;
+  fields_.last_checkpoint_path = path;
+  fields_.checkpoint_seconds += seconds;
 }
 
-void RunStatusBoard::RecordWorker(int rank, bool connected,
-                                  int64_t last_round, int64_t leaves) {
+void RunStatusBoard::RecordWorkerConnected(int rank, bool connected) {
   std::lock_guard<std::mutex> lock(mu_);
-  WorkerRow& row = workers_[rank];
-  row.connected = connected;
-  row.last_round = last_round;
-  row.leaves = leaves;
+  fields_.workers[rank].connected = connected;
+}
+
+void RunStatusBoard::RecordWorkerLeaf(int rank, int64_t round) {
+  std::lock_guard<std::mutex> lock(mu_);
+  WorkerRow& row = fields_.workers[rank];
+  row.last_round = round;
+  ++row.leaves;
 }
 
 std::string RunStatusBoard::ToJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  Fields f;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    f = fields_;
+  }
   const double uptime =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - f.start)
           .count();
   // The in-progress epoch is 1-based and clamps at total once finished.
   const int in_progress =
-      state_ == "running" ? std::min(completed_epochs_ + 1, total_epochs_)
-                          : completed_epochs_;
+      f.state == "running" ? std::min(f.completed_epochs + 1, f.total_epochs)
+                           : f.completed_epochs;
   std::string json = "{\"run_id\":\"" + JsonEscape(GetRunId()) + "\"";
-  json += ",\"state\":\"" + JsonEscape(state_) + "\"";
-  json += ",\"command\":\"" + JsonEscape(command_) + "\"";
+  json += ",\"state\":\"" + JsonEscape(f.state) + "\"";
+  json += ",\"command\":\"" + JsonEscape(f.command) + "\"";
   json += ",\"uptime_seconds\":" + JsonDouble(uptime);
   json += ",\"epoch\":" + std::to_string(in_progress);
-  json += ",\"completed_epochs\":" + std::to_string(completed_epochs_);
-  json += ",\"total_epochs\":" + std::to_string(total_epochs_);
-  json += ",\"last_loss\":" +
-          (losses_.empty() ? std::string("null") : JsonDouble(losses_.back()));
-  json += ",\"last_epoch_seconds\":" + JsonDouble(last_epoch_seconds_);
+  json += ",\"completed_epochs\":" + std::to_string(f.completed_epochs);
+  json += ",\"total_epochs\":" + std::to_string(f.total_epochs);
+  json += ",\"last_loss\":" + (f.losses.empty() ? std::string("null")
+                                                 : JsonDouble(f.losses.back()));
+  json += ",\"last_epoch_seconds\":" + JsonDouble(f.last_epoch_seconds);
   json += ",\"losses\":[";
-  for (size_t i = 0; i < losses_.size(); ++i) {
+  for (size_t i = 0; i < f.losses.size(); ++i) {
     if (i > 0) json += ',';
-    json += JsonDouble(losses_[i]);
+    json += JsonDouble(f.losses[i]);
   }
   json += "],\"stage_seconds\":{";
   bool first = true;
-  for (const auto& [stage, secs] : stage_seconds_) {
+  for (const auto& [stage, secs] : f.stage_seconds) {
     if (!first) json += ',';
     first = false;
     // Appended piecewise: GCC 12's -Wrestrict misfires on chained
@@ -145,17 +142,17 @@ std::string RunStatusBoard::ToJson() const {
     json.append(JsonDouble(secs));
   }
   json += "}";
-  if (checkpoint_count_ > 0) {
-    json += ",\"checkpoint\":{\"count\":" + std::to_string(checkpoint_count_);
+  if (f.checkpoint_count > 0) {
+    json += ",\"checkpoint\":{\"count\":" + std::to_string(f.checkpoint_count);
     json.append(",\"last_path\":\"")
-        .append(JsonEscape(last_checkpoint_path_))
+        .append(JsonEscape(f.last_checkpoint_path))
         .append("\"");
-    json += ",\"total_seconds\":" + JsonDouble(checkpoint_seconds_) + "}";
+    json += ",\"total_seconds\":" + JsonDouble(f.checkpoint_seconds) + "}";
   }
-  if (!workers_.empty()) {
+  if (!f.workers.empty()) {
     json += ",\"workers\":[";
     bool first_worker = true;
-    for (const auto& [rank, row] : workers_) {
+    for (const auto& [rank, row] : f.workers) {
       if (!first_worker) json += ',';
       first_worker = false;
       json.append("{\"rank\":").append(std::to_string(rank));

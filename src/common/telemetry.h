@@ -45,8 +45,6 @@ std::string GenerateRunId();
 // take a short mutex per epoch — far off any hot path.
 class RunStatusBoard {
  public:
-  RunStatusBoard();
-
   // Marks a run in progress (state "running") and resets epoch state.
   void BeginRun(const std::string& command, int total_epochs);
   // Publishes a completed epoch; /status then shows epoch `epoch + 1`
@@ -59,40 +57,47 @@ class RunStatusBoard {
   // PretrainOptions::on_checkpoint); /status then reports the latest
   // checkpoint path, count, and cumulative save seconds.
   void RecordCheckpoint(const std::string& path, double seconds);
-  // Publishes one distributed worker's live row (wired to the all-reduce
-  // coordinator in rank 0's process): connection state, the last round
-  // it submitted a leaf for (-1 before the first), and its cumulative
-  // leaf count. /status renders these as a "workers" array.
-  void RecordWorker(int rank, bool connected, int64_t last_round,
-                    int64_t leaves);
+  // Distributed worker rows, fed by the all-reduce coordinator in rank
+  // 0's process. /status renders them as a "workers" array: connection
+  // state, the last round each rank submitted a leaf for (-1 before the
+  // first), and its cumulative leaf count.
+  void RecordWorkerConnected(int rank, bool connected);
+  void RecordWorkerLeaf(int rank, int64_t round);
 
   // One JSON object: run_id, state, command, uptime_seconds,
   // completed_epochs, epoch (in progress, 1-based), total_epochs,
   // last_loss, last_epoch_seconds, losses (per completed epoch),
   // cumulative stage_seconds, checkpoint {count, last_path,
   // total_seconds} when any checkpoint was saved, and workers
-  // [{rank, connected, last_round, leaves}] when distributed.
+  // [{rank, connected, last_round, leaves}] when distributed. Formats a
+  // copy taken under the lock, so a scrape never holds up a writer.
   std::string ToJson() const;
 
  private:
-  mutable std::mutex mu_;
-  std::string command_ SGCL_GUARDED_BY(mu_);
-  std::string state_ SGCL_GUARDED_BY(mu_) = "idle";
-  int completed_epochs_ SGCL_GUARDED_BY(mu_) = 0;
-  int total_epochs_ SGCL_GUARDED_BY(mu_) = 0;
-  double last_epoch_seconds_ SGCL_GUARDED_BY(mu_) = 0.0;
-  std::vector<double> losses_ SGCL_GUARDED_BY(mu_);
-  std::map<std::string, double> stage_seconds_ SGCL_GUARDED_BY(mu_);
-  int checkpoint_count_ SGCL_GUARDED_BY(mu_) = 0;
-  std::string last_checkpoint_path_ SGCL_GUARDED_BY(mu_);
-  double checkpoint_seconds_ SGCL_GUARDED_BY(mu_) = 0.0;
   struct WorkerRow {
     bool connected = false;
     int64_t last_round = -1;
     int64_t leaves = 0;
   };
-  std::map<int, WorkerRow> workers_ SGCL_GUARDED_BY(mu_);
-  std::chrono::steady_clock::time_point start_;
+  // Everything /status shows.
+  struct Fields {
+    std::string command;
+    std::string state = "idle";
+    int completed_epochs = 0;
+    int total_epochs = 0;
+    double last_epoch_seconds = 0.0;
+    std::vector<double> losses;
+    std::map<std::string, double> stage_seconds;
+    int checkpoint_count = 0;
+    std::string last_checkpoint_path;
+    double checkpoint_seconds = 0.0;
+    std::map<int, WorkerRow> workers;
+    std::chrono::steady_clock::time_point start =
+        std::chrono::steady_clock::now();
+  };
+
+  mutable std::mutex mu_;
+  Fields fields_ SGCL_GUARDED_BY(mu_);
 };
 
 // Registers the shared diagnostics handlers — GET /metrics (Prometheus

@@ -10,6 +10,7 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
+#include "common/trace.h"
 
 namespace sgcl {
 namespace {
@@ -257,10 +258,9 @@ void AllReduceCoordinator::HandleConnection(FramedChannel* channel) {
     }
   }
   channel->ShutdownWake();
-  if (greeted) {
-    std::lock_guard<std::mutex> lock(mu_);
-    workers_[rank].connected = false;
-    PublishWorkerRow(rank, false);
+  if (greeted && options_.status_board != nullptr) {
+    options_.status_board->RecordWorkerConnected(static_cast<int>(rank),
+                                                 false);
   }
 }
 
@@ -285,13 +285,10 @@ Result<uint32_t> AllReduceCoordinator::HandleHello(FramedChannel* channel,
     SGCL_RETURN_NOT_OK(channel->Send(FrameType::kReject, reject));
     return Status::FailedPrecondition(reject);
   }
-  uint64_t completed;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    completed = completed_next_;
-    WorkerStat& stat = workers_[hello.rank];
-    stat.connected = true;
-    PublishWorkerRow(hello.rank, true);
+  const uint64_t completed = completed_rounds();
+  if (options_.status_board != nullptr) {
+    options_.status_board->RecordWorkerConnected(static_cast<int>(hello.rank),
+                                                 true);
   }
   BufferWriter writer;
   writer.WriteU64(completed);
@@ -328,11 +325,11 @@ Status AllReduceCoordinator::HandleLeaf(const Frame& frame, uint32_t rank) {
     return Status::OutOfRange(StrFormat(
         "LEAF slot %u in a round of %u leaves", slot, leaves));
   }
+  if (options_.status_board != nullptr) {
+    options_.status_board->RecordWorkerLeaf(static_cast<int>(rank),
+                                            static_cast<int64_t>(round));
+  }
   std::lock_guard<std::mutex> lock(mu_);
-  WorkerStat& stat = workers_[rank];
-  stat.last_round = static_cast<int64_t>(round);
-  ++stat.leaves;
-  PublishWorkerRow(rank, stat.connected);
   // First write wins: a leaf for an already-reduced round (or an
   // already-present slot) is a rejoiner re-submitting work the cluster
   // has; a deterministic recompute is bitwise-equal, so dropping it is
@@ -399,13 +396,6 @@ Status AllReduceCoordinator::HandleRoundRequest(FramedChannel* channel,
   return channel->Send(FrameType::kRoundResult, payload);
 }
 
-void AllReduceCoordinator::PublishWorkerRow(uint32_t rank, bool connected) {
-  if (options_.status_board == nullptr) return;
-  const WorkerStat& stat = workers_[rank];
-  options_.status_board->RecordWorker(static_cast<int>(rank), connected,
-                                      stat.last_round, stat.leaves);
-}
-
 Result<JoinReply> AllReduceClient::Join(int port, const WorkerHello& hello,
                                         int connect_deadline_ms,
                                         int io_timeout_ms) {
@@ -458,7 +448,7 @@ Status AllReduceClient::SubmitLeaf(uint64_t round, uint32_t slot, double loss,
 Result<ReducedRound> AllReduceClient::GetRound(uint64_t round) {
   static Counter* const allreduce_us_counter =
       MetricsRegistry::Global().GetCounter("comms/allreduce_us");
-  const ScopedUsTimer wait_timer(allreduce_us_counter);
+  const TraceSpan wait_span("comms/allreduce_wait", allreduce_us_counter);
   BufferWriter writer;
   writer.WriteU64(round);
   SGCL_RETURN_NOT_OK(channel_.Send(FrameType::kRoundRequest, writer.bytes()));

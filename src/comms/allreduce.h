@@ -136,7 +136,8 @@ struct AllReduceCoordinatorOptions {
   // then fails FailedPrecondition). Size this from the checkpoint
   // cadence: every round since a worker's latest checkpoint must fit.
   int cache_rounds = 64;
-  // Optional live per-worker rows for /status; must outlive Stop().
+  // Optional /status board that the coordinator tells of each worker's
+  // join, leave and leaf; must outlive Stop().
   RunStatusBoard* status_board = nullptr;
 };
 
@@ -181,8 +182,6 @@ class AllReduceCoordinator {
   Status HandleLeaf(const Frame& frame, uint32_t rank);
   Status HandleRoundRequest(FramedChannel* channel, const Frame& frame)
       SGCL_NO_THREAD_SAFETY_ANALYSIS;
-  void PublishWorkerRow(uint32_t rank, bool connected)
-      SGCL_REQUIRES(mu_);
 
   const AllReduceCoordinatorOptions options_;
   FrameListener listener_{"comms_srv"};
@@ -200,13 +199,6 @@ class AllReduceCoordinator {
   std::map<uint64_t, ReducedRound> completed_ SGCL_GUARDED_BY(mu_);
   uint64_t completed_next_ SGCL_GUARDED_BY(mu_) = 0;
   int goodbyes_ SGCL_GUARDED_BY(mu_) = 0;
-  // Live per-rank stats mirrored into options_.status_board.
-  struct WorkerStat {
-    bool connected = false;
-    int64_t last_round = -1;
-    int64_t leaves = 0;
-  };
-  std::map<uint32_t, WorkerStat> workers_ SGCL_GUARDED_BY(mu_);
 };
 
 // What a worker announces when (re)joining.
@@ -244,10 +236,10 @@ class AllReduceClient final : public RoundReducer {
                     const std::vector<float>& grad) override;
 
   // Blocks until `round` is reduced and returns it; the time blocked is
-  // added to counter "comms/allreduce_us". FailedPrecondition when the
-  // round was evicted from the coordinator's cache (the checkpoint
-  // cadence outran cache_rounds), Unavailable on timeout or a dead
-  // coordinator.
+  // a "comms/allreduce_wait" span that adds to counter
+  // "comms/allreduce_us". FailedPrecondition when the round was evicted
+  // from the coordinator's cache (the checkpoint cadence outran
+  // cache_rounds), Unavailable on timeout or a dead coordinator.
   Result<ReducedRound> GetRound(uint64_t round) override;
 
   // Clean shutdown notice; the coordinator counts these for

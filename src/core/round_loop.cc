@@ -196,6 +196,10 @@ Result<PretrainStats> RunRoundLoop(const RoundLoopMethod& method,
       return Status::OutOfRange("Pretrain index outside source");
     }
   }
+  if (options.prefetch_depth < 1) {
+    return Status::InvalidArgument(
+        "PretrainOptions::prefetch_depth must be >= 1");
+  }
   if (options.checkpoint_every_batches < 0) {
     return Status::InvalidArgument(
         "PretrainOptions::checkpoint_every_batches must be >= 0");

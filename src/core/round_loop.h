@@ -93,9 +93,9 @@ struct PretrainOptions {
   std::function<void(const CheckpointReport&)> on_checkpoint;
 
   // Streaming pipeline (data/prefetcher.h): batches kept in flight ahead
-  // of the training step. <= 0 fetches synchronously. Prefetching only
-  // moves *when* decode happens, never what is computed, so changing the
-  // depth cannot change losses.
+  // of the training step, at least 1. Prefetching only moves *when*
+  // decode happens, never what is computed, so changing the depth cannot
+  // change losses.
   int prefetch_depth = 2;
   // When > 0 (and checkpoint_dir is set), additionally checkpoint inside
   // each epoch at the first round boundary after every N completed
@@ -180,7 +180,7 @@ struct RoundLoopCluster {
 // owns (data/rank_assign.h) with Rng(DeriveBatchSeed(run seed, epoch,
 // batch)), submits their flattened gradients to the reducer, then takes
 // one clipped Adam step on the reduced mean. Returns InvalidArgument when
-// fewer than 2 graphs are selected, a checkpoint option is invalid, or
+// fewer than 2 graphs are selected, an option is invalid, or
 // the resumed checkpoint belongs to another run; OutOfRange when an index
 // is outside the source. Batches stream through the prefetch pipeline;
 // for multi-block sources (sharded stores) the per-epoch shuffle is

@@ -5,35 +5,30 @@
 // read + CRC + decode overlaps the previous batch's compute. depth=2 is
 // classic double buffering: while batch k trains, batch k+1 decodes.
 //
-// State machine per slot (one slot per scheduled batch):
-//   SCHEDULED --(pool worker runs Fetch)--> READY{result|error}
-//   READY --(Next() pops in FIFO order)--> consumed
-// BeginEpoch seeds `depth` SCHEDULED slots; every Next() schedules one
-// more until the epoch's batch list is exhausted. depth <= 0 disables
-// the pipeline: Next() fetches synchronously on the caller's thread,
-// which is bitwise-identical in results and useful for debugging.
+// Each scheduled batch is one future, fed by a task on the pool that
+// owns its indices and reads only the source. BeginEpoch schedules
+// `depth` batches; every Next() takes the oldest future and schedules
+// one more until the epoch's batch list is exhausted.
 //
 // The prefetcher never touches training RNG — Fetch is read-only — so
 // enabling it cannot perturb losses; it only changes *when* decode work
-// happens. Thread-safety: one consumer thread calls BeginEpoch/Next; the
-// source's Fetch must be thread-safe (GraphSource contract).
+// happens. Thread-safety: one consumer thread calls BeginEpoch/Next and
+// owns every member; the source's Fetch must be thread-safe (GraphSource
+// contract).
 #ifndef SGCL_DATA_PREFETCHER_H_
 #define SGCL_DATA_PREFETCHER_H_
 
-#include <condition_variable>
 #include <deque>
-#include <memory>
-#include <mutex>
+#include <future>
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "graph/graph_source.h"
 
 namespace sgcl {
 
 struct PrefetcherOptions {
-  // Batches in flight ahead of the consumer; <= 0 means synchronous.
+  // Batches in flight ahead of the consumer; must be >= 1.
   int depth = 2;
 };
 
@@ -41,48 +36,34 @@ class BatchPrefetcher {
  public:
   explicit BatchPrefetcher(const GraphSource* source,
                            const PrefetcherOptions& options = {});
-  // Drains in-flight work before destruction (slots reference members).
+  // Waits for every scheduled fetch: each one reads the source.
   ~BatchPrefetcher();
 
   BatchPrefetcher(const BatchPrefetcher&) = delete;
   BatchPrefetcher& operator=(const BatchPrefetcher&) = delete;
 
   // Resets the pipeline to serve `batches` in order. Any batches left
-  // unconsumed from a previous epoch are abandoned (after draining).
+  // unconsumed from a previous epoch are abandoned (after their fetches
+  // finish).
   void BeginEpoch(std::vector<std::vector<int64_t>> batches);
 
   // The next batch, blocking until its fetch completes. Propagates the
   // Fetch error of exactly that batch. Fatal if the epoch is exhausted —
   // callers know their batch count.
-  // Next and DrainInFlight wait on cv_ through std::unique_lock,
-  // which libc++'s analysis does not model; sgcl_lint's R8 does and
-  // keeps them machine-checked.
-  [[nodiscard]] Result<FetchedGraphs> Next() SGCL_NO_THREAD_SAFETY_ANALYSIS;
+  [[nodiscard]] Result<FetchedGraphs> Next();
 
   // Batches not yet handed out this epoch.
   int64_t remaining() const;
 
  private:
-  struct Slot {
-    bool done = false;
-    Status status = Status::OK();
-    FetchedGraphs result;
-  };
-
   void Schedule();  // schedules batches_[next_to_schedule_] if any
-  void DrainInFlight() SGCL_NO_THREAD_SAFETY_ANALYSIS;
 
   const GraphSource* source_;
   PrefetcherOptions options_;
   std::vector<std::vector<int64_t>> batches_;
   size_t next_to_schedule_ = 0;
-  size_t next_to_return_ = 0;
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  // FIFO, same order as batches.
-  std::deque<std::shared_ptr<Slot>> inflight_ SGCL_GUARDED_BY(mu_);
-  int64_t outstanding_ SGCL_GUARDED_BY(mu_) = 0;  // scheduled, not yet READY
+  // Scheduled and not yet handed out, in batch order.
+  std::deque<std::future<Result<FetchedGraphs>>> inflight_;
 };
 
 }  // namespace sgcl

@@ -20,6 +20,9 @@ constexpr uint32_t kShardMagic = 0x53475348u;     // "SGSH"
 constexpr uint32_t kManifestMagic = 0x5347534du;  // "SGSM"
 constexpr uint32_t kFormatVersion = 1;
 constexpr int64_t kMaxShards = int64_t{1} << 20;
+// Decoded shards kept resident. Two suffice for the double-buffered
+// prefetch pipeline; more would trade RSS for fewer re-decodes.
+constexpr size_t kCachedShards = 2;
 
 // Validates the whole-file trailing CRC and returns the body (all bytes
 // before the 4-byte trailer).
@@ -178,10 +181,7 @@ Status ShardedGraphStoreWriter::Finalize() {
 // Reader
 
 Result<std::unique_ptr<ShardedGraphStore>> ShardedGraphStore::Open(
-    const std::string& dir, const ShardStoreOptions& options) {
-  if (options.max_cached_shards < 1) {
-    return Status::InvalidArgument("max_cached_shards must be >= 1");
-  }
+    const std::string& dir) {
   const std::string manifest_path = ManifestPath(dir);
   SGCL_ASSIGN_OR_RETURN(const std::string bytes,
                         ReadFileToString(manifest_path));
@@ -201,7 +201,6 @@ Result<std::unique_ptr<ShardedGraphStore>> ShardedGraphStore::Open(
   // NOLINTNEXTLINE(sgcl-R5): private ctor, make_unique cannot reach it
   std::unique_ptr<ShardedGraphStore> store(new ShardedGraphStore());
   store->dir_ = dir;
-  store->options_ = options;
   store->name_ = reader.ReadString();
   const int64_t num_classes = reader.ReadI64();
   const int64_t num_tasks = reader.ReadI64();
@@ -400,7 +399,7 @@ ShardedGraphStore::GetShard(int64_t shard) const {
   std::lock_guard<std::mutex> lock(mu_);
   ++decode_count_;
   cache_.emplace_front(shard, decoded);
-  while (static_cast<int>(cache_.size()) > options_.max_cached_shards) {
+  while (cache_.size() > kCachedShards) {
     cache_.pop_back();
     cache_evictions->Increment();
   }

@@ -24,11 +24,10 @@
 // (c) shards without a manifest — Open treats (c) as "store absent"
 // because the manifest is written last and is the commit point.
 //
-// The reader keeps at most `max_cached_shards` decoded shards in an LRU
-// cache, so resident memory is bounded by the cache size and shard
-// capacity — independent of the total graph count. Fetch is thread-safe;
-// decoded shards are handed out as shared_ptr pins, so FetchedGraphs
-// batches stay valid after eviction.
+// The reader keeps at most two decoded shards in an LRU cache, so
+// resident memory is bounded by the shard capacity — independent of the
+// total graph count. Fetch is thread-safe; decoded shards are handed out
+// as shared_ptr pins, so FetchedGraphs batches stay valid after eviction.
 //
 // The store is the only on-disk graph format: a GraphDataset is saved as
 // a one-shard store (SaveDataset) and any store loads back into memory
@@ -103,17 +102,11 @@ class ShardedGraphStoreWriter {
   bool finalized_ = false;
 };
 
-struct ShardStoreOptions {
-  // Decoded shards kept resident. 2 suffices for the double-buffered
-  // prefetch pipeline; higher trades RSS for fewer re-decodes.
-  int max_cached_shards = 2;
-};
-
 // Read side: a GraphSource over a finalized store directory.
 class ShardedGraphStore : public GraphSource {
  public:
   [[nodiscard]] static Result<std::unique_ptr<ShardedGraphStore>> Open(
-      const std::string& dir, const ShardStoreOptions& options = {});
+      const std::string& dir);
 
   const std::string& name() const override { return name_; }
   int num_classes() const override { return num_classes_; }
@@ -162,7 +155,6 @@ class ShardedGraphStore : public GraphSource {
   int64_t total_graphs_ = 0;
   uint64_t fingerprint_ = 0;
   std::vector<ShardInfo> shards_;
-  ShardStoreOptions options_;
 
   // LRU of decoded shards, most-recent first.
   mutable std::mutex mu_;

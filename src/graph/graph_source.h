@@ -14,7 +14,6 @@
 #ifndef SGCL_GRAPH_GRAPH_SOURCE_H_
 #define SGCL_GRAPH_GRAPH_SOURCE_H_
 
-#include <deque>
 #include <memory>
 #include <span>
 #include <string>
@@ -27,10 +26,9 @@
 
 namespace sgcl {
 
-// A batch of graphs handed out by GraphSource::Fetch. Holds any mix of
-// borrowed pointers (kept alive by `pins_` or by the source itself) and
-// owned Graph values; `graphs()` exposes the batch uniformly as pointers
-// in append order.
+// A batch of graphs handed out by GraphSource::Fetch. Holds borrowed
+// pointers, kept alive by `pins_` or by the source itself; `graphs()`
+// exposes them in append order.
 class FetchedGraphs {
  public:
   FetchedGraphs() = default;
@@ -43,11 +41,6 @@ class FetchedGraphs {
   // guaranteed to cover this batch (e.g. a cached shard), register a pin.
   void AppendBorrowed(const Graph* graph) {
     ptrs_.push_back(graph);
-  }
-  // Appends a graph owned by the batch itself.
-  void AppendOwned(Graph graph) {
-    owned_.push_back(std::move(graph));  // deque: stable element addresses
-    ptrs_.push_back(&owned_.back());
   }
   // Keeps `pin` alive as long as the batch (shared decoded shards).
   void AddPin(std::shared_ptr<const void> pin) {
@@ -64,13 +57,11 @@ class FetchedGraphs {
 
   void Clear() {
     ptrs_.clear();
-    owned_.clear();
     pins_.clear();
   }
 
  private:
   std::vector<const Graph*> ptrs_;
-  std::deque<Graph> owned_;
   std::vector<std::shared_ptr<const void>> pins_;
 };
 
@@ -103,8 +94,7 @@ class GraphSource {
 
   // Stable fingerprint of the source's identity and content, recorded in
   // training checkpoints and re-checked on resume so a checkpoint is
-  // never applied to different data. 0 means "unknown" (legacy
-  // checkpoints skip the check).
+  // never applied to different data.
   virtual uint64_t ContentFingerprint() const = 0;
 
   // Decode-locality hint: disjoint ranges covering [0, size()) such that

@@ -187,11 +187,11 @@ TEST_F(TraceTest, ConcurrentThreadPoolSpansAreDenseAndWellNested) {
   EXPECT_EQ(inner, 64);
   std::set<int> tids;
   for (const ChromeEvent& e : events) tids.insert(e.tid);
-  // Dense ids: every id seen across the process so far is a small
-  // non-negative integer bounded by pool size + observed threads, never a
-  // raw OS thread id.
-  const int bound =
-      ParallelRuntimeThreads() + static_cast<int>(tids.size()) + 4;
+  // Dense ids: ids are handed out in order, process-wide, so a thread
+  // started now gets the count handed out so far, and every id already
+  // seen is below it. A raw OS thread id never is.
+  int bound = 0;
+  std::thread([&bound] { bound = TraceThreadId(); }).join();
   for (int tid : tids) {
     EXPECT_GE(tid, 0);
     EXPECT_LT(tid, bound);

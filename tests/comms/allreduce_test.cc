@@ -11,6 +11,8 @@
 
 #include "comms/allreduce.h"
 #include "common/metrics.h"
+#include "common/telemetry.h"
+#include "common/trace.h"
 #include "gtest/gtest.h"
 
 namespace sgcl {
@@ -289,6 +291,70 @@ TEST(AllReduceTest, WrongGradDimensionIsRejected) {
   (void)client.SubmitLeaf(0, 0, 1.0, wrong);
   auto reduced = client.GetRound(0);
   EXPECT_FALSE(reduced.ok());
+  coordinator->Stop();
+}
+
+// Rank 0's /status lists every worker the coordinator has seen: its
+// connection, the round of its last leaf and its leaf count.
+TEST(AllReduceTest, StatusBoardShowsEachWorkersRow) {
+  const AllReduceSchedule schedule = TinySchedule(1);
+  RunStatusBoard board;
+  board.BeginRun("pretrain", 1);
+  AllReduceCoordinatorOptions options;
+  options.schedule = schedule;
+  options.status_board = &board;
+  AllReduceCoordinator coordinator(options);
+  ASSERT_TRUE(coordinator.Start(0).ok());
+  AllReduceClient client;
+  ASSERT_TRUE(Join(&client, coordinator.port(), schedule, 0).ok());
+  for (uint32_t slot = 0; slot < 4; ++slot) {
+    ASSERT_TRUE(
+        client.SubmitLeaf(0, slot, LeafLoss(slot), LeafGrad(slot)).ok());
+  }
+  // The round is reduced only after all four leaves were counted.
+  ASSERT_TRUE(client.GetRound(0).ok());
+  EXPECT_NE(board.ToJson().find("\"workers\":[{\"rank\":0,\"connected\":"
+                                "true,\"last_round\":0,\"leaves\":4}]"),
+            std::string::npos)
+      << board.ToJson();
+  client.Disconnect();
+  coordinator.Stop();  // joins the handler, which records the leave
+  EXPECT_NE(board.ToJson().find("\"workers\":[{\"rank\":0,\"connected\":"
+                                "false,\"last_round\":0,\"leaves\":4}]"),
+            std::string::npos)
+      << board.ToJson();
+}
+
+// A sampled round's trace shows how long the worker waited for the
+// reduction, as a child of the round's root span.
+TEST(AllReduceTest, GetRoundWaitIsAChildOfTheSampledRound) {
+  const AllReduceSchedule schedule = TinySchedule(1);
+  auto coordinator = StartCoordinator(schedule);
+  AllReduceClient client;
+  ASSERT_TRUE(Join(&client, coordinator->port(), schedule, 0).ok());
+  for (uint32_t slot = 0; slot < 4; ++slot) {
+    ASSERT_TRUE(
+        client.SubmitLeaf(0, slot, LeafLoss(slot), LeafGrad(slot)).ok());
+  }
+  TraceRing::Global().SetSampleRate(1.0);
+  TraceRing::Global().SetCapacity(8);
+  TraceRing::Global().Clear();
+  const TraceContext ctx = TraceRing::Global().MaybeStartTrace();
+  ASSERT_TRUE(ctx.valid());
+  {
+    ScopedTraceContext install(ctx);
+    TraceSpan root("train/batch");
+    ASSERT_TRUE(client.GetRound(0).ok());
+  }
+  const std::string tree = TraceRing::Global().TreeJson(ctx.trace_id);
+  EXPECT_NE(tree.find("\"root\":{\"name\":\"train/batch\""),
+            std::string::npos)
+      << tree;
+  EXPECT_NE(tree.find("\"children\":[{\"name\":\"comms/allreduce_wait\""),
+            std::string::npos)
+      << tree;
+  TraceRing::Global().SetSampleRate(0.0);
+  TraceRing::Global().Clear();
   coordinator->Stop();
 }
 

@@ -92,7 +92,7 @@ TEST(StreamingPretrainTest, MultiShardDeterministicAcrossPrefetchDepths) {
   ASSERT_GT((*store)->num_shards(), 1);
 
   std::vector<std::vector<float>> runs;
-  for (int depth : {0, 1, 4}) {
+  for (int depth : {1, 2, 4}) {
     SgclTrainer trainer(StreamConfig(), /*seed=*/9);
     PretrainOptions options;
     options.prefetch_depth = depth;
@@ -186,6 +186,19 @@ TEST(StreamingPretrainTest, ResumeRejectsDifferentSource) {
   EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
   fs::remove_all(dir);
   fs::remove_all(ckpt_dir);
+}
+
+// Every batch goes through the pipeline, so it needs a batch in flight.
+TEST(StreamingPretrainTest, RejectsPrefetchDepthBelowOne) {
+  GraphDataset ds = StreamDataset();
+  SgclTrainer trainer(StreamConfig(), /*seed=*/1);
+  PretrainOptions options;
+  options.prefetch_depth = 0;
+  auto stats = trainer.Pretrain(ds, {}, options);
+  EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(stats.status().message().find("prefetch_depth"),
+            std::string::npos)
+      << stats.status().ToString();
 }
 
 TEST(StreamingPretrainTest, RejectsBatchCheckpointingWithoutDir) {

@@ -45,25 +45,23 @@ std::vector<std::vector<int64_t>> MakeBatches(int64_t total,
   return batches;
 }
 
-// The async pipeline must hand out exactly what synchronous fetching
-// would, batch for batch and graph for graph.
+// The async pipeline must hand out exactly what the store's own Fetch
+// returns, batch for batch and graph for graph.
 TEST(PrefetcherTest, AsyncMatchesSynchronous) {
   const std::string dir = MakeStore("prefetch_match", 20, 4);
   auto store = ShardedGraphStore::Open(dir);
   ASSERT_TRUE(store.ok());
 
-  PrefetcherOptions sync_opt;
-  sync_opt.depth = 0;
   PrefetcherOptions async_opt;
   async_opt.depth = 3;
-  BatchPrefetcher sync_pf(store->get(), sync_opt);
   BatchPrefetcher async_pf(store->get(), async_opt);
-  sync_pf.BeginEpoch(MakeBatches(20, 6));
-  async_pf.BeginEpoch(MakeBatches(20, 6));
+  const std::vector<std::vector<int64_t>> batches = MakeBatches(20, 6);
+  async_pf.BeginEpoch(batches);
 
-  while (sync_pf.remaining() > 0) {
+  for (const std::vector<int64_t>& batch : batches) {
     ASSERT_GT(async_pf.remaining(), 0);
-    const FetchedGraphs a = sync_pf.Next().value();
+    FetchedGraphs a;
+    ASSERT_TRUE((*store)->Fetch(batch, &a).ok());
     const FetchedGraphs b = async_pf.Next().value();
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {

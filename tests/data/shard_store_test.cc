@@ -127,9 +127,7 @@ TEST(ShardStoreTest, CacheBoundsDecodesAndPinsSurviveEviction) {
   GraphDataset ds = MakeZincLikeDataset(9, /*seed=*/5);
   const std::string dir = TempDir("shard_cache");
   WriteStore(ds, dir, /*graphs_per_shard=*/3);
-  ShardStoreOptions opt;
-  opt.max_cached_shards = 1;
-  auto store = ShardedGraphStore::Open(dir, opt);
+  auto store = ShardedGraphStore::Open(dir);
   ASSERT_TRUE(store.ok());
 
   // Sequential fetches within one shard reuse the cached decode.
@@ -138,7 +136,7 @@ TEST(ShardStoreTest, CacheBoundsDecodesAndPinsSurviveEviction) {
   ASSERT_TRUE((*store)->Fetch(std::vector<int64_t>{2}, &b).ok());
   EXPECT_EQ((*store)->shard_decodes(), 1);
 
-  // Touching the other shards evicts shard 0 (cache size 1)...
+  // Touching the two other shards evicts shard 0 (cache size 2)...
   FetchedGraphs c;
   ASSERT_TRUE((*store)->Fetch(std::vector<int64_t>{3, 6}, &c).ok());
   EXPECT_EQ((*store)->shard_decodes(), 3);
@@ -157,9 +155,7 @@ TEST(ShardStoreTest, CacheCountersTrackHitsMissesAndEvictions) {
   GraphDataset ds = MakeZincLikeDataset(9, /*seed=*/8);
   const std::string dir = TempDir("shard_cache_metrics");
   WriteStore(ds, dir, /*graphs_per_shard=*/3);
-  ShardStoreOptions opt;
-  opt.max_cached_shards = 1;
-  auto store = ShardedGraphStore::Open(dir, opt);
+  auto store = ShardedGraphStore::Open(dir);
   ASSERT_TRUE(store.ok());
 
   // The stream/ counters are process-wide, so measure deltas.
@@ -181,20 +177,23 @@ TEST(ShardStoreTest, CacheCountersTrackHitsMissesAndEvictions) {
   EXPECT_EQ(misses->value() - misses0, 1);
   EXPECT_EQ(evictions->value() - evictions0, 0);
 
-  // Shard 1 then shard 2: two more misses, each evicting (cache size 1).
+  // Shard 1 then shard 2: two more misses; the second evicts shard 0
+  // (cache size 2).
   ASSERT_TRUE((*store)->Fetch(std::vector<int64_t>{3}, &out).ok());
   ASSERT_TRUE((*store)->Fetch(std::vector<int64_t>{6}, &out).ok());
   EXPECT_EQ(misses->value() - misses0, 3);
-  EXPECT_EQ(evictions->value() - evictions0, 2);
+  EXPECT_EQ(evictions->value() - evictions0, 1);
 
-  // A scan that revisits every shard once (cache size 1, 3 shards) can
-  // never hit: hit ratio over the run is 1/(1+5) and every decode paid
+  // A scan that revisits every shard once (LRU of 2, 3 shards) can never
+  // hit: each shard was evicted just before its turn, so the hit ratio
+  // over the run is 1/(1+5), every miss evicts, and every decode paid
   // the fetch-latency histogram.
   ASSERT_TRUE((*store)->Fetch(std::vector<int64_t>{0, 3, 6}, &out).ok());
   const int64_t total_hits = hits->value() - hits0;
   const int64_t total_misses = misses->value() - misses0;
   EXPECT_EQ(total_hits, 1);
   EXPECT_EQ(total_misses, 6);
+  EXPECT_EQ(evictions->value() - evictions0, 4);
   EXPECT_EQ(total_misses, (*store)->shard_decodes());
   const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
   const auto it = snap.histograms.find("stream/shard_fetch_us");

@@ -99,17 +99,5 @@ TEST(InMemorySourceTest, FingerprintIsStableAndContentSensitive) {
   EXPECT_NE(sa.ContentFingerprint(), sc.ContentFingerprint());
 }
 
-TEST(FetchedGraphsTest, OwnedGraphsHaveStableAddresses) {
-  FetchedGraphs batch;
-  for (int i = 0; i < 100; ++i) {
-    batch.AppendOwned(testing::PathGraph3(3));
-  }
-  // Every handed-out pointer must still point at a live graph even after
-  // many appends (deque storage: no reallocation moves).
-  for (size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(batch.graph(i).num_nodes(), 3);
-  }
-}
-
 }  // namespace
 }  // namespace sgcl

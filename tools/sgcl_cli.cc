@@ -8,7 +8,6 @@
 //                      [--trace-out=trace.json] [--checkpoint-dir=DIR]
 //                      [--checkpoint-every=K] [--checkpoint-keep=N]
 //                      [--checkpoint-every-batches=B] [--resume]
-//                      [--prefetch-depth=D]
 //                      pretrain streams the store (generate or shard_writer
 //                      output) from disk; peak memory stays bounded by the
 //                      shard cache + prefetch depth, not the corpus size
@@ -382,7 +381,6 @@ Result<PretrainStats> ObservedPretrain(SgclTrainer* trainer,
                                        const ObservabilityFlags& obs,
                                        const char* command, int total_epochs,
                                        const CheckpointFlags& ckpt,
-                                       int prefetch_depth,
                                        DistributedRun* dist) {
   SetRunId(GenerateRunId());
   // Fail fast: every sink path is validated here, before training starts,
@@ -425,6 +423,9 @@ Result<PretrainStats> ObservedPretrain(SgclTrainer* trainer,
   MetricsRegistry::Global().Reset();  // per-run isolation
 
   RunStatusBoard board;
+  // Before the coordinator starts: BeginRun resets the worker rows it
+  // reports.
+  board.BeginRun(command, total_epochs);
   TelemetryServer server;
   if (obs.http_port >= 0) {
     SGCL_RETURN_NOT_OK(server.Start(obs.http_port, &board));
@@ -448,13 +449,11 @@ Result<PretrainStats> ObservedPretrain(SgclTrainer* trainer,
     std::printf("coordinator: 127.0.0.1:%d\n", coordinator->port());
     std::fflush(stdout);
   }
-  board.BeginRun(command, total_epochs);
   SGCL_LOG(INFO) << command << " started: run " << GetRunId() << ", "
                  << source.size() << " graphs, " << total_epochs
                  << " epochs";
 
   PretrainOptions options;
-  options.prefetch_depth = prefetch_depth;
   options.on_epoch_end = [&](const EpochReport& report) {
     if (metrics_stream.is_open()) {
       metrics_stream << EpochReportJson(report) << "\n";
@@ -580,7 +579,6 @@ int CmdInfo(int argc, char** argv) {
 int CmdPretrain(int argc, char** argv) {
   std::string data = "dataset", out = "model.ckpt";
   uint64_t seed = 1;
-  int prefetch_depth = 2;
   TrainFlags train_flags;
   ObservabilityFlags obs;
   CheckpointFlags ckpt;
@@ -591,9 +589,6 @@ int CmdPretrain(int argc, char** argv) {
                "streamed from disk");
   flags.String("out", &out, "output checkpoint path");
   flags.Uint64("seed", &seed, "training seed");
-  flags.Int("prefetch-depth", &prefetch_depth,
-            "batches decoded ahead of the training step (<= 0 fetches "
-            "synchronously)");
   train_flags.Register(&flags);
   obs.Register(&flags);
   ckpt.Register(&flags);
@@ -659,7 +654,7 @@ int CmdPretrain(int argc, char** argv) {
                            1u << 20));
   }
   auto stats = ObservedPretrain(&trainer, source, obs, "pretrain",
-                                cfg->epochs, ckpt, prefetch_depth,
+                                cfg->epochs, ckpt,
                                 dist_flags.workers > 0 ? &dist_run : nullptr);
   if (!stats.ok()) return Fail(stats.status());
   std::printf("pretrained %d epochs: loss %.4f -> %.4f\n", cfg->epochs,
