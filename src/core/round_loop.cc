@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <optional>
 
 #include "common/crc32.h"
 #include "common/logging.h"
@@ -153,13 +154,13 @@ AllReduceSchedule MakePretrainSchedule(const SgclConfig& config,
                                        const GraphSource& source,
                                        int64_t selected, int world_size,
                                        int grad_accum, uint64_t run_seed) {
-  Rng probe_rng(0);
-  const SgclModel probe(config, &probe_rng);
+  const std::optional<int64_t> num_params = SgclModel::NumParametersFor(config);
+  SGCL_CHECK(num_params.has_value());
   AllReduceSchedule schedule;
   schedule.world_size = static_cast<uint32_t>(world_size);
   schedule.accum = static_cast<uint32_t>(grad_accum);
   schedule.epochs = static_cast<uint32_t>(config.epochs);
-  schedule.grad_dim = static_cast<uint64_t>(probe.NumParameters());
+  schedule.grad_dim = static_cast<uint64_t>(*num_params);
   schedule.batches_per_epoch = static_cast<uint64_t>(
       PretrainBatchesPerEpoch(selected, config.batch_size));
   schedule.config_fingerprint = ConfigFingerprint(config);

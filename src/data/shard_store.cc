@@ -374,29 +374,24 @@ ShardedGraphStore::GetShard(int64_t shard) const {
   static Histogram* const fetch_us = MetricsRegistry::Global().GetHistogram(
       "stream/shard_fetch_us",
       {100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000, 250000});
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-      if (it->first == shard) {
-        cache_.splice(cache_.begin(), cache_, it);  // move to front (MRU)
-        cache_hits->Increment();
-        return cache_.front().second;
-      }
+  // One critical section: a shard is decoded once per cache residency,
+  // and a concurrent fetch of it waits for that decode, then hits.
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto it = cache_.begin(); it != cache_.end(); ++it) {
+    if (it->first == shard) {
+      cache_.splice(cache_.begin(), cache_, it);  // move to front (MRU)
+      cache_hits->Increment();
+      return cache_.front().second;
     }
   }
   cache_misses->Increment();
-  // Decode outside the lock so concurrent Fetches of different shards
-  // overlap. Two threads may race on the same shard and both decode it —
-  // harmless (both results are identical; the second insert wins).
   const int64_t decode_start_us = TraceNowUs();
   std::shared_ptr<const DecodedShard> decoded;
   {
     SGCL_TRACE_SPAN("stream/shard_decode");
     SGCL_ASSIGN_OR_RETURN(decoded, DecodeShard(shard));
   }
-  fetch_us->Observe(static_cast<double>(TraceNowUs() -
-                                        decode_start_us));
-  std::lock_guard<std::mutex> lock(mu_);
+  fetch_us->Observe(static_cast<double>(TraceNowUs() - decode_start_us));
   ++decode_count_;
   cache_.emplace_front(shard, decoded);
   while (cache_.size() > kCachedShards) {

@@ -26,8 +26,10 @@
 //
 // The reader keeps at most two decoded shards in an LRU cache, so
 // resident memory is bounded by the shard capacity — independent of the
-// total graph count. Fetch is thread-safe; decoded shards are handed out
-// as shared_ptr pins, so FetchedGraphs batches stay valid after eviction.
+// total graph count. Fetch is thread-safe: a shard is decoded once per
+// cache residency and concurrent readers of it wait for that decode.
+// Decoded shards are handed out as shared_ptr pins, so FetchedGraphs
+// batches stay valid after eviction.
 //
 // The store is the only on-disk graph format: a GraphDataset is saved as
 // a one-shard store (SaveDataset) and any store loads back into memory

@@ -56,28 +56,36 @@ int64_t CounterValue(const MetricsSnapshot& snapshot, const std::string& name) {
 
 }  // namespace
 
+ServeService::Lane::Lane(const std::string& endpoint,
+                         const MicroBatcherOptions& options, BatchFn fn)
+    : batcher(endpoint, options, std::move(fn)) {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  const std::string prefix = "serve/" + endpoint + "/";
+  requests = registry.GetCounter(prefix + "requests");
+  errors = registry.GetCounter(prefix + "errors");
+  graphs = registry.GetCounter(prefix + "graphs");
+  latency_us = registry.GetHistogram(prefix + "latency_us", LatencyBoundsUs());
+}
+
 ServeService::ServeService(const SgclModel* model, const ServeOptions& options,
                            BatchFn embed_override, BatchFn predict_override)
-    : model_(model), options_(options), session_(model) {
-  BatchFn embed_fn = std::move(embed_override);
-  if (!embed_fn) {
-    embed_fn = [this](const std::vector<const Graph*>& graphs,
-                      std::vector<std::vector<float>>* rows) {
-      return session_.EmbedBatch(graphs, rows);
-    };
-  }
-  BatchFn predict_fn = std::move(predict_override);
-  if (!predict_fn) {
-    predict_fn = [this](const std::vector<const Graph*>& graphs,
-                        std::vector<std::vector<float>>* rows) {
-      return session_.PredictBatch(graphs, rows);
-    };
-  }
-  embed_batcher_ = std::make_unique<MicroBatcher>("embed", options_.batcher,
-                                                  std::move(embed_fn));
-  predict_batcher_ = std::make_unique<MicroBatcher>(
-      "predict", options_.batcher, std::move(predict_fn));
-}
+    : model_(model),
+      options_(options),
+      session_(model),
+      embed_("embed", options_.batcher,
+             embed_override
+                 ? std::move(embed_override)
+                 : BatchFn([this](const std::vector<const Graph*>& graphs,
+                                  std::vector<std::vector<float>>* rows) {
+                     return session_.EmbedBatch(graphs, rows);
+                   })),
+      predict_("predict", options_.batcher,
+               predict_override
+                   ? std::move(predict_override)
+                   : BatchFn([this](const std::vector<const Graph*>& graphs,
+                                    std::vector<std::vector<float>>* rows) {
+                       return session_.PredictBatch(graphs, rows);
+                     })) {}
 
 ServeService::~ServeService() { Stop(); }
 
@@ -86,17 +94,16 @@ Status ServeService::Start() {
   TraceRing::Global().SetSampleRate(options_.trace_sample_rate);
   TraceRing::Global().SetCapacity(
       static_cast<size_t>(std::max<int64_t>(1, options_.trace_ring_size)));
-  SGCL_RETURN_NOT_OK(embed_batcher_->Start());
-  SGCL_RETURN_NOT_OK(predict_batcher_->Start());
+  SGCL_RETURN_NOT_OK(embed_.batcher.Start());
+  SGCL_RETURN_NOT_OK(predict_.batcher.Start());
 
   RegisterDiagnosticsHandlers(&server_, start_);
   server_.Handle("POST", "/v1/embed", [this](const HttpRequest& request) {
-    return HandleGraphsRequest(request, embed_batcher_.get(), "embed",
-                               "embeddings", session_.embed_dim());
+    return HandleGraphsRequest(request, &embed_, "embeddings",
+                               session_.embed_dim());
   });
   server_.Handle("POST", "/v1/predict", [this](const HttpRequest& request) {
-    return HandleGraphsRequest(request, predict_batcher_.get(), "predict",
-                               "keep_probs", -1);
+    return HandleGraphsRequest(request, &predict_, "keep_probs", -1);
   });
   server_.Handle("/v1/info", [this](const HttpRequest&) { return HandleInfo(); });
   server_.Handle("/status", [this](const HttpRequest&) {
@@ -112,8 +119,8 @@ Status ServeService::Start() {
   http.idle_timeout_ms = kIdleTimeoutMs;
   const Status st = server_.Start(options_.http_port, http);
   if (!st.ok()) {
-    embed_batcher_->Stop();
-    predict_batcher_->Stop();
+    embed_.batcher.Stop();
+    predict_.batcher.Stop();
     return st;
   }
   SGCL_LOG(INFO) << "serve listening on http://127.0.0.1:" << server_.port()
@@ -124,25 +131,16 @@ Status ServeService::Start() {
 
 void ServeService::Stop() {
   server_.Stop();
-  if (embed_batcher_ != nullptr) embed_batcher_->Stop();
-  if (predict_batcher_ != nullptr) predict_batcher_->Stop();
+  embed_.batcher.Stop();
+  predict_.batcher.Stop();
 }
 
 HttpResponse ServeService::HandleGraphsRequest(const HttpRequest& request,
-                                               MicroBatcher* batcher,
-                                               const std::string& endpoint,
+                                               Lane* lane,
                                                const std::string& response_key,
                                                int64_t dim_or_negative) {
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  const std::string prefix = "serve/" + endpoint + "/";
-  Counter* requests = registry.GetCounter(prefix + "requests");
-  Counter* errors = registry.GetCounter(prefix + "errors");
-  Counter* graphs_total = registry.GetCounter(prefix + "graphs");
-  Histogram* latency =
-      registry.GetHistogram(prefix + "latency_us", LatencyBoundsUs());
-
   const auto t0 = std::chrono::steady_clock::now();
-  requests->Increment();
+  lane->requests->Increment();
   // Maybe open a sampled trace for this request; the root span below
   // becomes the tree's root and every phase (parse, queue wait, forward,
   // encode) hangs off it. The id goes back to the client in X-Sgcl-Trace
@@ -160,15 +158,15 @@ HttpResponse ServeService::HandleGraphsRequest(const HttpRequest& request,
                                 options_.limits);
     }();
     if (!parsed.ok()) {
-      errors->Increment();
+      lane->errors->Increment();
       response = JsonError(400, parsed.status());
     } else {
       const std::vector<Graph>& graphs = *parsed;
-      graphs_total->Increment(static_cast<int64_t>(graphs.size()));
+      lane->graphs->Increment(static_cast<int64_t>(graphs.size()));
 
-      auto rows = batcher->Submit(graphs);
+      auto rows = lane->batcher.Submit(graphs);
       if (!rows.ok()) {
-        errors->Increment();
+        lane->errors->Increment();
         if (rows.status().code() == StatusCode::kUnavailable) {
           response = JsonError(503, rows.status());
           response.extra_headers.push_back(
@@ -186,7 +184,7 @@ HttpResponse ServeService::HandleGraphsRequest(const HttpRequest& request,
       }
     }
   }  // root span closes here, committing the trace to the ring
-  latency->ObserveWithExemplar(
+  lane->latency_us->ObserveWithExemplar(
       static_cast<double>(
           std::chrono::duration_cast<std::chrono::microseconds>(
               std::chrono::steady_clock::now() - t0)

@@ -22,7 +22,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -74,9 +73,19 @@ class ServeService {
   std::string StatusJson() const;
 
  private:
-  HttpResponse HandleGraphsRequest(const HttpRequest& request,
-                                   MicroBatcher* batcher,
-                                   const std::string& endpoint,
+  // One POST endpoint: its batcher and the serve/<endpoint>/ request
+  // metrics its handler updates, resolved once when the service is built.
+  struct Lane {
+    Lane(const std::string& endpoint, const MicroBatcherOptions& options,
+         BatchFn fn);
+    MicroBatcher batcher;
+    Counter* requests = nullptr;
+    Counter* errors = nullptr;
+    Counter* graphs = nullptr;
+    Histogram* latency_us = nullptr;
+  };
+
+  HttpResponse HandleGraphsRequest(const HttpRequest& request, Lane* lane,
                                    const std::string& response_key,
                                    int64_t dim_or_negative);
   HttpResponse HandleInfo() const;
@@ -84,8 +93,8 @@ class ServeService {
   const SgclModel* model_;
   ServeOptions options_;
   InferenceSession session_;
-  std::unique_ptr<MicroBatcher> embed_batcher_;
-  std::unique_ptr<MicroBatcher> predict_batcher_;
+  Lane embed_;
+  Lane predict_;
   HttpServer server_;
   std::chrono::steady_clock::time_point start_;
 };

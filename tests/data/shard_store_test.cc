@@ -1,10 +1,12 @@
 #include "data/shard_store.h"
 
 #include <algorithm>
+#include <barrier>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/crc32.h"
@@ -199,6 +201,57 @@ TEST(ShardStoreTest, CacheCountersTrackHitsMissesAndEvictions) {
   const auto it = snap.histograms.find("stream/shard_fetch_us");
   ASSERT_NE(it, snap.histograms.end());
   EXPECT_GE(it->second.count, total_misses);
+  fs::remove_all(dir);
+}
+
+TEST(ShardStoreTest, ConcurrentFetchesOfOneShardDecodeItOnce) {
+  // Four readers released together, each wanting a disjoint 32-graph
+  // batch of one uncached 128-graph shard: the first decodes it, the
+  // other three wait for that decode and hit.
+  constexpr int kReaders = 4;
+  constexpr int64_t kBatch = 32;
+  GraphDataset ds = MakeZincLikeDataset(kReaders * kBatch, /*seed=*/9);
+  const std::string dir = TempDir("shard_concurrent");
+  WriteStore(ds, dir, /*graphs_per_shard=*/kReaders * kBatch);
+  auto store = ShardedGraphStore::Open(dir);
+  ASSERT_TRUE(store.ok());
+  Counter* hits =
+      MetricsRegistry::Global().GetCounter("stream/shard_cache_hits");
+  Counter* misses =
+      MetricsRegistry::Global().GetCounter("stream/shard_cache_misses");
+  const int64_t hits0 = hits->value();
+  const int64_t misses0 = misses->value();
+
+  std::vector<std::vector<int64_t>> batches(kReaders);
+  for (int r = 0; r < kReaders; ++r) {
+    for (int64_t k = 0; k < kBatch; ++k) batches[r].push_back(r * kBatch + k);
+  }
+  std::vector<FetchedGraphs> fetched(kReaders);
+  std::vector<Status> statuses(kReaders);
+  std::barrier start(kReaders);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      start.arrive_and_wait();
+      statuses[r] = (*store)->Fetch(batches[r], &fetched[r]);
+    });
+  }
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ((*store)->shard_decodes(), 1);
+  EXPECT_EQ(misses->value() - misses0, 1);
+  EXPECT_EQ(hits->value() - hits0, kReaders - 1);
+  auto reference = ShardedGraphStore::Open(dir);
+  ASSERT_TRUE(reference.ok());
+  for (int r = 0; r < kReaders; ++r) {
+    ASSERT_TRUE(statuses[r].ok()) << statuses[r].ToString();
+    FetchedGraphs expected;
+    ASSERT_TRUE((*reference)->Fetch(batches[r], &expected).ok());
+    ASSERT_EQ(fetched[r].size(), expected.size());
+    for (size_t k = 0; k < expected.size(); ++k) {
+      ExpectGraphsBitIdentical(expected.graph(k), fetched[r].graph(k));
+    }
+  }
   fs::remove_all(dir);
 }
 
